@@ -176,7 +176,11 @@ int main(int argc, char** argv) try {
               << stats.shards_reassigned << " shards reassigned\n"
               << "frames: " << stats.frames_accepted << " accepted, "
               << stats.duplicate_frames << " duplicate, "
-              << stats.corrupt_frames << " corrupt\n\n";
+              << stats.corrupt_frames << " corrupt\n"
+              << "workers: " << stats.lanes_synthesized << " lanes synthesized"
+              << " (plan has " << plan.lanes.size() << "), synth "
+              << stats.worker_synth_seconds << " s, sim "
+              << stats.worker_sim_seconds << " s\n\n";
 
     const FleetSummary monolithic = RunFleet(spec);
     const bool identical = BitIdentical(merged, monolithic);

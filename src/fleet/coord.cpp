@@ -33,10 +33,21 @@ namespace shep {
 
 // ---- Wire protocol -------------------------------------------------------
 
+namespace {
+
+/// Cap on a job's spec text.  A spec costs a few hundred bytes per site and
+/// predictor, so this is orders of magnitude of headroom; it exists so a
+/// garbled byte count can never size an allocation.
+constexpr std::uint64_t kMaxJobSpecBytes = 1 << 20;
+
+}  // namespace
+
 std::string EncodeFleetJob(const FleetWorkerJob& job) {
   SHEP_REQUIRE(job.trace_dir.find('\n') == std::string::npos,
                "trace directory must not contain a newline");
   const std::string spec_text = job.spec.Describe();
+  SHEP_REQUIRE(spec_text.size() <= kMaxJobSpecBytes,
+               "fleet job spec text exceeds the job size cap");
   std::ostringstream os;
   os << "shep-fleet-job v1\n";
   os << "fingerprint " << job.fingerprint << '\n';
@@ -71,6 +82,8 @@ FleetWorkerJob ParseFleetJob(std::istream& in) {
   job.trace_dir = dir == "-" ? std::string() : dir;
   serdes::ExpectToken(in, "spec");
   const std::uint64_t spec_bytes = serdes::ReadU64(in);
+  SHEP_REQUIRE(spec_bytes <= kMaxJobSpecBytes,
+               "fleet job spec byte count exceeds the job size cap");
   SHEP_REQUIRE(in.get() == '\n', "fleet job spec must start on a new line");
   std::string spec_text(spec_bytes, '\0');
   in.read(spec_text.data(), static_cast<std::streamsize>(spec_bytes));
@@ -176,6 +189,15 @@ bool WriteAll(int fd, std::string_view data) {
 
 enum class ShardState { kPending, kInflight, kDone };
 
+/// Shards that read the same set of weather lanes.  A worker caches every
+/// lane it synthesizes, so keeping a group on one worker pays for its lanes
+/// once instead of once per worker that touches the group.
+struct ShardGroup {
+  std::vector<std::size_t> lanes;  ///< sorted, distinct.
+  std::deque<std::size_t> pending;  ///< plan order.
+  std::size_t servers = 0;          ///< unreaped workers serving the group.
+};
+
 struct WorkerProc {
   std::size_t spawn = 0;  ///< monotone spawn id (stable across respawns).
   pid_t pid = -1;
@@ -190,6 +212,8 @@ struct WorkerProc {
   Clock::time_point last_activity;
   std::set<std::size_t> inflight;                 ///< dispatched shards.
   std::map<std::size_t, Clock::time_point> sent;  ///< dispatch times.
+  std::vector<std::size_t> groups;  ///< shard groups it serves.
+  std::set<std::size_t> lanes;      ///< distinct lanes of those groups.
 };
 
 struct CoordState {
@@ -197,8 +221,15 @@ struct CoordState {
   std::condition_variable cv;
 
   const ShardPlan* plan = nullptr;
+  /// Largest payload an honest frame of this plan can carry.
+  std::size_t max_frame_bytes = 0;
   std::vector<ShardState> shard_state;
-  std::deque<std::size_t> pending;
+  std::vector<ShardGroup> groups;
+  std::vector<std::size_t> shard_group;               ///< per shard.
+  /// Per shard: lanes its latest dispatch made the worker synthesize.
+  std::vector<std::size_t> shard_new_lanes;
+  /// Lanes whose synthesis time arrived in accepted frames.
+  std::size_t lanes_reported = 0;
   std::vector<std::optional<FleetPartial>> partials;  ///< per shard.
   std::vector<std::size_t> winning_spawn;             ///< per shard.
   std::size_t done = 0;
@@ -229,31 +260,39 @@ void ReaderMain(CoordState& state, WorkerProc& worker) {
     }
     if (line->rfind("frame ", 0) != 0) continue;  // forward compatibility.
 
-    // Header + payload + trailer, off-lock (pipe reads may block).
+    // The header is checked before its byte count sizes anything: a
+    // garbled or oversized header is a lie like any other.
     std::istringstream header(line->substr(6));
     std::uint64_t shard = 0, bytes = 0, checksum = 0;
     header >> shard >> bytes >> checksum;
-    std::string payload;
-    bool ok = !header.fail() && reader.ReadExact(payload, bytes);
-    if (ok) {
-      std::optional<std::string> trailer = reader.ReadLine();
-      ok = trailer && *trailer == "end-frame";
-    }
-    if (!ok) break;  // stream died mid-frame: plain worker death.
+    bool header_ok = !header.fail();
+    header >> std::ws;
+    header_ok = header_ok && header.eof() &&
+                shard < state.plan->shards.size() &&
+                bytes <= state.max_frame_bytes;
 
     // Validate the frame itself; any lie makes the worker faulty (its
     // framing can no longer be trusted, so stop reading it entirely).
     std::optional<FleetPartial> partial;
-    if (FleetFrameChecksum(payload) == checksum) {
-      try {
-        FleetPartial parsed = FleetPartial::Parse(payload);
-        if (parsed.plan_fingerprint == state.plan->fingerprint &&
-            parsed.shards.size() == 1 && parsed.shards[0].shard == shard &&
-            shard < state.plan->shards.size()) {
-          partial = std::move(parsed);
+    if (header_ok) {
+      // Payload + trailer, off-lock (pipe reads may block).
+      std::string payload;
+      bool ok = reader.ReadExact(payload, bytes);
+      if (ok) {
+        std::optional<std::string> trailer = reader.ReadLine();
+        ok = trailer && *trailer == "end-frame";
+      }
+      if (!ok) break;  // stream died mid-frame: plain worker death.
+      if (FleetFrameChecksum(payload) == checksum) {
+        try {
+          FleetPartial parsed = FleetPartial::Parse(payload);
+          if (parsed.plan_fingerprint == state.plan->fingerprint &&
+              parsed.shards.size() == 1 && parsed.shards[0].shard == shard) {
+            partial = std::move(parsed);
+          }
+        } catch (const std::exception&) {
+          // fall through: corrupt.
         }
-      } catch (const std::exception&) {
-        // fall through: corrupt.
       }
     }
 
@@ -272,6 +311,9 @@ void ReaderMain(CoordState& state, WorkerProc& worker) {
       continue;
     }
     state.shard_state[shard] = ShardState::kDone;
+    state.stats.worker_synth_seconds += partial->synth_seconds;
+    state.stats.worker_sim_seconds += partial->sim_seconds;
+    state.lanes_reported += state.shard_new_lanes[shard];
     state.partials[shard] = std::move(partial);
     state.winning_spawn[shard] = worker.spawn;
     ++state.done;
@@ -356,15 +398,127 @@ void ReapWorker(CoordState& state, std::unique_lock<std::mutex>& lock,
   } else {
     ++state.stats.workers_died;
   }
-  for (std::size_t shard : worker.inflight) {
-    if (state.shard_state[shard] == ShardState::kInflight) {
-      state.shard_state[shard] = ShardState::kPending;
-      state.pending.push_front(shard);
+  // Back to the front of their groups, in plan order; groups nobody else
+  // serves become unclaimed again.
+  for (auto it = worker.inflight.rbegin(); it != worker.inflight.rend();
+       ++it) {
+    if (state.shard_state[*it] == ShardState::kInflight) {
+      state.shard_state[*it] = ShardState::kPending;
+      state.groups[state.shard_group[*it]].pending.push_front(*it);
       ++state.stats.shards_reassigned;
     }
   }
+  for (std::size_t group : worker.groups) --state.groups[group].servers;
   worker.inflight.clear();
   worker.sent.clear();
+  worker.groups.clear();
+}
+
+/// Splits the plan's shards into groups by the exact set of lanes they
+/// read.  Lanes are keyed (site, replica) and nodes are cell-major, so
+/// shards covering the same replica range of one site's cells land in one
+/// group.  Groups are numbered in plan order.
+void GroupShardsByLanes(CoordState& state) {
+  const ShardPlan& plan = *state.plan;
+  std::map<std::vector<std::size_t>, std::size_t> index;
+  state.shard_group.resize(plan.shards.size());
+  state.shard_new_lanes.resize(plan.shards.size());
+  for (const ShardRange& range : plan.shards) {
+    std::vector<std::size_t> lanes;
+    for (std::size_t node = range.begin_node; node < range.end_node; ++node) {
+      lanes.push_back(plan.matrix.trace_lane(plan.matrix.nodes[node]));
+    }
+    std::sort(lanes.begin(), lanes.end());
+    lanes.erase(std::unique(lanes.begin(), lanes.end()), lanes.end());
+    const auto [it, added] = index.emplace(std::move(lanes), index.size());
+    if (added) state.groups.push_back(ShardGroup{it->first, {}, 0});
+    state.groups[it->second].pending.push_back(range.index);
+    state.shard_group[range.index] = it->second;
+  }
+}
+
+/// Whether idle `worker` should join `group`, which others already serve.
+/// It pays when synthesizing the lanes the worker lacks and then running
+/// one shard takes less time than the group's servers need for its pending
+/// shards.  Costs are the averages the workers reported so far; before any
+/// report arrives, stealing is assumed to pay.
+bool StealPays(const CoordState& state, const WorkerProc& worker,
+               const ShardGroup& group) {
+  const FleetCoordStats& stats = state.stats;
+  if (stats.frames_accepted == 0 || state.lanes_reported == 0) return true;
+  const double lane_s =
+      stats.worker_synth_seconds / static_cast<double>(state.lanes_reported);
+  const double shard_s =
+      stats.worker_sim_seconds / static_cast<double>(stats.frames_accepted);
+  std::size_t missing = 0;
+  for (std::size_t lane : group.lanes) {
+    if (worker.lanes.count(lane) == 0) ++missing;
+  }
+  return static_cast<double>(missing) * lane_s + shard_s <
+         static_cast<double>(group.pending.size()) * shard_s /
+             static_cast<double>(group.servers);
+}
+
+/// Lane-affinity dispatch: the next shard for `worker`, or nullopt when it
+/// should wait.  A worker first drains the groups it already serves, then
+/// claims the first unclaimed group.  Only when neither is left, and only
+/// once the worker is idle, does it steal from the group with the most
+/// pending shards, and only if the steal pays for the lanes it
+/// re-synthesizes.
+std::optional<std::size_t> PickShard(CoordState& state, WorkerProc& worker) {
+  std::optional<std::size_t> pick;
+  for (std::size_t g : worker.groups) {
+    if (!state.groups[g].pending.empty()) {
+      pick = g;
+      break;
+    }
+  }
+  std::size_t new_lanes = 0;
+  if (!pick) {
+    std::optional<std::size_t> steal;
+    for (std::size_t g = 0; g < state.groups.size(); ++g) {
+      const ShardGroup& group = state.groups[g];
+      if (group.pending.empty()) continue;
+      if (group.servers == 0) {
+        pick = g;
+        break;
+      }
+      if (!steal ||
+          group.pending.size() > state.groups[*steal].pending.size()) {
+        steal = g;
+      }
+    }
+    if (!pick && steal && worker.inflight.empty() &&
+        StealPays(state, worker, state.groups[*steal])) {
+      pick = steal;
+    }
+    if (!pick) return std::nullopt;
+    ShardGroup& joined = state.groups[*pick];
+    ++joined.servers;
+    worker.groups.push_back(*pick);
+    for (std::size_t lane : joined.lanes) {
+      if (worker.lanes.insert(lane).second) ++new_lanes;
+    }
+    state.stats.lanes_synthesized += new_lanes;
+  }
+  std::deque<std::size_t>& pending = state.groups[*pick].pending;
+  const std::size_t shard = pending.front();
+  pending.pop_front();
+  state.shard_new_lanes[shard] = new_lanes;
+  return shard;
+}
+
+/// Largest payload an honest frame of `plan` can carry.  A one-shard
+/// partial is a short header plus, per cell the shard touches (at most one
+/// per node), nine moments lines, two sparse histograms holding one
+/// observation per node, and a totals line: under 2 KiB per node, so the
+/// cap allows twice that.
+std::size_t MaxFramePayloadBytes(const ShardPlan& plan) {
+  std::size_t max_nodes = 0;
+  for (const ShardRange& range : plan.shards) {
+    max_nodes = std::max(max_nodes, range.node_count());
+  }
+  return 4096 + plan.matrix.spec.name.size() + 4096 * max_nodes;
 }
 
 /// Moves each accepted shard's trace file from its winning spawn's private
@@ -434,12 +588,11 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
 
   CoordState state;
   state.plan = &plan;
+  state.max_frame_bytes = MaxFramePayloadBytes(plan);
   state.shard_state.assign(plan.shards.size(), ShardState::kPending);
   state.partials.resize(plan.shards.size());
   state.winning_spawn.assign(plan.shards.size(), 0);
-  for (std::size_t i = 0; i < plan.shards.size(); ++i) {
-    state.pending.push_back(i);
-  }
+  GroupShardsByLanes(state);
 
   ScopedIgnoreSigpipe sigpipe_guard;
   std::size_t next_spawn = 0;
@@ -536,10 +689,10 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
       // Dispatch: refill every live worker up to its inflight window.
       for (auto& worker : state.workers) {
         if (worker->reaped || !worker->alive || worker->faulty) continue;
-        while (!state.pending.empty() &&
-               worker->inflight.size() < options.max_inflight_per_worker) {
-          const std::size_t shard = state.pending.front();
-          state.pending.pop_front();
+        while (worker->inflight.size() < options.max_inflight_per_worker) {
+          const std::optional<std::size_t> picked = PickShard(state, *worker);
+          if (!picked) break;
+          const std::size_t shard = *picked;
           state.shard_state[shard] = ShardState::kInflight;
           worker->inflight.insert(shard);
           worker->sent.emplace(shard, Clock::now());

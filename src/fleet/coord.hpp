@@ -6,20 +6,30 @@
 // binary (tools/fleet/), hands each the full campaign once over stdin —
 // the ScenarioSpec's exact text plus the shard size, so every worker
 // rebuilds the IDENTICAL ShardPlan and proves it by echoing the plan
-// fingerprint — then dispatches shards one at a time ("run <shard>") and
-// streams each shard's FleetPartial::Serialize() text back over a pipe,
-// framed and checksummed per shard so completed shards survive a worker
-// death.
+// fingerprint — then dispatches shards ("run <shard>") and streams each
+// shard's FleetPartial::Serialize() text back over a pipe, framed and
+// checksummed per shard so completed shards survive a worker death.
+//
+// Dispatch follows lane affinity.  Synthesizing a weather lane costs far
+// more than simulating one node on it, and each worker caches every lane
+// it synthesizes, so the coordinator groups shards by the set of lanes
+// they read.  A worker asking for work drains the groups it already
+// serves, then claims an unclaimed group.  Only when nothing else is left,
+// and only once it is idle, does it steal from the group with the most
+// pending shards, and only if the worker-reported costs say the steal
+// pays for the lanes it re-synthesizes.  Each lane is thus synthesized by
+// about one worker instead of by every worker.
 //
 // Control plane vs data plane (the caldera heartbeat/transport split):
 // workers emit a heartbeat line between frames from a dedicated thread,
 // and the coordinator's per-worker reader threads timestamp every byte.
 // A deadline loop turns silence into death (SIGKILL + reap), a per-shard
 // deadline turns a hung-but-heartbeating worker into a straggler (same
-// treatment), and either way the victim's uncovered shards go back to the
-// pending queue for the survivors — safe by construction, because shards
-// are dispatched one per frame and MergeFleetPartials rejects duplicate
-// coverage, so the merge is over exactly one accepted frame per shard.
+// treatment), and either way the victim's uncovered shards go back to
+// their groups, which become unclaimed for the survivors — safe by
+// construction, because shards are dispatched one per frame and
+// MergeFleetPartials rejects duplicate coverage, so the merge is over
+// exactly one accepted frame per shard.
 // First valid frame wins; late duplicates from a killed straggler are
 // counted and discarded.
 //
@@ -68,8 +78,8 @@ struct FleetWorkerJob {
 std::string EncodeFleetJob(const FleetWorkerJob& job);
 
 /// Inverse of EncodeFleetJob.  Throws std::invalid_argument on malformed
-/// input.  Does NOT verify the fingerprint — the worker does that after
-/// rebuilding the plan.
+/// input, including a spec byte count over the 1 MiB cap.  Does NOT verify
+/// the fingerprint — the worker does that after rebuilding the plan.
 [[nodiscard]] FleetWorkerJob ParseFleetJob(std::istream& in);
 
 /// FNV-1a 64 over the payload bytes; the frame checksum.
@@ -77,7 +87,9 @@ std::uint64_t FleetFrameChecksum(std::string_view payload);
 
 /// One data-plane frame: "frame <shard> <bytes> <checksum>\n" + payload +
 /// "end-frame\n".  The payload is the FleetPartial::Serialize() text of
-/// exactly that one shard.
+/// exactly that one shard.  The coordinator treats a header that does not
+/// parse, names a shard outside the plan, or announces more bytes than any
+/// one-shard partial of the plan can need as a corrupt frame.
 std::string EncodeFleetFrame(std::size_t shard, const std::string& payload);
 
 // ---- Coordinator ---------------------------------------------------------
@@ -126,7 +138,15 @@ struct FleetCoordStats {
   std::size_t shards_reassigned = 0;
   std::size_t frames_accepted = 0;
   std::size_t duplicate_frames = 0;  ///< valid frames for covered shards.
-  std::size_t corrupt_frames = 0;    ///< checksum/parse failures.
+  std::size_t corrupt_frames = 0;    ///< bad header, checksum or payload.
+  /// Sum over spawns of the distinct lanes in the shards dispatched to
+  /// that spawn: the synthesis the fleet paid for.  The plan's lane count
+  /// is the floor, reached by a single worker.
+  std::size_t lanes_synthesized = 0;
+  /// Worker-reported synthesis and simulation wall time, summed over
+  /// accepted frames.  Timing only; never part of the summary.
+  double worker_synth_seconds = 0.0;
+  double worker_sim_seconds = 0.0;
 };
 
 /// Runs the campaign across `options.workers` worker processes and merges

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/check.hpp"
-#include "fleet/aggregate.hpp"  // serdes helpers.
 
 namespace shep {
 
@@ -150,62 +149,6 @@ std::string ShardPlan::Describe() const {
        << lane.trace_seed << '\n';
   }
   return os.str();
-}
-
-ShardPlanLayout ParseShardPlanLayout(const std::string& text) {
-  std::istringstream is(text);
-  serdes::ExpectToken(is, "shep-shard-plan");
-  serdes::ExpectToken(is, "v1");
-  ShardPlanLayout layout;
-  serdes::ExpectToken(is, "scenario");
-  is >> layout.scenario_name;
-  SHEP_REQUIRE(!layout.scenario_name.empty(), "plan is missing its name");
-  serdes::ExpectToken(is, "fingerprint");
-  layout.fingerprint = serdes::ReadU64(is);
-  serdes::ExpectToken(is, "nodes");
-  layout.node_count = static_cast<std::size_t>(serdes::ReadU64(is));
-  serdes::ExpectToken(is, "shard_size");
-  layout.shard_size = static_cast<std::size_t>(serdes::ReadU64(is));
-  serdes::ExpectToken(is, "days");
-  layout.days = static_cast<std::size_t>(serdes::ReadU64(is));
-  serdes::ExpectToken(is, "slots_per_day");
-  layout.slots_per_day = static_cast<int>(serdes::ReadU64(is));
-
-  serdes::ExpectToken(is, "shards");
-  const std::uint64_t shard_count = serdes::ReadU64(is);
-  layout.shards.reserve(shard_count);
-  std::size_t covered = 0;  // ranges must tile [0, node_count) exactly.
-  for (std::uint64_t i = 0; i < shard_count; ++i) {
-    serdes::ExpectToken(is, "shard");
-    ShardRange range;
-    range.index = static_cast<std::size_t>(serdes::ReadU64(is));
-    range.begin_node = static_cast<std::size_t>(serdes::ReadU64(is));
-    range.end_node = static_cast<std::size_t>(serdes::ReadU64(is));
-    SHEP_REQUIRE(range.index == i && range.begin_node == covered &&
-                     range.begin_node < range.end_node &&
-                     range.end_node <= layout.node_count,
-                 "malformed shard range in plan: ranges must tile the node "
-                 "list without gaps or overlap");
-    covered = range.end_node;
-    layout.shards.push_back(range);
-  }
-  SHEP_REQUIRE(covered == layout.node_count,
-               "plan shard ranges do not cover every node");
-
-  serdes::ExpectToken(is, "lanes");
-  const std::uint64_t lane_count = serdes::ReadU64(is);
-  layout.lanes.reserve(lane_count);
-  for (std::uint64_t i = 0; i < lane_count; ++i) {
-    serdes::ExpectToken(is, "lane");
-    TraceLanePlan lane;
-    lane.lane = static_cast<std::size_t>(serdes::ReadU64(is));
-    is >> lane.site_code;
-    lane.trace_seed = serdes::ReadU64(is);
-    SHEP_REQUIRE(lane.lane == i && !lane.site_code.empty(),
-                 "malformed trace lane in plan");
-    layout.lanes.push_back(lane);
-  }
-  return layout;
 }
 
 }  // namespace shep

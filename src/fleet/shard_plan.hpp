@@ -4,10 +4,8 @@
 // matrix plus a deterministic description of (a) the fixed-size shard
 // ranges over the cell-major node list and (b) the weather-trace lanes the
 // shards read.  The plan is a pure function of (spec, shard_size) — no
-// clocks, no thread counts — so every process of a distributed run can
-// rebuild the identical plan from the spec, and a coordinator that never
-// expands the scenario can work from the serialized layout alone
-// (Describe / ParseShardPlanLayout).
+// clocks, no thread counts — so every process of a distributed run
+// rebuilds the identical plan from the spec text it is handed.
 //
 // The plan's fingerprint is folded into every FleetPartial produced by
 // RunFleetShards; MergeFleetPartials refuses partials whose fingerprint
@@ -44,20 +42,6 @@ struct TraceLanePlan {
   std::uint64_t trace_seed = 0;
 };
 
-/// The serializable scheduling skeleton of a plan: what Describe() emits
-/// and ParseShardPlanLayout() recovers.  Enough for a coordinator to
-/// assign shard subsets to workers without expanding the scenario itself.
-struct ShardPlanLayout {
-  std::string scenario_name;
-  std::uint64_t fingerprint = 0;
-  std::size_t node_count = 0;
-  std::size_t shard_size = 0;
-  std::size_t days = 0;
-  int slots_per_day = 0;
-  std::vector<ShardRange> shards;
-  std::vector<TraceLanePlan> lanes;
-};
-
 /// Stage-1 output: the expanded matrix plus its shard/lane decomposition.
 struct ShardPlan {
   ScenarioMatrix matrix;
@@ -74,9 +58,5 @@ struct ShardPlan {
 /// Deterministic in (spec, shard_size); throws via ScenarioSpec::Validate
 /// on a malformed spec and on shard_size == 0.
 ShardPlan BuildShardPlan(const ScenarioSpec& spec, std::size_t shard_size = 8);
-
-/// Parses the output of ShardPlan::Describe.  Throws std::invalid_argument
-/// on malformed input.
-[[nodiscard]] ShardPlanLayout ParseShardPlanLayout(const std::string& text);
 
 }  // namespace shep

@@ -345,6 +345,124 @@ TEST(RunFleetCoordinated, ValidatesItsConfiguration) {
                std::invalid_argument);
 }
 
+TEST(FleetProtocol, JobRejectsAnOversizedSpecByteCount) {
+  FleetWorkerJob job;
+  job.spec = CoordSpec();
+  const std::string text = EncodeFleetJob(job);
+  const std::size_t at = text.find("\nspec ") + 6;
+  const std::string count = text.substr(at, text.find('\n', at) - at);
+  // A byte count no allocation could satisfy must be refused up front,
+  // never handed to the string constructor.
+  for (const char* huge : {"18446744073709551615", "4294967296", "1048577"}) {
+    std::string garbled = text;
+    garbled.replace(at, count.size(), huge);
+    std::istringstream in(garbled);
+    EXPECT_THROW(ParseFleetJob(in), std::invalid_argument) << huge;
+  }
+}
+
+TEST(RunFleetCoordinated, GarbledFrameHeaderCondemnsTheWorker) {
+  SHEP_SKIP_WITHOUT_WORKER();
+  FleetCoordOptions options = BaseOptions();
+  // Each spawn's SECOND frame header announces 2^64-1 payload bytes.  The
+  // reader must count a corrupt frame and condemn the worker instead of
+  // trying to buffer what the header claims.
+  options.worker_args = {"--garble-header", "2"};
+  FleetCoordStats stats;
+  const FleetSummary summary =
+      RunFleetCoordinated(CoordSpec(), options, &stats);
+  ExpectSummaryBitIdentical(summary, Monolithic());
+  EXPECT_GE(stats.corrupt_frames, 1u);
+  EXPECT_GE(stats.workers_killed, 1u);
+}
+
+// ---- Lane-affinity dispatch ----------------------------------------------
+
+/// 2 sites x 3 predictors x 1 tier x 32 replicas in shards of 2: every
+/// shard reads the 2 lanes of one (site, replica pair), so the plan has
+/// 32 groups of 3 shards over 64 lanes.
+ScenarioSpec AffinitySpec() {
+  ScenarioSpec spec = CoordSpec();
+  spec.name = "affinity";
+  spec.storage_tiers_j = {3000.0};
+  spec.nodes_per_cell = 32;
+  return spec;
+}
+
+constexpr std::size_t kAffinityShardSize = 2;
+
+FleetSummary MonolithicOf(const ScenarioSpec& spec, std::size_t shard_size) {
+  FleetRunOptions options;
+  options.shard_size = shard_size;
+  return RunFleet(spec, options);
+}
+
+TEST(RunFleetCoordinated, KeepsLaneGroupsOnOneWorker) {
+  SHEP_SKIP_WITHOUT_WORKER();
+  const ScenarioSpec spec = AffinitySpec();
+  const ShardPlan plan = BuildShardPlan(spec, kAffinityShardSize);
+  FleetCoordOptions options = BaseOptions();
+  options.shard_size = kAffinityShardSize;
+  FleetCoordStats stats;
+  const FleetSummary summary = RunFleetCoordinated(spec, options, &stats);
+  ExpectSummaryBitIdentical(summary,
+                            MonolithicOf(spec, kAffinityShardSize));
+
+  // Claims never share a group; only tail steals re-read lanes.  When the
+  // last group is claimed each worker has at most 2 of its newest group's
+  // 3 shards pending, so at most 8 steals of 2 lanes each can happen.
+  EXPECT_GE(stats.lanes_synthesized, plan.lanes.size());
+  EXPECT_LE(stats.lanes_synthesized * 4, plan.lanes.size() * 5);
+  EXPECT_EQ(stats.frames_accepted, plan.shards.size());
+  EXPECT_EQ(stats.shards_reassigned, 0u);
+  EXPECT_GT(stats.worker_synth_seconds, 0.0);
+  EXPECT_GT(stats.worker_sim_seconds, 0.0);
+}
+
+TEST(RunFleetCoordinated, OneWorkerSynthesizesEveryLaneOnce) {
+  SHEP_SKIP_WITHOUT_WORKER();
+  const ScenarioSpec spec = AffinitySpec();
+  const ShardPlan plan = BuildShardPlan(spec, kAffinityShardSize);
+  FleetCoordOptions options = BaseOptions();
+  options.workers = 1;
+  options.shard_size = kAffinityShardSize;
+  FleetCoordStats stats;
+  const FleetSummary summary = RunFleetCoordinated(spec, options, &stats);
+  ExpectSummaryBitIdentical(summary,
+                            MonolithicOf(spec, kAffinityShardSize));
+  EXPECT_EQ(stats.lanes_synthesized, plan.lanes.size());
+}
+
+TEST(RunFleetCoordinated, ShardsStraddlingCellsMergeBitIdentically) {
+  SHEP_SKIP_WITHOUT_WORKER();
+  // 5 replicas per cell in shards of 3: shards straddle cells, so lane
+  // sets overlap without being equal.
+  ScenarioSpec spec = CoordSpec();
+  spec.name = "straddling";
+  spec.nodes_per_cell = 5;
+  const FleetSummary mono = MonolithicOf(spec, kShardSize);
+  const ShardPlan plan = BuildShardPlan(spec, kShardSize);
+  for (const bool kill_one : {false, true}) {
+    FleetCoordOptions options = BaseOptions();
+    if (kill_one) {
+      options.on_spawn = [](std::size_t spawn, long pid) {
+        if (spawn == 2) kill(static_cast<pid_t>(pid), SIGKILL);
+      };
+    }
+    FleetCoordStats stats;
+    const FleetSummary summary = RunFleetCoordinated(spec, options, &stats);
+    ExpectSummaryBitIdentical(summary, mono);
+    EXPECT_EQ(stats.frames_accepted, plan.shards.size()) << kill_one;
+    EXPECT_GE(stats.lanes_synthesized, plan.lanes.size()) << kill_one;
+    if (kill_one) {
+      // Seen as EOF (died) or as EPIPE on dispatch (killed): either way
+      // the victim is reaped and replaced.
+      EXPECT_GE(stats.workers_died + stats.workers_killed, 1u);
+      EXPECT_GE(stats.respawns, 1u);
+    }
+  }
+}
+
 TEST(RunFleetCoordinated, TracedRunLeavesTheSingleProcessFileSet) {
   SHEP_SKIP_WITHOUT_WORKER();
   namespace fs = std::filesystem;

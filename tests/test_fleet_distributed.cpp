@@ -169,50 +169,6 @@ TEST(ShardPlan, FingerprintCoversResultRelevantSpecFields) {
   EXPECT_NE(BuildShardPlan(jittered, 5).fingerprint, fp);
 }
 
-TEST(ShardPlan, DescribeRoundTripsThroughLayout) {
-  const ShardPlan plan = BuildShardPlan(DistributedSpec(), 5);
-  const ShardPlanLayout layout = ParseShardPlanLayout(plan.Describe());
-  EXPECT_EQ(layout.scenario_name, plan.matrix.spec.name);
-  EXPECT_EQ(layout.fingerprint, plan.fingerprint);
-  EXPECT_EQ(layout.node_count, plan.matrix.nodes.size());
-  EXPECT_EQ(layout.shard_size, plan.shard_size);
-  EXPECT_EQ(layout.days, plan.matrix.spec.days);
-  EXPECT_EQ(layout.slots_per_day, plan.matrix.spec.slots_per_day);
-  ASSERT_EQ(layout.shards.size(), plan.shards.size());
-  for (std::size_t i = 0; i < plan.shards.size(); ++i) {
-    EXPECT_EQ(layout.shards[i].begin_node, plan.shards[i].begin_node);
-    EXPECT_EQ(layout.shards[i].end_node, plan.shards[i].end_node);
-  }
-  ASSERT_EQ(layout.lanes.size(), plan.lanes.size());
-  for (std::size_t l = 0; l < plan.lanes.size(); ++l) {
-    EXPECT_EQ(layout.lanes[l].site_code, plan.lanes[l].site_code);
-    EXPECT_EQ(layout.lanes[l].trace_seed, plan.lanes[l].trace_seed);
-  }
-
-  EXPECT_THROW(ParseShardPlanLayout("not a plan"), std::invalid_argument);
-
-  // Shard ranges must tile the node list: a gap, an overlap, or a short
-  // covering is corruption a coordinator must not dispatch from.
-  auto with_ranges = [&](const std::string& ranges, std::size_t count) {
-    return "shep-shard-plan v1\nscenario s\nfingerprint 1\n"
-           "nodes 10 shard_size 5 days 30 slots_per_day 48\n"
-           "shards " + std::to_string(count) + "\n" + ranges + "lanes 0\n";
-  };
-  EXPECT_EQ(
-      ParseShardPlanLayout(with_ranges("shard 0 0 5\nshard 1 5 10\n", 2))
-          .shards.size(),
-      2u);
-  EXPECT_THROW(  // gap: nodes 5-6 uncovered.
-      ParseShardPlanLayout(with_ranges("shard 0 0 5\nshard 1 7 10\n", 2)),
-      std::invalid_argument);
-  EXPECT_THROW(  // overlap: nodes 3-4 double-covered.
-      ParseShardPlanLayout(with_ranges("shard 0 0 5\nshard 1 3 10\n", 2)),
-      std::invalid_argument);
-  EXPECT_THROW(  // short: nodes 8-9 never covered.
-      ParseShardPlanLayout(with_ranges("shard 0 0 5\nshard 1 5 8\n", 2)),
-      std::invalid_argument);
-}
-
 TEST(FleetPartial, SerializeParseRoundTripIsBitIdentical) {
   const ShardPlan plan = BuildShardPlan(DistributedSpec(), 5);
   std::vector<std::size_t> subset(plan.shards.size());

@@ -17,6 +17,8 @@
 //                          is computed (framing lies — checksum fails).
 //   --garble-frame N       Nth frame: payload garbled BEFORE the checksum
 //                          (framing honest — FleetPartial::Parse fails).
+//   --garble-header N      Nth frame: header announces an absurd byte count
+//                          (the frame lies before its payload is read).
 //   --hang-after-frames N  after N frames, heartbeat forever but answer
 //                          nothing (the straggler the shard deadline
 //                          exists for).
@@ -30,6 +32,7 @@
 #include <cstdlib>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -92,6 +95,7 @@ struct FaultFlags {
   std::size_t die_after_frames = 0;   ///< 0 = never.
   std::size_t corrupt_frame = 0;      ///< 1-based frame index; 0 = never.
   std::size_t garble_frame = 0;       ///< 1-based frame index; 0 = never.
+  std::size_t garble_header = 0;      ///< 1-based frame index; 0 = never.
   std::size_t hang_after_frames = 0;  ///< 0 = never.
 };
 
@@ -116,6 +120,8 @@ FaultFlags ParseArgs(int argc, char** argv) {
       flags.corrupt_frame = value();
     } else if (arg == "--garble-frame") {
       flags.garble_frame = value();
+    } else if (arg == "--garble-header") {
+      flags.garble_header = value();
     } else if (arg == "--hang-after-frames") {
       flags.hang_after_frames = value();
     } else {
@@ -214,6 +220,14 @@ int main(int argc, char** argv) {
         // Garble the payload INSIDE the already-checksummed frame: the
         // header's byte count still matches, the checksum does not.
         frame[frame.find('\n') + 1] = '#';
+      }
+      if (flags.garble_header == frame_index) {
+        // Everything after the frame line stays honest; only the byte
+        // count lies, by more than any allocation could satisfy.
+        const std::string header =
+            "frame " + std::to_string(*shard) + ' ' +
+            std::to_string(std::numeric_limits<std::uint64_t>::max()) + " 0";
+        frame.replace(0, frame.find('\n'), header);
       }
     }
     WriteOut(frame);
