@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
 
   // Multi-process scaling: the same campaign through RunFleetCoordinated
   // at 1, 2, and 4 single-threaded workers, so the curve measures process
-  // fan-out (fork/exec, pipes, frames, merge) and nothing else.  Each
+  // fan-out (spawn, pipes, frames, merge) and nothing else.  Each
   // merge must match the serial summary bit for bit.  Advisory JSON
   // fields; the regression gate stays on the in-process nodes_per_second.
   double coord_seconds[3] = {0.0, 0.0, 0.0};

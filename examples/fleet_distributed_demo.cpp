@@ -8,7 +8,7 @@
 // summary equals the monolithic single-process RunFleet bit for bit
 // (table, CSV, and integer totals).
 //
-// With --procs N the simulation is real: RunFleetCoordinated fork/execs N
+// With --procs N the simulation is real: RunFleetCoordinated spawns N
 // shep_fleet_worker processes, streams the checksummed frames back over
 // pipes, and merges — the same bit-identity proof over actual process
 // boundaries.  --chaos additionally SIGKILLs the first worker mid-campaign

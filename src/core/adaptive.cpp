@@ -9,6 +9,18 @@
 
 namespace shep {
 
+namespace {
+
+/// Slots the shared Φ window keeps: the largest candidate K (at least one,
+/// so an invalid bank still reaches Validate()).
+std::size_t WindowSlots(const AdaptiveWcmaParams& params) {
+  int k = 1;
+  for (int candidate : params.ks) k = std::max(k, candidate);
+  return static_cast<std::size_t>(k);
+}
+
+}  // namespace
+
 void AdaptiveWcmaParams::Validate() const {
   SHEP_REQUIRE(!alphas.empty() && !ks.empty(),
                "candidate bank must be non-empty");
@@ -26,12 +38,14 @@ AdaptiveWcma::AdaptiveWcma(const AdaptiveWcmaParams& params,
     : params_(params),
       slots_per_day_(slots_per_day),
       history_(static_cast<std::size_t>(std::max(params.days, 1)),
-               static_cast<std::size_t>(std::max(slots_per_day, 1))) {
+               static_cast<std::size_t>(std::max(slots_per_day, 1))),
+      recent_(WindowSlots(params)) {
   params_.Validate();
   SHEP_REQUIRE(slots_per_day_ >= 2, "need at least two slots per day");
-  max_k_ = *std::max_element(params_.ks.begin(), params_.ks.end());
-  SHEP_REQUIRE(max_k_ < slots_per_day_, "candidate K must be < N");
+  SHEP_REQUIRE(recent_.capacity() < static_cast<std::size_t>(slots_per_day_),
+               "candidate K must be < N");
   current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
+  phi_by_k_.assign(params_.ks.size(), 1.0);
   candidate_pred_.assign(params_.candidates(), 0.0);
   candidate_loss_.assign(params_.candidates(), 0.0);
   selection_counts_.assign(params_.candidates(), 0);
@@ -43,7 +57,7 @@ void AdaptiveWcma::RefreshCandidatePredictions() {
   if (history_.stored_days() > 0) mu_next = history_.Mu(predicted_slot);
 
   // Φ for every candidate K in one pass per K over the shared window.
-  std::vector<double> phi_by_k(params_.ks.size(), 1.0);
+  std::fill(phi_by_k_.begin(), phi_by_k_.end(), 1.0);
   for (std::size_t ki = 0; ki < params_.ks.size(); ++ki) {
     const auto want = static_cast<std::size_t>(params_.ks[ki]);
     const std::size_t k_avail = std::min(want, recent_.size());
@@ -59,14 +73,14 @@ void AdaptiveWcma::RefreshCandidatePredictions() {
       num += theta * eta;
       den += theta;
     }
-    phi_by_k[ki] = num / den;
+    phi_by_k_[ki] = num / den;
   }
 
   for (std::size_t ai = 0; ai < params_.alphas.size(); ++ai) {
     const double alpha = params_.alphas[ai];
     for (std::size_t ki = 0; ki < params_.ks.size(); ++ki) {
       const double conditioned =
-          mu_next >= 0.0 ? mu_next * phi_by_k[ki] : last_sample_;
+          mu_next >= 0.0 ? mu_next * phi_by_k_[ki] : last_sample_;
       candidate_pred_[ai * params_.ks.size() + ki] =
           alpha * last_sample_ + (1.0 - alpha) * conditioned;
     }
@@ -101,10 +115,7 @@ void AdaptiveWcma::Observe(double boundary_sample) {
   // 2. Standard WCMA state update (mirrors core/wcma.cpp).
   double mu = boundary_sample;
   if (history_.stored_days() > 0) mu = history_.Mu(next_slot_);
-  recent_.push_back(RecentSlot{boundary_sample, mu});
-  while (recent_.size() > static_cast<std::size_t>(max_k_)) {
-    recent_.pop_front();
-  }
+  recent_.Push(RecentSlot{boundary_sample, mu});
   current_day_[next_slot_] = boundary_sample;
   last_sample_ = boundary_sample;
   has_sample_ = true;
@@ -127,13 +138,12 @@ double AdaptiveWcma::PredictNext() const {
 bool AdaptiveWcma::Ready() const { return history_.full(); }
 
 void AdaptiveWcma::Reset() {
-  history_ = HistoryMatrix(static_cast<std::size_t>(params_.days),
-                           static_cast<std::size_t>(slots_per_day_));
+  history_.Clear();
   current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
   next_slot_ = 0;
   last_sample_ = 0.0;
   has_sample_ = false;
-  recent_.clear();
+  recent_.Clear();
   std::fill(candidate_pred_.begin(), candidate_pred_.end(), 0.0);
   std::fill(candidate_loss_.begin(), candidate_loss_.end(), 0.0);
   std::fill(selection_counts_.begin(), selection_counts_.end(), 0);

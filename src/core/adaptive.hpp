@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -98,9 +97,9 @@ class AdaptiveWcma final : public Predictor {
   std::size_t next_slot_ = 0;
   double last_sample_ = 0.0;
   bool has_sample_ = false;
-  std::deque<RecentSlot> recent_;
-  int max_k_ = 1;
+  RecentWindow<RecentSlot> recent_;  ///< last <= max(ks) elapsed slots.
 
+  std::vector<double> phi_by_k_;         ///< Φ per candidate K, this slot.
   std::vector<double> candidate_pred_;   ///< ê_c for the upcoming slot.
   std::vector<double> candidate_loss_;   ///< discounted APE per candidate.
   std::vector<std::uint64_t> selection_counts_;

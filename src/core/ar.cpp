@@ -1,5 +1,6 @@
 #include "core/ar.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -27,7 +28,8 @@ ArPredictor::ArPredictor(const ArParams& params, int slots_per_day)
     : params_(params),
       slots_per_day_(slots_per_day),
       history_(static_cast<std::size_t>(std::max(params.days, 1)),
-               static_cast<std::size_t>(std::max(slots_per_day, 1))) {
+               static_cast<std::size_t>(std::max(slots_per_day, 1))),
+      ratio_lags_(static_cast<std::size_t>(std::max(params.order, 1))) {
   params_.Validate();
   SHEP_REQUIRE(slots_per_day_ >= 2, "need at least two slots per day");
   current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
@@ -37,48 +39,41 @@ ArPredictor::ArPredictor(const ArParams& params, int slots_per_day)
   theta_[1] = 1.0;  // start as "ratio persists" — a sensible prior
   cov_.assign(dim * dim, 0.0);
   for (std::size_t i = 0; i < dim; ++i) cov_[i * dim + i] = params_.delta;
+  x_.assign(dim, 0.0);
+  px_.assign(dim, 0.0);
+  gain_.assign(dim, 0.0);
 }
 
-std::vector<double> ArPredictor::Features() const {
-  const auto dim = static_cast<std::size_t>(params_.order + 1);
-  std::vector<double> x(dim, 0.0);
-  x[0] = 1.0;  // bias
-  for (std::size_t lag = 0; lag < static_cast<std::size_t>(params_.order);
-       ++lag) {
-    if (lag < ratio_lags_.size()) {
-      x[lag + 1] = ratio_lags_[ratio_lags_.size() - 1 - lag];
-    } else {
-      x[lag + 1] = 1.0;  // neutral ratio for missing history
-    }
-  }
-  return x;
+double ArPredictor::Feature(std::size_t i) const {
+  if (i == 0 || i > ratio_lags_.size()) return 1.0;
+  return ratio_lags_[ratio_lags_.size() - i];
 }
 
-void ArPredictor::RlsUpdate(const std::vector<double>& x, double target) {
-  const auto dim = x.size();
+void ArPredictor::RlsUpdate(double target) {
+  const std::size_t dim = x_.size();
+  for (std::size_t i = 0; i < dim; ++i) x_[i] = Feature(i);
   // k = P x / (λ + xᵀ P x)
-  std::vector<double> px(dim, 0.0);
+  std::fill(px_.begin(), px_.end(), 0.0);
   for (std::size_t i = 0; i < dim; ++i) {
     for (std::size_t j = 0; j < dim; ++j) {
-      px[i] += cov_[i * dim + j] * x[j];
+      px_[i] += cov_[i * dim + j] * x_[j];
     }
   }
   double denom = params_.lambda;
-  for (std::size_t i = 0; i < dim; ++i) denom += x[i] * px[i];
+  for (std::size_t i = 0; i < dim; ++i) denom += x_[i] * px_[i];
   SHEP_DCHECK(denom > 0.0, "RLS denominator must be positive");
-  std::vector<double> k(dim);
-  for (std::size_t i = 0; i < dim; ++i) k[i] = px[i] / denom;
+  for (std::size_t i = 0; i < dim; ++i) gain_[i] = px_[i] / denom;
 
   // θ += k (target − θᵀx)
   double innovation = target;
-  for (std::size_t i = 0; i < dim; ++i) innovation -= theta_[i] * x[i];
-  for (std::size_t i = 0; i < dim; ++i) theta_[i] += k[i] * innovation;
+  for (std::size_t i = 0; i < dim; ++i) innovation -= theta_[i] * x_[i];
+  for (std::size_t i = 0; i < dim; ++i) theta_[i] += gain_[i] * innovation;
 
   // P = (P − k (P x)ᵀ) / λ
   for (std::size_t i = 0; i < dim; ++i) {
     for (std::size_t j = 0; j < dim; ++j) {
       cov_[i * dim + j] =
-          (cov_[i * dim + j] - k[i] * px[j]) / params_.lambda;
+          (cov_[i * dim + j] - gain_[i] * px_[j]) / params_.lambda;
     }
   }
   ++updates_;
@@ -96,16 +91,13 @@ void ArPredictor::Observe(double boundary_sample) {
     const double ratio = Clamp(boundary_sample / mu, 0.0, kMaxRatio);
     // Learn: the features BEFORE pushing this ratio predict it.
     if (ratio_lags_.size() >= static_cast<std::size_t>(params_.order)) {
-      RlsUpdate(Features(), ratio);
+      RlsUpdate(ratio);
     }
-    ratio_lags_.push_back(ratio);
-    while (ratio_lags_.size() > static_cast<std::size_t>(params_.order)) {
-      ratio_lags_.pop_front();
-    }
+    ratio_lags_.Push(ratio);
   } else {
     // Crossing night resets the dynamics; stale evening ratios do not
     // describe the next morning.
-    ratio_lags_.clear();
+    ratio_lags_.Clear();
   }
 
   current_day_[next_slot_] = boundary_sample;
@@ -125,9 +117,10 @@ double ArPredictor::PredictNext() const {
   }
   const double mu_next = history_.Mu(next_slot_);
   if (mu_next <= kNightEpsilonW) return last_sample_;
-  const auto x = Features();
   double ratio_hat = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) ratio_hat += theta_[i] * x[i];
+  for (std::size_t i = 0; i < theta_.size(); ++i) {
+    ratio_hat += theta_[i] * Feature(i);
+  }
   ratio_hat = Clamp(ratio_hat, 0.0, kMaxRatio);
   return mu_next * ratio_hat;
 }
@@ -138,13 +131,12 @@ bool ArPredictor::Ready() const {
 }
 
 void ArPredictor::Reset() {
-  history_ = HistoryMatrix(static_cast<std::size_t>(params_.days),
-                           static_cast<std::size_t>(slots_per_day_));
+  history_.Clear();
   current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
   next_slot_ = 0;
   last_sample_ = 0.0;
   has_sample_ = false;
-  ratio_lags_.clear();
+  ratio_lags_.Clear();
   const auto dim = static_cast<std::size_t>(params_.order + 1);
   theta_.assign(dim, 0.0);
   theta_[1] = 1.0;

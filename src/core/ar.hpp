@@ -15,7 +15,6 @@
 // which tests/test_ar.cpp demonstrates as a negative control.
 #pragma once
 
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -54,9 +53,11 @@ class ArPredictor final : public Predictor {
   std::uint64_t updates() const { return updates_; }
 
  private:
-  /// Feature vector from the lag buffer: [1, r(n), r(n-1), ...].
-  std::vector<double> Features() const;
-  void RlsUpdate(const std::vector<double>& x, double target);
+  /// Feature i of the regression [1, r(n), r(n-1), ...]: the bias, then
+  /// the lagged ratios newest first, neutral 1 where history is missing.
+  double Feature(std::size_t i) const;
+  /// One RLS step on the current features toward `target`.
+  void RlsUpdate(double target);
 
   ArParams params_;
   int slots_per_day_;
@@ -67,9 +68,13 @@ class ArPredictor final : public Predictor {
   double last_sample_ = 0.0;
   bool has_sample_ = false;
 
-  std::deque<double> ratio_lags_;  ///< newest at back.
+  RecentWindow<double> ratio_lags_;  ///< newest at back.
   std::vector<double> theta_;      ///< order+1 coefficients (bias first).
   std::vector<double> cov_;        ///< P matrix, (order+1)^2 row-major.
+  /// RlsUpdate scratch, order+1 each: features x, P x, and the gain k.
+  std::vector<double> x_;
+  std::vector<double> px_;
+  std::vector<double> gain_;
   std::uint64_t updates_ = 0;
 };
 

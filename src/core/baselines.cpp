@@ -55,8 +55,7 @@ double SlotMovingAverage::PredictNext() const {
 }
 
 void SlotMovingAverage::Reset() {
-  history_ = HistoryMatrix(static_cast<std::size_t>(days_),
-                           static_cast<std::size_t>(slots_per_day_));
+  history_.Clear();
   current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
   next_slot_ = 0;
   last_sample_ = 0.0;
@@ -97,7 +96,7 @@ double PreviousDay::PredictNext() const {
 }
 
 void PreviousDay::Reset() {
-  history_ = HistoryMatrix(1, static_cast<std::size_t>(slots_per_day_));
+  history_.Clear();
   current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
   next_slot_ = 0;
   last_sample_ = 0.0;

@@ -1,5 +1,6 @@
 #include "core/wcma.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -19,7 +20,8 @@ Wcma::Wcma(const WcmaParams& params, int slots_per_day,
       slots_per_day_(slots_per_day),
       weighting_(weighting),
       history_(static_cast<std::size_t>(params.days),
-               static_cast<std::size_t>(slots_per_day)) {
+               static_cast<std::size_t>(slots_per_day)),
+      recent_(static_cast<std::size_t>(std::max(params.slots_k, 1))) {
   params_.Validate();
   SHEP_REQUIRE(slots_per_day_ >= 2, "need at least two slots per day");
   SHEP_REQUIRE(params_.slots_k < slots_per_day_,
@@ -35,10 +37,7 @@ void Wcma::Observe(double boundary_sample) {
   // automatic.
   double mu = boundary_sample;  // neutral when no history yet (η = 1)
   if (history_.stored_days() > 0) mu = history_.Mu(next_slot_);
-  recent_.push_back(RecentSlot{boundary_sample, mu});
-  while (recent_.size() > static_cast<std::size_t>(params_.slots_k)) {
-    recent_.pop_front();
-  }
+  recent_.Push(RecentSlot{boundary_sample, mu});
 
   current_day_[next_slot_] = boundary_sample;
   last_sample_ = boundary_sample;
@@ -99,13 +98,12 @@ double Wcma::PredictNext() const {
 bool Wcma::Ready() const { return history_.full(); }
 
 void Wcma::Reset() {
-  history_ = HistoryMatrix(static_cast<std::size_t>(params_.days),
-                           static_cast<std::size_t>(slots_per_day_));
+  history_.Clear();
   current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
   next_slot_ = 0;
   last_sample_ = 0.0;
   has_sample_ = false;
-  recent_.clear();
+  recent_.Clear();
 }
 
 std::string Wcma::Name() const {

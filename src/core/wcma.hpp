@@ -26,7 +26,6 @@
 //   * Fewer than K slots observed so far: Φ uses the available ones.
 #pragma once
 
-#include <deque>
 #include <string>
 
 #include "core/predictor.hpp"
@@ -91,7 +90,7 @@ class Wcma final : public Predictor {
   std::size_t next_slot_ = 0;        ///< slot-of-day the next Observe fills.
   double last_sample_ = 0.0;
   bool has_sample_ = false;
-  std::deque<RecentSlot> recent_;    ///< last <= K elapsed slots.
+  RecentWindow<RecentSlot> recent_;  ///< last <= K elapsed slots.
 };
 
 }  // namespace shep

@@ -1,5 +1,6 @@
 #include "core/wcma_fixed.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -15,7 +16,9 @@ const Fx kNightEpsilon = Fx::FromDouble(kNightEpsilonW * FixedWcma::kInputScale)
 }  // namespace
 
 FixedWcma::FixedWcma(const WcmaParams& params, int slots_per_day)
-    : params_(params), slots_per_day_(slots_per_day) {
+    : params_(params),
+      slots_per_day_(slots_per_day),
+      recent_(static_cast<std::size_t>(std::max(params.slots_k, 1))) {
   params_.Validate();
   SHEP_REQUIRE(slots_per_day_ >= 2, "need at least two slots per day");
   SHEP_REQUIRE(params_.slots_k < slots_per_day_,
@@ -55,12 +58,9 @@ void FixedWcma::Observe(double boundary_sample) {
   Fx mu = sample;
   ops.branch += 1;  // "any history yet?"
   if (stored_days_ > 0) mu = MuOf(next_slot_, ops);
-  recent_.push_back(RecentSlot{sample, mu});
+  recent_.Push(RecentSlot{sample, mu});
   ops.store += 2;
   ops.branch += 1;  // window-full check
-  while (recent_.size() > static_cast<std::size_t>(params_.slots_k)) {
-    recent_.pop_front();
-  }
 
   current_day_[next_slot_] = sample;
   ops.store += 1;
@@ -179,7 +179,7 @@ void FixedWcma::Reset() {
   next_slot_ = 0;
   last_sample_ = Fx::Zero();
   has_sample_ = false;
-  recent_.clear();
+  recent_.Clear();
   observe_ops_ = OpCounts{};
   predict_ops_ = OpCounts{};
   last_predict_ops_ = OpCounts{};

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -108,7 +107,7 @@ class FixedWcma final : public Predictor {
   std::size_t next_slot_ = 0;
   Fx last_sample_ = Fx::Zero();
   bool has_sample_ = false;
-  std::deque<RecentSlot> recent_;
+  RecentWindow<RecentSlot> recent_;
 
   mutable OpCounts observe_ops_;
   mutable OpCounts predict_ops_;

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -9,6 +10,7 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <istream>
@@ -118,6 +120,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Longest line a worker may send.  Every protocol line (heartbeat, frame
+/// header, trailer, one-line error) is far shorter; the cap only stops a
+/// stream with no newline from growing a line without bound.
+constexpr std::size_t kMaxLineBytes = 1 << 16;
+
 /// Buffered reader over a pipe fd: the frame protocol needs both
 /// line-at-a-time and exact-byte reads from one stream.
 class FdReader {
@@ -126,7 +133,8 @@ class FdReader {
 
   /// Next '\n'-terminated line without the terminator; nullopt on EOF (a
   /// final unterminated line is discarded — a dying worker's half-written
-  /// line is never actionable).
+  /// line is never actionable) or once a line outgrows kMaxLineBytes
+  /// (then overlong() is set and the stream is no longer readable).
   std::optional<std::string> ReadLine() {
     std::string line;
     while (true) {
@@ -135,11 +143,18 @@ class FdReader {
           ++pos_;
           return line;
         }
+        if (line.size() == kMaxLineBytes) {
+          overlong_ = true;
+          return std::nullopt;
+        }
         line.push_back(buf_[pos_]);
       }
       if (!Fill()) return std::nullopt;
     }
   }
+
+  /// True once ReadLine met a line longer than kMaxLineBytes.
+  bool overlong() const { return overlong_; }
 
   /// Exactly `n` bytes into `out`; false on EOF before they all arrive.
   bool ReadExact(std::string& out, std::size_t n) {
@@ -172,6 +187,7 @@ class FdReader {
   char buf_[1 << 16];
   std::size_t pos_ = 0;
   std::size_t len_ = 0;
+  bool overlong_ = false;
 };
 
 /// Writes the whole buffer; false on any error (EPIPE = worker death).
@@ -208,6 +224,10 @@ struct WorkerProc {
   // Guarded by the coordinator mutex:
   bool alive = true;    ///< reader thread still streaming.
   bool faulty = false;  ///< sent a corrupt frame; must be killed.
+  /// A write to its stdin failed: dispatch nothing more.  Usually the
+  /// worker is dead and the reader's EOF reaps it as died; a live one
+  /// still answers to the deadlines for the shards it owes.
+  bool unwritable = false;
   bool reaped = false;
   Clock::time_point last_activity;
   std::set<std::size_t> inflight;                 ///< dispatched shards.
@@ -321,11 +341,17 @@ void ReaderMain(CoordState& state, WorkerProc& worker) {
     state.cv.notify_all();
   }
   std::lock_guard<std::mutex> lock(state.mutex);
+  if (reader.overlong()) {
+    // A line that never ends is a lie like a garbled frame header.
+    ++state.stats.corrupt_frames;
+    worker.faulty = true;
+  }
   worker.alive = false;
   state.cv.notify_all();
 }
 
-// shep-lint: root(signal-safety)
+/// Starts one worker with the pipes as its stdin/stdout.  Throws
+/// std::runtime_error when the binary cannot be started at all.
 void SpawnWorker(CoordState& state, const FleetCoordOptions& options,
                  const std::string& job_text, std::size_t spawn) {
   int to_child[2];
@@ -333,32 +359,33 @@ void SpawnWorker(CoordState& state, const FleetCoordOptions& options,
   SHEP_CHECK(::pipe2(to_child, O_CLOEXEC) == 0 &&
                  ::pipe2(from_child, O_CLOEXEC) == 0,
              "coordinator cannot create worker pipes");
-  // argv is fully built BEFORE the fork: the child of a multi-threaded
-  // parent may not allocate (another thread can hold the heap lock at the
-  // fork instant, and it never unlocks in the child), so the region
-  // between fork() and execv touches only pre-built storage.
   std::vector<char*> argv;
   argv.push_back(const_cast<char*>(options.worker_path.c_str()));
   for (const std::string& arg : options.worker_args) {
     argv.push_back(const_cast<char*>(arg.c_str()));
   }
   argv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    // Child: only async-signal-safe calls between fork and exec.  dup2
-    // clears O_CLOEXEC on the copies; every other coordinator fd closes at
-    // exec, so sibling pipes never leak into workers (which would mask
-    // EOF-based death detection).
-    ::dup2(to_child[0], STDIN_FILENO);
-    ::dup2(from_child[1], STDOUT_FILENO);
-    ::execv(options.worker_path.c_str(), argv.data());
-    ::_exit(127);
-  }
-  // A failed fork returns -1 (never 0), so checking after the child block
-  // keeps the check out of the async-signal-safe region.
-  SHEP_CHECK(pid >= 0, "coordinator cannot fork a worker");
+  // dup2 clears O_CLOEXEC on the copies; every other coordinator fd closes
+  // at exec, so sibling pipes never leak into workers (which would mask
+  // EOF-based death detection).
+  posix_spawn_file_actions_t actions;
+  ::posix_spawn_file_actions_init(&actions);
+  ::posix_spawn_file_actions_adddup2(&actions, to_child[0], STDIN_FILENO);
+  ::posix_spawn_file_actions_adddup2(&actions, from_child[1], STDOUT_FILENO);
+  pid_t pid = -1;
+  const int error = ::posix_spawn(&pid, options.worker_path.c_str(), &actions,
+                                  nullptr, argv.data(), environ);
+  ::posix_spawn_file_actions_destroy(&actions);
   ::close(to_child[0]);
   ::close(from_child[1]);
+  if (error != 0) {
+    ::close(to_child[1]);
+    ::close(from_child[0]);
+    throw std::runtime_error("fleet coordinator cannot spawn worker " +
+                             options.worker_path + ": " +
+                             std::strerror(error) + " (errno " +
+                             std::to_string(error) + ")");
+  }
 
   auto worker = std::make_unique<WorkerProc>();
   worker->spawn = spawn;
@@ -368,7 +395,7 @@ void SpawnWorker(CoordState& state, const FleetCoordOptions& options,
   worker->last_activity = Clock::now();
   // The job header is far smaller than the pipe buffer, so this never
   // blocks even against a worker that dies before reading it.
-  if (!WriteAll(worker->stdin_fd, job_text)) worker->faulty = true;
+  if (!WriteAll(worker->stdin_fd, job_text)) worker->unwritable = true;
   WorkerProc& ref = *worker;
   {
     std::lock_guard<std::mutex> lock(state.mutex);
@@ -644,7 +671,10 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
       // Both become "faulty" so one reap path below handles everything.
       for (auto& worker : state.workers) {
         if (worker->reaped || !worker->alive || worker->faulty) continue;
-        if (now - worker->last_activity > liveness) {
+        // An unwritable worker owing no shard has no deadline left to
+        // miss, yet can never be given work.
+        if (now - worker->last_activity > liveness ||
+            (worker->unwritable && worker->inflight.empty())) {
           worker->faulty = true;
           continue;
         }
@@ -688,7 +718,10 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
 
       // Dispatch: refill every live worker up to its inflight window.
       for (auto& worker : state.workers) {
-        if (worker->reaped || !worker->alive || worker->faulty) continue;
+        if (worker->reaped || !worker->alive || worker->faulty ||
+            worker->unwritable) {
+          continue;
+        }
         while (worker->inflight.size() < options.max_inflight_per_worker) {
           const std::optional<std::size_t> picked = PickShard(state, *worker);
           if (!picked) break;
@@ -702,7 +735,9 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
           const bool sent_ok = WriteAll(fd, command);
           lock.lock();
           if (!sent_ok) {
-            worker->faulty = true;  // EPIPE: reaped next iteration.
+            // Usually EPIPE from a worker that died: its reader's EOF reaps
+            // it as died, never as killed.
+            worker->unwritable = true;
             break;
           }
         }

@@ -2,7 +2,7 @@
 //
 // RunFleetCoordinated turns the serializable pipeline (shard plan →
 // per-shard FleetPartial text → plan-order merge) into a real
-// multi-process runtime: it fork/execs N copies of the shep_fleet_worker
+// multi-process runtime: it spawns N copies of the shep_fleet_worker
 // binary (tools/fleet/), hands each the full campaign once over stdin —
 // the ScenarioSpec's exact text plus the shard size, so every worker
 // rebuilds the IDENTICAL ShardPlan and proves it by echoing the plan
@@ -138,7 +138,8 @@ struct FleetCoordStats {
   std::size_t shards_reassigned = 0;
   std::size_t frames_accepted = 0;
   std::size_t duplicate_frames = 0;  ///< valid frames for covered shards.
-  std::size_t corrupt_frames = 0;    ///< bad header, checksum or payload.
+  std::size_t corrupt_frames = 0;    ///< bad header, checksum, payload or
+                                     ///< an over-long line.
   /// Sum over spawns of the distinct lanes in the shards dispatched to
   /// that spawn: the synthesis the fleet paid for.  The plan's lane count
   /// is the floor, reached by a single worker.

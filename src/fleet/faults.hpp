@@ -111,8 +111,8 @@ void BuildFaultSchedule(const FaultSpec& spec, std::uint64_t fault_seed,
 /// Enabled kernel-side fault view (the NoFaultModel counterpart lives next
 /// to NoSlotProbe in mgmt/node_sim_kernel.hpp).  Passed into the kernel BY
 /// VALUE: the cursors advance monotonically with the slot index, so every
-/// query is O(1) amortized over the run — index math only, nothing
-/// reachable from the `root(hot-path-alloc)` kernel allocates.
+/// query is O(1) amortized over the run — index math only, so the
+/// kernel's no-allocation contract holds with faults on.
 class FaultModel {
  public:
   static constexpr bool kEnabled = true;

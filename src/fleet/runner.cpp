@@ -200,10 +200,10 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
   // Fault injection is a spec-level opt-in: a zero FaultSpec takes the
   // healthy NoFaultModel instantiation, reproducing fault-free results bit
   // for bit.  Schedules are built OUTSIDE the kernel (BuildFaultSchedule
-  // allocates; the kernel is a hot-path-alloc root) into one reusable
-  // scratch per batch worker — shards sharing a worker run serialized, so
-  // the buffers are race-free, and schedule placement never affects values
-  // (every window is pure (spec, node.fault_seed) index math).
+  // allocates; the kernel must not) into one reusable scratch per batch
+  // worker — shards sharing a worker run serialized, so the buffers are
+  // race-free, and schedule placement never affects values (every window
+  // is pure (spec, node.fault_seed) index math).
   const bool faulted = s.faults.any();
   std::vector<FaultSchedule> fault_scratch(
       faulted ? ParallelWorkerCount(options.pool, subset.size()) : 0);

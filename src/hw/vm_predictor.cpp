@@ -37,6 +37,7 @@ VmWcmaPredictor::VmWcmaPredictor(const WcmaParams& params, int slots_per_day,
       slots_per_day_(slots_per_day),
       costs_(costs),
       history_(ValidatedDays(params), CheckedSlots(slots_per_day)),
+      recent_(static_cast<std::size_t>(params.slots_k)),
       vm_(FullLayout(params).memory_words(), costs) {
   costs_.Validate();
   SHEP_REQUIRE(params_.slots_k < slots_per_day_,
@@ -58,10 +59,7 @@ void VmWcmaPredictor::Observe(double boundary_sample) {
   // the matrix.
   double mu = boundary_sample;  // neutral when no history yet (η = 1)
   if (history_.stored_days() > 0) mu = history_.Mu(next_slot_);
-  recent_.push_back(RecentSlot{boundary_sample, mu});
-  while (recent_.size() > static_cast<std::size_t>(params_.slots_k)) {
-    recent_.pop_front();
-  }
+  recent_.Push(RecentSlot{boundary_sample, mu});
 
   current_day_[next_slot_] = boundary_sample;
   last_sample_ = boundary_sample;
@@ -115,13 +113,12 @@ double VmWcmaPredictor::PredictNext() const {
 bool VmWcmaPredictor::Ready() const { return history_.full(); }
 
 void VmWcmaPredictor::Reset() {
-  history_ = HistoryMatrix(static_cast<std::size_t>(params_.days),
-                           static_cast<std::size_t>(slots_per_day_));
+  history_.Clear();
   current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
   next_slot_ = 0;
   last_sample_ = 0.0;
   has_sample_ = false;
-  recent_.clear();
+  recent_.Clear();
   total_cycles_ = 0.0;
   last_cycles_ = 0.0;
   total_ops_ = OpCounts{};

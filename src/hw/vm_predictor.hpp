@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -82,7 +81,7 @@ class VmWcmaPredictor final : public Predictor, public ComputeCostReporter {
   std::size_t next_slot_ = 0;
   double last_sample_ = 0.0;
   bool has_sample_ = false;
-  std::deque<RecentSlot> recent_;
+  RecentWindow<RecentSlot> recent_;
 
   /// Routine compiled once per available window size (index k_avail - 1);
   /// warm-up runs the shorter-window builds, steady state programs_[K-1].

@@ -68,9 +68,15 @@ struct NoFaultModel {
 /// feed the predictor the last real observation (hold-last); panel decay
 /// scales each slot's harvest by its day factor; battery aging re-rates
 /// the usable capacity at each day boundary.  All schedule queries are
-/// index math — nothing here may allocate (this is a hot-path-alloc root).
+/// index math.
+///
+/// Allocation contract: apart from per-run constants (the result's
+/// predictor name), a run allocates nothing — not per slot, not per day,
+/// not per recovery Reset() — for every PredictorKind, healthy, faulted or
+/// traced.  tests/test_hot_path_alloc.cpp checks it with a counting
+/// operator new.
 template <class P, class Probe = NoSlotProbe, class Faults = NoFaultModel>
-NodeSimResult SimulateNodeKernel(  // shep-lint: root(hot-path-alloc)
+NodeSimResult SimulateNodeKernel(
     P& predictor, const SlotSeries& series, const NodeSimConfig& config,
     const Probe& probe = Probe{}, Faults faults = Faults{}) {
   config.duty.Validate();

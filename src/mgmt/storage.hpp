@@ -46,7 +46,7 @@ class EnergyStorage {
   /// model).  Charge above an aged capacity becomes unusable and is
   /// dropped from the level — capacity fade is not overflow, so the
   /// lifetime counters are untouched.  Inline and allocation-free: the
-  /// node-sim kernel (a hot-path-alloc lint root) calls it per day.
+  /// node-sim kernel calls it per day.
   void SetCapacity(double capacity_j) {
     SHEP_REQUIRE(capacity_j > 0.0, "storage capacity must be positive");
     params_.capacity_j = capacity_j;

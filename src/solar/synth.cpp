@@ -12,7 +12,6 @@ PowerTrace SynthesizeTrace(const SiteProfile& site,
   return SynthesizeTrace(site, options, scratch);
 }
 
-// shep-lint: root(hot-path-alloc)
 PowerTrace SynthesizeTrace(const SiteProfile& site, const SynthOptions& options,
                            SynthScratch& scratch) {
   SHEP_REQUIRE(options.days > 0, "trace must contain at least one day");
@@ -34,7 +33,9 @@ PowerTrace SynthesizeTrace(const SiteProfile& site, const SynthOptions& options,
   const double scale = site.panel_area_m2 * site.panel_efficiency;
   std::vector<double>& samples = scratch.minute_samples;
   samples.clear();
-  samples.reserve(options.days *  // shep-lint: allow(hot-path-alloc) one up-front reserve per trace, before the per-sample loop; capacity persists in scratch across traces
+  // One up-front reserve per trace, before the per-sample loop; capacity
+  // persists in scratch across traces.
+  samples.reserve(options.days *
                   static_cast<std::size_t>(kSecondsPerDay / kGenResolutionS));
 
   double drift = 0.0;  // AR(1) state carried across days
@@ -49,7 +50,8 @@ PowerTrace SynthesizeTrace(const SiteProfile& site, const SynthOptions& options,
                                scratch.day_tau, scratch.weather);
     const std::vector<double>& day_ghi = *ghi;
     for (std::size_t i = 0; i < day_ghi.size(); ++i) {
-      samples.push_back(day_ghi[i] * scratch.day_tau[i] * scale);  // shep-lint: allow(hot-path-alloc) writes into the capacity reserved above; never reallocates mid-trace
+      // Writes into the capacity reserved above; never reallocates mid-trace.
+      samples.push_back(day_ghi[i] * scratch.day_tau[i] * scale);
     }
     state = model.NextState(state, rng);
   }

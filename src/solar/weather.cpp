@@ -98,7 +98,6 @@ std::vector<double> WeatherModel::DayTransmittance(WeatherState state,
   return tau;
 }
 
-// shep-lint: root(hot-path-alloc)
 void WeatherModel::DayTransmittanceInto(WeatherState state, int resolution_s,
                                         double& drift, Rng& rng,
                                         std::vector<double>& tau,
@@ -133,7 +132,9 @@ void WeatherModel::DayTransmittanceInto(WeatherState state, int resolution_s,
       ev.end_s = t + rng.Uniform(params_.cloud_duration_min_s,
                                  params_.cloud_duration_max_s);
       ev.depth = rng.Uniform(params_.cloud_depth_min, params_.cloud_depth_max);
-      events.push_back(ev);  // shep-lint: allow(hot-path-alloc) day-scratch event list; capacity persists across days, amortized-zero growth
+      // Day-scratch event list; capacity persists across days, amortized-zero
+      // growth.
+      events.push_back(ev);
     }
   }
 
@@ -144,7 +145,8 @@ void WeatherModel::DayTransmittanceInto(WeatherState state, int resolution_s,
   // registers — through the reference the compiler must assume rng's
   // members could alias the output buffer and re-load them every draw.
   std::vector<double>& gauss = scratch.gauss;
-  gauss.resize(n);  // shep-lint: allow(hot-path-alloc) scratch buffer sized once per day; capacity persists across days
+  // Scratch buffer sized once per day; capacity persists across days.
+  gauss.resize(n);
   Rng local_rng = rng;
   for (std::size_t i = 0; i < n; ++i) {
     gauss[i] = local_rng.Gaussian(0.0, innovation);
@@ -163,13 +165,15 @@ void WeatherModel::DayTransmittanceInto(WeatherState state, int resolution_s,
   std::vector<std::size_t>& active = scratch.active;
   active.clear();
   std::size_t next_event = 0;
-  tau.resize(n);  // shep-lint: allow(hot-path-alloc) caller-owned output buffer sized once per day before the sample loop
+  // Caller-owned output buffer sized once per day before the sample loop.
+  tau.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     drift = params_.drift_phi * drift + gauss[i];
     const double t0 = static_cast<double>(i) * resolution_s;
     const double t1 = t0 + resolution_s;
     while (next_event < events.size() && events[next_event].start_s < t1) {
-      active.push_back(next_event++);  // shep-lint: allow(hot-path-alloc) live-event sweep list; capacity persists in scratch across days
+      // Live-event sweep list; capacity persists in scratch across days.
+      active.push_back(next_event++);
     }
     std::erase_if(active, [&](std::size_t e) { return events[e].end_s <= t0; });
     double attenuation = 1.0;
@@ -190,7 +194,8 @@ void WeatherModel::DayTransmittanceInto(WeatherState state, int resolution_s,
   const int w = params_.smooth_samples;
   if (w > 1) {
     std::vector<double>& smoothed = scratch.smooth;
-    smoothed.resize(n);  // shep-lint: allow(hot-path-alloc) smoothing scratch sized once per day; capacity persists across days
+    // Smoothing scratch sized once per day; capacity persists across days.
+    smoothed.resize(n);
     const int half = w / 2;
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t lo =

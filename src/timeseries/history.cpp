@@ -44,6 +44,12 @@ double HistoryMatrix::Mu(std::size_t slot, std::size_t window_days) const {
   return acc / static_cast<double>(w);
 }
 
+void HistoryMatrix::Clear() {
+  std::fill(data_.begin(), data_.end(), 0.0);
+  stored_ = 0;
+  next_row_ = 0;
+}
+
 std::vector<double> HistoryMatrix::ColumnSums() const {
   std::vector<double> sums(slots_, 0.0);
   for (std::size_t age = 0; age < stored_; ++age) {

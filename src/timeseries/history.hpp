@@ -5,13 +5,18 @@
 // target microcontroller this matrix is the predictor's dominant memory cost
 // (D*N 16-bit words), which is why the paper's guideline "D ≈ 10–11 suffices"
 // matters.  HistoryMatrix is a day-granular ring buffer: pushing day D+1
-// evicts the oldest day in O(N).
+// evicts the oldest day in O(N).  RecentWindow is its slot-granular
+// sibling: the last K values of today (WCMA's conditioning window, AR's
+// ratio lags).  Both are sized once at construction, so the per-slot step
+// of every predictor built on them never allocates.
 #pragma once
 
 #include <cstddef>
 #include <initializer_list>
 #include <span>
 #include <vector>
+
+#include "common/check.hpp"
 
 namespace shep {
 
@@ -55,6 +60,10 @@ class HistoryMatrix {
   /// μ over the full capacity window (the common case in the predictor).
   double Mu(std::size_t slot) const { return Mu(slot, capacity_); }
 
+  /// Forgets every stored day but keeps the storage, so a predictor's
+  /// Reset() never reallocates the matrix.
+  void Clear();
+
   /// Per-slot running sums over all stored days (used by tests).
   std::vector<double> ColumnSums() const;
 
@@ -69,6 +78,44 @@ class HistoryMatrix {
   std::size_t stored_ = 0;
   std::size_t next_row_ = 0;          // ring-buffer write position
   std::vector<double> data_;          // capacity x slots, row-major
+};
+
+/// The last `capacity` values pushed, oldest first, in a ring sized at
+/// construction.
+template <class T>
+class RecentWindow {
+ public:
+  explicit RecentWindow(std::size_t capacity) : items_(capacity) {
+    SHEP_REQUIRE(capacity >= 1, "window capacity must be at least one");
+  }
+
+  std::size_t capacity() const { return items_.size(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  /// i = 0 is the oldest retained value, size() - 1 the newest.
+  const T& operator[](std::size_t i) const { return items_[Wrap(begin_ + i)]; }
+
+  /// Appends `value`, evicting the oldest value when full.
+  void Push(const T& value) {
+    items_[Wrap(begin_ + size_)] = value;
+    if (size_ < items_.size()) {
+      ++size_;
+    } else {
+      begin_ = Wrap(begin_ + 1);
+    }
+  }
+
+  void Clear() { begin_ = size_ = 0; }
+
+ private:
+  std::size_t Wrap(std::size_t i) const {
+    return i < items_.size() ? i : i - items_.size();
+  }
+
+  std::vector<T> items_;
+  std::size_t begin_ = 0;  ///< index of the oldest value.
+  std::size_t size_ = 0;
 };
 
 }  // namespace shep

@@ -23,6 +23,11 @@
 
 namespace shep {
 
+// TryPush must never park the hot path behind a lock hidden inside a
+// non-lock-free atomic.
+static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
+              "TraceRing's cursors need lock-free 64-bit atomics");
+
 /// One observation crossing the ring: a slot event of a node, or the
 /// end-of-shard marker the runner pushes after a shard's last node (the
 /// drain uses it to finalize and write that shard's trace file).
@@ -64,7 +69,6 @@ class TraceRing {
   /// Producer side.  Returns false (and counts the drop) when the ring is
   /// full; never blocks, never reorders — the hot path's cost is two
   /// atomic loads and one release store.
-  // shep-lint: root(hot-path-alloc) root(blocking-in-rt)
   bool TryPush(const TraceEvent& event) {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     const std::uint64_t head = head_.load(std::memory_order_acquire);

@@ -11,8 +11,10 @@
 
 #include <signal.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -315,13 +317,49 @@ TEST(RunFleetCoordinated, KillsHeartbeatingStragglersOnShardDeadline) {
   // Workers hang after one frame but KEEP heartbeating, so only the
   // per-shard deadline can unstick the run.
   options.worker_args = {"--hang-after-frames", "1"};
-  options.shard_timeout_ms = 400;
+  options.heartbeat_ms = 25;
+  options.liveness_timeout_ms = 250;
+  options.shard_timeout_ms = 1000;
+  using Clock = std::chrono::steady_clock;
+  auto spawned_at = std::make_shared<std::vector<Clock::time_point>>();
+  options.on_spawn = [spawned_at](std::size_t, long) {
+    spawned_at->push_back(Clock::now());
+  };
   FleetCoordStats stats;
   const FleetSummary summary =
       RunFleetCoordinated(CoordSpec(), options, &stats);
   ExpectSummaryBitIdentical(summary, Monolithic());
   EXPECT_GE(stats.workers_killed, 1u);
   EXPECT_GE(stats.shards_reassigned, 1u);
+  // The hung workers die as stragglers, at the shard deadline.  Had their
+  // heartbeat thread parked behind the hung data plane, the liveness
+  // deadline would have reaped them after about 250 ms instead.
+  ASSERT_GT(spawned_at->size(), options.workers);
+  EXPECT_GE((*spawned_at)[options.workers] - spawned_at->front(),
+            std::chrono::milliseconds(options.shard_timeout_ms));
+}
+
+TEST(RunFleetCoordinated, ThrowsWhenTheWorkerBinaryIsMissing) {
+  FleetCoordOptions options = BaseOptions();
+  options.worker_path = "/does/not/exist";
+  EXPECT_THROW(RunFleetCoordinated(CoordSpec(), options),
+               std::runtime_error);
+}
+
+TEST(RunFleetCoordinated, CondemnsAWorkerStreamingAnEndlessLine) {
+  FleetCoordOptions options = BaseOptions();
+  // A "worker" that streams zero bytes and never a newline.  The liveness
+  // deadline is out of reach, so only the line cap can end the run.
+  options.worker_path = "/bin/sh";
+  options.worker_args = {"-c", "exec cat /dev/zero"};
+  options.workers = 2;
+  options.max_respawns = 2;
+  options.liveness_timeout_ms = 60000;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(RunFleetCoordinated(CoordSpec(), options),
+               std::runtime_error);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(20));
 }
 
 TEST(RunFleetCoordinated, ThrowsWhenEveryWorkerIsUnusable) {
@@ -455,9 +493,9 @@ TEST(RunFleetCoordinated, ShardsStraddlingCellsMergeBitIdentically) {
     EXPECT_EQ(stats.frames_accepted, plan.shards.size()) << kill_one;
     EXPECT_GE(stats.lanes_synthesized, plan.lanes.size()) << kill_one;
     if (kill_one) {
-      // Seen as EOF (died) or as EPIPE on dispatch (killed): either way
-      // the victim is reaped and replaced.
-      EXPECT_GE(stats.workers_died + stats.workers_killed, 1u);
+      // A failed dispatch write never condemns the victim: its EOF reaps
+      // it as died, and it is replaced.
+      EXPECT_GE(stats.workers_died, 1u);
       EXPECT_GE(stats.respawns, 1u);
     }
   }

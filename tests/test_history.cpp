@@ -113,6 +113,33 @@ TEST(HistoryMatrix, RejectsZeroDimensions) {
   EXPECT_THROW(HistoryMatrix(4, 0), std::invalid_argument);
 }
 
+TEST(HistoryMatrix, ClearForgetsEveryDay) {
+  HistoryMatrix h(2, 2);
+  h.PushDay({1.0, 2.0});
+  h.PushDay({3.0, 4.0});
+  h.Clear();
+  EXPECT_EQ(h.stored_days(), 0u);
+  h.PushDay({5.0, 6.0});
+  EXPECT_EQ(h.stored_days(), 1u);
+  EXPECT_DOUBLE_EQ(h.Mu(1), 6.0);
+}
+
+TEST(RecentWindow, KeepsTheNewestValuesOldestFirst) {
+  RecentWindow<int> w(3);
+  EXPECT_TRUE(w.empty());
+  for (int v = 1; v <= 5; ++v) w.Push(v);
+  ASSERT_EQ(w.size(), 3u);
+  EXPECT_EQ(w[0], 3);
+  EXPECT_EQ(w[1], 4);
+  EXPECT_EQ(w[2], 5);
+  w.Clear();
+  EXPECT_TRUE(w.empty());
+  w.Push(9);
+  ASSERT_EQ(w.size(), 1u);
+  EXPECT_EQ(w[0], 9);
+  EXPECT_THROW(RecentWindow<int>(0), std::invalid_argument);
+}
+
 // Property: after pushing many days into a D-capacity ring, Mu over window
 // w equals the arithmetic mean of the last w pushed values, for any w <= D.
 class HistoryWindowTest : public ::testing::TestWithParam<std::size_t> {};

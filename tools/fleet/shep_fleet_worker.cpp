@@ -57,7 +57,10 @@ std::mutex g_out_mutex;
 /// Full atomic-enough write to stdout: every message goes out in one
 /// locked call so heartbeats never interleave with a frame.
 void WriteOut(std::string_view data) {
-  std::lock_guard<std::mutex> lock(g_out_mutex);  // shep-lint: allow(blocking-in-rt) bounded critical section (one pipe write, no allocation); a stalled pipe parks control and data plane alike and is covered by the coordinator's liveness deadline
+  // A bounded critical section (one pipe write, no allocation); a stalled
+  // pipe parks control and data plane alike and is covered by the
+  // coordinator's liveness deadline.
+  std::lock_guard<std::mutex> lock(g_out_mutex);
   while (!data.empty()) {
     const ssize_t wrote = ::write(STDOUT_FILENO, data.data(), data.size());
     if (wrote < 0) {
@@ -70,10 +73,10 @@ void WriteOut(std::string_view data) {
 
 /// Heartbeat thread body: the worker's control plane.  One short line per
 /// period, forever — the coordinator times out on silence, so this loop
-/// must never park behind the data plane (sleep_for is its pacing, not a
-/// hazard; the WriteOut lock is the one vetted exception, waived at its
-/// definition).
-// shep-lint: root(blocking-in-rt)
+/// must never park behind the data plane (sleep_for is its pacing; the
+/// WriteOut lock is held only for one write).  A worker hung in its data
+/// plane must still die as a straggler, not as silent: pinned by
+/// KillsHeartbeatingStragglersOnShardDeadline in tests/test_fleet_coord.cpp.
 void HeartbeatMain(const std::atomic<bool>& stop, std::uint32_t period_ms) {
   while (!stop.load(std::memory_order_relaxed)) {
     WriteOut("hb\n");

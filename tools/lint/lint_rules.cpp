@@ -6,8 +6,6 @@
 #include <set>
 #include <sstream>
 
-#include "call_graph.hpp"
-
 namespace shep::lint {
 
 namespace {
@@ -20,31 +18,14 @@ const char* kRuleTime = "determinism-time";
 const char* kRuleEnv = "determinism-env";
 const char* kRuleUnordered = "determinism-unordered";
 const char* kRuleSerializeFloat = "serialize-float";
-const char* kRuleHotPathAlloc = "hot-path-alloc";
-const char* kRuleSignalSafety = "signal-safety";
-const char* kRuleBlockingInRt = "blocking-in-rt";
 const char* kRuleNodiscard = "nodiscard";
 const char* kRuleSuppression = "suppression";
 
-/// The rules a `root(<rule>)` marker may seed.
-const std::set<std::string>& ReachabilityRules() {
-  static const std::set<std::string> kSet = {
-      kRuleHotPathAlloc, kRuleSignalSafety, kRuleBlockingInRt};
-  return kSet;
-}
-
 /// A finding before suppression processing.
 struct Candidate {
-  Candidate() = default;
-  Candidate(std::size_t l, std::string r, std::string m,
-            std::vector<std::string> c = {})
-      : line(l), rule(std::move(r)), message(std::move(m)),
-        chain(std::move(c)) {}
-
   std::size_t line = 0;
   std::string rule;
   std::string message;
-  std::vector<std::string> chain;  ///< reachability rules only.
 };
 
 /// Everything the per-file rules need to see beyond their own file.
@@ -55,6 +36,28 @@ struct TreeContext {
   std::map<std::string, SourceFile> files;
   /// Memoized float-identifier sets (see FloatIdents).
   std::map<std::string, std::set<std::string>> float_idents;
+};
+
+/// Blanked code lines joined into one string, with byte offsets of each
+/// line so regex match positions convert back to 1-based line numbers.
+struct JoinedCode {
+  std::string text;
+  std::vector<std::size_t> line_start;
+
+  static JoinedCode From(const SourceFile& file) {
+    JoinedCode joined;
+    for (const std::string& line : file.code) {
+      joined.line_start.push_back(joined.text.size());
+      joined.text += line;
+      joined.text += '\n';
+    }
+    return joined;
+  }
+
+  std::size_t LineOf(std::size_t pos) const {
+    const auto it = std::upper_bound(line_start.begin(), line_start.end(), pos);
+    return static_cast<std::size_t>(it - line_start.begin());
+  }
 };
 
 std::string DirName(const std::string& rel) {
@@ -343,255 +346,6 @@ void CheckNodiscard(const SourceFile& file, std::vector<Candidate>& out) {
 }
 
 // ---------------------------------------------------------------------------
-// reachability rules (hot-path-alloc, signal-safety, blocking-in-rt)
-// ---------------------------------------------------------------------------
-
-/// One banned line pattern with the human name of the hazard it matches.
-struct BannedPattern {
-  std::regex re;
-  const char* what;
-};
-
-const std::vector<BannedPattern>& HotPathBans() {
-  static const std::vector<BannedPattern> kBans = {
-      {std::regex(R"(\bnew\b)"), "operator new allocates"},
-      {std::regex(R"(\b(malloc|calloc|realloc|strdup|aligned_alloc)\s*\()"),
-       "C heap allocation"},
-      {std::regex(
-           R"((\.|->)\s*(push_back|emplace_back|resize|reserve|insert|emplace|append)\s*\()"),
-       "growable-container mutation may allocate"},
-      {std::regex(R"(\bto_string\s*\()"), "std::to_string allocates"},
-      {std::regex(R"(\bstd::string\s*[({])"),
-       "std::string construction allocates"},
-      {std::regex(R"(\b(ostringstream|istringstream|stringstream)\b)"),
-       "stringstream building allocates"},
-      {std::regex(R"("\s*\+|\+\s*")"), "string-literal concatenation allocates"},
-      {std::regex(R"(\b(lock_guard|unique_lock|scoped_lock|shared_lock)\b)"),
-       "lock construction can block"},
-  };
-  return kBans;
-}
-
-const std::vector<BannedPattern>& BlockingBans() {
-  static const std::vector<BannedPattern> kBans = {
-      {std::regex(R"(\b(lock_guard|unique_lock|scoped_lock|shared_lock)\b)"),
-       "mutex lock"},
-      {std::regex(R"((\.|->)\s*(lock|try_lock_for|try_lock_until)\s*\()"),
-       "explicit lock() call"},
-      {std::regex(
-           R"(\bpthread_(mutex_lock|cond_wait|cond_timedwait|rwlock_rdlock|rwlock_wrlock)\b)"),
-       "pthread blocking primitive"},
-      {std::regex(R"((\.|->)\s*(wait|wait_for|wait_until)\s*\()"),
-       "condition-variable wait"},
-      {std::regex(R"(\b(ofstream|ifstream|fstream)\b)"), "fstream file I/O"},
-      {std::regex(
-           R"(\b(fopen|fclose|fread|fwrite|fprintf|fscanf|fputs|fgets|fflush|fgetc|fputc)\s*\()"),
-       "stdio file I/O"},
-  };
-  return kBans;
-}
-
-/// Functions the POSIX async-signal-safety table (and the fork->exec child
-/// path) may call, plus const accessors on objects fully built BEFORE the
-/// fork (no allocation, no locks — argv.data(), path.c_str()).
-const std::set<std::string>& SignalSafeCalls() {
-  static const std::set<std::string> kSet = {
-      "fork",      "vfork",     "_exit",       "_Exit",    "execv",
-      "execve",    "execvp",    "execvpe",     "execl",    "execle",
-      "execlp",    "dup",       "dup2",        "dup3",     "close",
-      "open",      "read",      "write",       "pipe",     "pipe2",
-      "fcntl",     "kill",      "raise",       "signal",   "sigaction",
-      "sigprocmask", "sigemptyset", "sigfillset", "sigaddset", "setsid",
-      "chdir",     "getpid",    "getppid",     "umask",    "prctl",
-      "c_str",     "data",      "size",        "begin",    "end",
-      "empty",     "front",     "back",
-  };
-  return kSet;
-}
-
-std::string Hop(const FunctionDef& def) {
-  return def.display + " (" + def.file + ":" + std::to_string(def.line) + ")";
-}
-
-/// Dedup key: two roots reaching the same line under the same rule would
-/// otherwise double-report (the first discovered chain wins).
-using EmittedSet = std::set<std::tuple<std::string, std::size_t, std::string>>;
-
-void EmitReach(const std::string& file, std::size_t line, const char* rule,
-               std::string message, const std::vector<std::string>& chain,
-               EmittedSet& emitted,
-               std::map<std::string, std::vector<Candidate>>& by_file) {
-  if (!emitted.insert({file, line, rule}).second) return;
-  Candidate c;
-  c.line = line;
-  c.rule = rule;
-  c.message = std::move(message);
-  c.chain = chain;
-  by_file[file].push_back(std::move(c));
-}
-
-/// DFS from a pattern-rule root: every reachable definition's body is
-/// scanned against `bans`.  The visited set makes include cycles and
-/// call-graph diamonds terminate; conservative name resolution means a
-/// call walks EVERY same-name definition in the TU closure.
-void WalkPattern(const TreeContext& ctx, const CallGraph& graph,
-                 const FunctionDef& def, const char* rule,
-                 const std::vector<BannedPattern>& bans,
-                 std::vector<std::string>& chain,
-                 std::set<const FunctionDef*>& visited, EmittedSet& emitted,
-                 std::map<std::string, std::vector<Candidate>>& by_file) {
-  if (!visited.insert(&def).second) return;
-  chain.push_back(Hop(def));
-  const SourceFile& file = ctx.files.at(def.file);
-  for (std::size_t ln = def.body_open_line;
-       ln <= def.body_last_line && ln <= file.code.size(); ++ln) {
-    for (const BannedPattern& ban : bans) {
-      if (std::regex_search(file.code[ln - 1], ban.re)) {
-        EmitReach(def.file, ln, rule,
-                  std::string(ban.what) + ", on a path reachable from root(" +
-                      std::string(rule) + ")",
-                  chain, emitted, by_file);
-        break;  // one finding per line per rule is enough to act on.
-      }
-    }
-  }
-  for (const CallSite& call : def.calls) {
-    for (const FunctionDef* callee : graph.Resolve(call.name)) {
-      WalkPattern(ctx, graph, *callee, rule, bans, chain, visited, emitted,
-                  by_file);
-    }
-  }
-  chain.pop_back();
-}
-
-/// DFS from a function called inside the fork->exec region: every call in
-/// its body (and transitively) must be allowlisted or resolve to another
-/// definition in the TU closure.
-void WalkSignal(const CallGraph& graph, const FunctionDef& def,
-                std::vector<std::string>& chain,
-                std::set<const FunctionDef*>& visited, EmittedSet& emitted,
-                std::map<std::string, std::vector<Candidate>>& by_file) {
-  if (!visited.insert(&def).second) return;
-  chain.push_back(Hop(def));
-  for (const CallSite& call : def.calls) {
-    if (SignalSafeCalls().count(call.name)) continue;
-    const std::vector<const FunctionDef*> callees = graph.Resolve(call.name);
-    if (callees.empty()) {
-      EmitReach(def.file, call.line, kRuleSignalSafety,
-                "`" + call.name +
-                    "` is not on the async-signal-safe allowlist and has no "
-                    "visible definition to vet; reached from the fork->exec "
-                    "child region",
-                chain, emitted, by_file);
-      continue;
-    }
-    for (const FunctionDef* callee : callees) {
-      WalkSignal(graph, *callee, chain, visited, emitted, by_file);
-    }
-  }
-  chain.pop_back();
-}
-
-/// The signal-safety rule on one root: the call sites between the first
-/// `fork()` and the last `execv*`/`_exit` (the child's lexical region —
-/// the parent's code resumes after the exit call) must be allowlisted or
-/// vetted transitively.  A root without a fork call is checked whole
-/// (fixture style: the function IS the child path).
-void CheckSignalSafety(const CallGraph& graph, const FunctionDef& root,
-                       EmittedSet& emitted,
-                       std::map<std::string, std::vector<Candidate>>& by_file) {
-  static const std::set<std::string> kForks = {"fork", "vfork"};
-  static const std::set<std::string> kExits = {
-      "execv", "execve", "execvp", "execvpe", "execl",
-      "execle", "execlp", "_exit", "_Exit"};
-  std::size_t region_begin = 0;  // byte pos; 0 = from the body start.
-  std::size_t region_end = std::string::npos;
-  bool saw_fork = false;
-  for (const CallSite& call : root.calls) {
-    if (!saw_fork && kForks.count(call.name)) {
-      saw_fork = true;
-      region_begin = call.pos;
-    }
-    if (saw_fork && kExits.count(call.name)) region_end = call.pos;
-  }
-  std::vector<std::string> chain = {Hop(root)};
-  for (const CallSite& call : root.calls) {
-    if (call.pos <= region_begin && saw_fork) continue;
-    if (region_end != std::string::npos && call.pos > region_end) continue;
-    if (SignalSafeCalls().count(call.name)) continue;
-    const std::vector<const FunctionDef*> callees = graph.Resolve(call.name);
-    if (callees.empty()) {
-      EmitReach(root.file, call.line, kRuleSignalSafety,
-                "`" + call.name +
-                    "` between fork() and exec is not on the async-signal-"
-                    "safe allowlist (the child of a multi-threaded parent "
-                    "may hold no locks, so even malloc can deadlock)",
-                chain, emitted, by_file);
-      continue;
-    }
-    std::set<const FunctionDef*> visited;
-    for (const FunctionDef* callee : callees) {
-      WalkSignal(graph, *callee, chain, visited, emitted, by_file);
-    }
-  }
-}
-
-/// Runs the reachability rules over every annotated root, each analyzed in
-/// the translation unit of the file that defines it, and checks root-marker
-/// hygiene (unknown rule / marker that attaches to nothing).
-void CheckReachability(TreeContext& ctx,
-                       std::map<std::string, std::vector<Candidate>>& by_file) {
-  EmittedSet emitted;
-  for (const auto& [rel, file] : ctx.files) {
-    if (file.roots.empty()) continue;
-    const CallGraph graph = CallGraph::Build(ctx.files, rel);
-    for (const RootMark& mark : file.roots) {
-      if (!ReachabilityRules().count(mark.rule)) {
-        by_file[rel].push_back(
-            {mark.line, kRuleSuppression,
-             "root(" + mark.rule +
-                 ") names no reachability rule (hot-path-alloc, "
-                 "signal-safety, blocking-in-rt)",
-             {}});
-        continue;
-      }
-      bool attached = false;
-      for (const FunctionDef& def : graph.functions()) {
-        if (def.file == rel && mark.line + 1 >= def.line &&
-            mark.line <= def.body_open_line) {
-          attached = true;
-          break;
-        }
-      }
-      if (!attached) {
-        by_file[rel].push_back(
-            {mark.line, kRuleSuppression,
-             "root(" + mark.rule +
-                 ") attaches to no function definition here; put it on the "
-                 "defining line (or the line directly above it)",
-             {}});
-      }
-    }
-    for (const FunctionDef& def : graph.functions()) {
-      if (def.file != rel || def.roots.empty()) continue;
-      for (const std::string& rule : def.roots) {
-        if (rule == kRuleSignalSafety) {
-          CheckSignalSafety(graph, def, emitted, by_file);
-        } else if (rule == kRuleHotPathAlloc || rule == kRuleBlockingInRt) {
-          const char* id =
-              rule == kRuleHotPathAlloc ? kRuleHotPathAlloc : kRuleBlockingInRt;
-          std::vector<std::string> chain;
-          std::set<const FunctionDef*> visited;
-          WalkPattern(ctx, graph, def, id,
-                      id == kRuleHotPathAlloc ? HotPathBans() : BlockingBans(),
-                      chain, visited, emitted, by_file);
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // suppression processing
 // ---------------------------------------------------------------------------
 
@@ -637,8 +391,8 @@ void ApplySuppressions(const SourceFile& file,
     }
   }
   for (Candidate& c : kept) {
-    report.findings.push_back({file.path, c.line, std::move(c.rule),
-                               std::move(c.message), std::move(c.chain)});
+    report.findings.push_back(
+        {file.path, c.line, std::move(c.rule), std::move(c.message)});
   }
 }
 
@@ -699,22 +453,12 @@ const std::vector<RuleInfo>& RuleCatalog() {
       {kRuleSerializeFloat,
        "Serialize/Describe bodies must write floating-point through the "
        "serdes hexfloat helpers, never bare operator<<"},
-      {kRuleHotPathAlloc,
-       "nothing reachable from a root(hot-path-alloc) function may "
-       "allocate or construct a lock"},
-      {kRuleSignalSafety,
-       "the fork->exec region of a root(signal-safety) function may only "
-       "call the async-signal-safe allowlist, transitively"},
-      {kRuleBlockingInRt,
-       "nothing reachable from a root(blocking-in-rt) function may take a "
-       "mutex, wait on a condition variable, or do file I/O"},
       {kRuleNodiscard,
        "value-returning Parse*/Merge*/Deserialize*/Validate entry points "
        "in src/ headers must be [[nodiscard]]"},
       {kRuleSuppression,
-       "allow(...) waivers must name a real rule and carry a "
-       "justification; root(...) markers must name a reachability rule on "
-       "a defining line (unsuppressable)"},
+       "allow(...) waivers must name a real rule, carry a justification, "
+       "and waive something (unsuppressable)"},
   };
   return kCatalog;
 }
@@ -728,27 +472,17 @@ LintReport LintTree(const std::filesystem::path& root) {
   LintReport report;
   report.files_scanned = ctx.files.size();
 
-  // Per-line rules first, collected per file; the reachability pass then
-  // appends candidates wherever its chains land (a violation three calls
-  // deep belongs to the file that CONTAINS the violating line, which is
-  // where a waiver for it must sit); suppressions apply once per file at
-  // the end so waivers on chain findings are tracked like any other.
-  std::map<std::string, std::vector<Candidate>> by_file;
   for (auto& [rel, file] : ctx.files) {
     const FileCategory category = rel.rfind("src/", 0) == 0
                                       ? FileCategory::kLayerSource
                                       : FileCategory::kConsumer;
-    std::vector<Candidate>& candidates = by_file[rel];
+    std::vector<Candidate> candidates;
     CheckLayerDag(ctx, file, category, candidates);
     if (category == FileCategory::kLayerSource) {
       CheckDeterminism(file, candidates);
       CheckSerializeFloat(ctx, file, candidates);
       CheckNodiscard(file, candidates);
     }
-  }
-  CheckReachability(ctx, by_file);
-  for (auto& [rel, file] : ctx.files) {
-    std::vector<Candidate>& candidates = by_file[rel];
     std::sort(candidates.begin(), candidates.end(),
               [](const Candidate& a, const Candidate& b) {
                 return a.line != b.line ? a.line < b.line : a.rule < b.rule;
@@ -768,11 +502,6 @@ std::string ListWaivers(const std::filesystem::path& root) {
          << '\n';
     }
   }
-  for (const auto& [rel, file] : files) {
-    for (const RootMark& m : file.roots) {
-      os << rel << ':' << m.line << ": root(" << m.rule << ")\n";
-    }
-  }
   return os.str();
 }
 
@@ -781,26 +510,10 @@ std::string FormatFindings(const LintReport& report, bool github) {
   for (const Finding& f : report.findings) {
     if (github) {
       os << "::error file=" << f.file << ",line=" << f.line
-         << ",title=shep_lint " << f.rule;
-      if (!f.chain.empty()) os << " via " << f.chain.front();
-      os << "::" << f.message;
-      if (!f.chain.empty()) {
-        os << " [chain: ";
-        for (std::size_t i = 0; i < f.chain.size(); ++i) {
-          if (i) os << " -> ";
-          os << f.chain[i];
-        }
-        os << ']';
-      }
-      os << '\n';
+         << ",title=shep_lint " << f.rule << "::" << f.message << '\n';
     } else {
       os << f.file << ':' << f.line << ": [" << f.rule << "] " << f.message
          << '\n';
-      if (!f.chain.empty()) {
-        os << "    chain:";
-        for (const std::string& hop : f.chain) os << "\n      -> " << hop;
-        os << '\n';
-      }
     }
   }
   return os.str();

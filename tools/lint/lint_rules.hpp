@@ -1,7 +1,9 @@
 // lint_rules.hpp — the shep_lint rule catalogue.
 //
-// Three rule families guard the invariants the fleet subsystem's tests can
-// only sample:
+// Every rule is line-level: it judges a file by its own (blanked) text,
+// plus the include graph for layer edges and float identifiers.  Four
+// families guard the invariants the fleet subsystem's tests can only
+// sample:
 //
 //  * layer-dag            — every `#include "<layer>/..."` edge must be in
 //                           the (reflexive-transitive closure of the) layer
@@ -27,49 +29,21 @@
 //                           truncates to 6 significant digits, which
 //                           silently breaks the bit-exact round trip the
 //                           distributed merge depends on.
-//
-// three call-graph-aware reachability families (call_graph.hpp), seeded
-// from `// shep-lint: root(<rule>)` markers on defining lines:
-//
-//  * hot-path-alloc       — nothing reachable from an annotated hot-path
-//                           root (the kernel slot loop, the synthesis
-//                           scratch paths, TraceRing::TryPush) may
-//                           allocate (new/malloc, growable-container
-//                           push_back/resize/reserve, std::string
-//                           building) or construct a lock: the per-slot
-//                           and per-sample loops are sized once and then
-//                           touch only preallocated storage.
-//  * signal-safety        — in a function marked root(signal-safety), the
-//                           region between the fork() call and the last
-//                           execv*/_exit may only call an async-signal-
-//                           safe allowlist (dup2, close, execv, _exit,
-//                           ...), transitively: the child of a
-//                           multi-threaded parent runs with every other
-//                           thread's locks frozen, so one malloc can
-//                           deadlock it.
-//  * blocking-in-rt       — nothing reachable from a root(blocking-in-rt)
-//                           function (TryPush, the worker heartbeat loop)
-//                           may take a mutex, wait on a condition
-//                           variable, or do stdio/fstream file I/O; these
-//                           paths run on latency-critical threads that
-//                           must never park behind another thread.
-//
-// Reachability findings land on the offending line and carry the call
-// chain (root -> ... -> violation) in both the message and
-// Finding::chain, so a reviewer sees WHY a deep callee fires.
-//
-// plus two hygiene rules:
-//
 //  * nodiscard            — value-returning Parse*/Merge*/Deserialize*/
 //                           Validate entry points declared in src/ headers
 //                           must be [[nodiscard]]: discarding a parse or
 //                           merge result is always a bug.
+//
+// plus the hygiene rule:
+//
 //  * suppression          — `// shep-lint: allow(<rule>)` waivers must name
-//                           a real rule and carry a justification, and
-//                           `root(<rule>)` markers must name a
-//                           reachability rule and sit on a function
-//                           definition; this rule is itself
-//                           unsuppressable.
+//                           a real rule, carry a justification, and waive
+//                           something; this rule is itself unsuppressable.
+//
+// Contracts a line pattern cannot prove are checked at runtime instead:
+// the kernel's no-allocation contract by tests/test_hot_path_alloc.cpp,
+// the trace ring's lock freedom by a static_assert in
+// src/trace/ring_buffer.hpp.
 //
 // Any rule except `suppression` is waived on a line carrying
 // `// shep-lint: allow(<rule>) <justification>`.
@@ -95,9 +69,6 @@ struct Finding {
   std::size_t line = 0;
   std::string rule;
   std::string message;
-  /// For reachability rules: the call chain root -> ... -> violating
-  /// function, each hop as "Display (file:line)".  Empty for line rules.
-  std::vector<std::string> chain;
 };
 
 /// All rule ids, for validating allow(...) names.
@@ -109,8 +80,8 @@ struct RuleInfo {
   std::string description;  ///< one line, matches the header comment above.
 };
 
-/// The full catalogue in stable order (line rules, reachability rules,
-/// hygiene rules).
+/// The full catalogue in stable order (line rules, then the hygiene
+/// rule).
 const std::vector<RuleInfo>& RuleCatalog();
 
 /// Result of linting a tree.
@@ -128,14 +99,11 @@ LintReport LintTree(const std::filesystem::path& root);
 
 /// Every suppression in the tree, one line each
 /// (`path:line: allow(rule) justification`), for `--list-waivers` audits.
-/// Root markers are listed after the waivers.
 std::string ListWaivers(const std::filesystem::path& root);
 
-/// One finding per line, gcc-style (`path:line: [rule] message`, with
-/// reachability chains indented underneath), or as GitHub Actions workflow
-/// commands when `github` is set so CI failures annotate the offending
-/// file:line in the diff view — the annotation title carries the chain's
-/// first hop so the root contract that fired is visible in the summary.
+/// One finding per line, gcc-style (`path:line: [rule] message`), or as
+/// GitHub Actions workflow commands when `github` is set so CI failures
+/// annotate the offending file:line in the diff view.
 std::string FormatFindings(const LintReport& report, bool github);
 
 }  // namespace shep::lint

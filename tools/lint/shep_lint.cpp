@@ -4,16 +4,17 @@
 //   shep_lint [--github] <repo-root>     lint src/ tests/ bench/ examples/ tools/
 //   shep_lint --dag                      print the layer DAG table
 //   shep_lint --list-rules               print the rule catalogue
-//   shep_lint --list-waivers <repo-root> print every suppression + root marker
+//   shep_lint --list-waivers <repo-root> print every allow() suppression
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/IO error.  Unknown flags are
 // rejected with the usage message (matching shep_trace's treatment) so a
 // typo like `--githb` fails loudly instead of being swallowed as a path.
 //
 // The tool runs as a CTest case over the real tree (`ctest -R lint_tree`)
-// and as the CI `lint` job; rule catalogue, suppression syntax, and the
-// reachability root(...) contract are documented in README.md
-// ("Correctness tooling").
+// and as the CI `lint` job; the rule catalogue and the suppression syntax
+// are documented in README.md ("Correctness tooling").  Every rule is
+// line-level; contracts no line pattern can prove (the hot path's
+// allocation freedom) are runtime tests instead.
 
 #include <cstdio>
 #include <exception>

@@ -117,16 +117,15 @@ std::string_view TrimView(std::string_view s) {
   return s;
 }
 
-/// Parses `// shep-lint: allow(<rule>) <justification>` and
-/// `// shep-lint: root(<rule>)...` out of the raw line.  The marker must
+/// Parses `// shep-lint: allow(<rule>) <justification>` out of the raw
+/// line.  The marker must
 /// live in a genuine `//` comment — one whose `//` the stripper blanked
 /// out of `code` — so a string literal containing the marker text can
 /// never waive anything, and it must be the comment's first token, so
 /// prose that merely quotes the syntax stays prose.
 void ParseSuppressions(const std::string& raw, const std::string& code,
                        std::size_t line_number,
-                       std::vector<Suppression>& out,
-                       std::vector<RootMark>& roots) {
+                       std::vector<Suppression>& out) {
   // Locate the line comment: "//" present in raw but blanked in code, with
   // nothing but blanks after it — a "//" inside a string literal is also
   // blanked, but real code (the closing quote's statement) follows it.
@@ -145,40 +144,22 @@ void ParseSuppressions(const std::string& raw, const std::string& code,
   if (rest.substr(0, kMarker.size()) != kMarker) return;
   rest = TrimView(rest.substr(kMarker.size()));
   static constexpr std::string_view kAllow = "allow(";
-  static constexpr std::string_view kRoot = "root(";
-  for (;;) {
-    if (rest.substr(0, kAllow.size()) == kAllow) {
-      rest.remove_prefix(kAllow.size());
-      const std::size_t close = rest.find(')');
-      if (close == std::string::npos) return;
-      Suppression s;
-      s.line = line_number;
-      s.rule = std::string(TrimView(rest.substr(0, close)));
-      s.justification = std::string(TrimView(rest.substr(close + 1)));
-      // A leading "--" or ":" separator before the justification is
-      // cosmetic; strip it so emptiness checks see the real text.
-      while (!s.justification.empty() &&
-             (s.justification.front() == '-' ||
-              s.justification.front() == ':')) {
-        s.justification.erase(s.justification.begin());
-      }
-      s.justification = std::string(TrimView(s.justification));
-      out.push_back(std::move(s));
-      return;  // the justification consumes the rest of the comment.
-    }
-    if (rest.substr(0, kRoot.size()) == kRoot) {
-      rest.remove_prefix(kRoot.size());
-      const std::size_t close = rest.find(')');
-      if (close == std::string::npos) return;
-      RootMark mark;
-      mark.line = line_number;
-      mark.rule = std::string(TrimView(rest.substr(0, close)));
-      roots.push_back(std::move(mark));
-      rest = TrimView(rest.substr(close + 1));
-      continue;  // `root(a) root(b)` groups may share one comment.
-    }
-    return;
+  if (rest.substr(0, kAllow.size()) != kAllow) return;
+  rest.remove_prefix(kAllow.size());
+  const std::size_t close = rest.find(')');
+  if (close == std::string::npos) return;
+  Suppression s;
+  s.line = line_number;
+  s.rule = std::string(TrimView(rest.substr(0, close)));
+  s.justification = std::string(TrimView(rest.substr(close + 1)));
+  // A leading "--" or ":" separator before the justification is cosmetic;
+  // strip it so emptiness checks see the real text.
+  while (!s.justification.empty() &&
+         (s.justification.front() == '-' || s.justification.front() == ':')) {
+    s.justification.erase(s.justification.begin());
   }
+  s.justification = std::string(TrimView(s.justification));
+  out.push_back(std::move(s));
 }
 
 }  // namespace
@@ -204,7 +185,7 @@ SourceFile ScanSource(std::string_view content, std::string path) {
     if (!raw.empty() && raw.back() == '\r') raw.pop_back();
     file.code.push_back(StripLine(raw, st));
     ParseSuppressions(raw, file.code.back(), file.raw.size() + 1,
-                      file.suppressions, file.roots);
+                      file.suppressions);
     file.raw.push_back(std::move(raw));
     if (end == content.size()) break;
     start = end + 1;

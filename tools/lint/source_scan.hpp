@@ -9,9 +9,7 @@
 //    of a log message, and column numbers still line up with `raw`;
 //  * `suppressions` holds the per-line `// shep-lint: allow(<rule>)`
 //    waivers parsed out of the comments, each with its justification text,
-//    so rules can honour them without re-tokenizing;
-//  * `roots` holds the `// shep-lint: root(<rule>)` markers that seed the
-//    reachability rules (call_graph.hpp).
+//    so rules can honour them without re-tokenizing.
 //
 // A marker is only recognised when `shep-lint:` is the FIRST token of the
 // comment — prose that merely mentions the marker syntax (like this
@@ -40,14 +38,6 @@ struct Suppression {
   std::string justification;  ///< trimmed text after the closing paren.
 };
 
-/// One `// shep-lint: root(<rule>)` marker: the function defined on (or
-/// spanning) this line is a reachability root for `rule`.  Several
-/// `root(...)` groups may share one comment (`root(a) root(b)`).
-struct RootMark {
-  std::size_t line = 0;  ///< 1-based line the marker sits on.
-  std::string rule;      ///< rule id inside root(...).
-};
-
 /// A scanned translation unit (or header).
 struct SourceFile {
   /// Path as reported in findings; repo-relative with '/' separators.
@@ -55,7 +45,6 @@ struct SourceFile {
   std::vector<std::string> raw;   ///< original lines, no trailing '\n'.
   std::vector<std::string> code;  ///< raw with comments/literals blanked.
   std::vector<Suppression> suppressions;  ///< all waivers, any line.
-  std::vector<RootMark> roots;            ///< all root markers, any line.
 
   /// Waivers attached to `line` (1-based).
   std::vector<const Suppression*> SuppressionsOn(std::size_t line) const;
