@@ -42,6 +42,10 @@ namespace {
 /// garbled byte count can never size an allocation.
 constexpr std::uint64_t kMaxJobSpecBytes = 1 << 20;
 
+/// Shards dispatched to a worker ahead of completion: two hide the
+/// dispatch round-trip, and every frame still carries exactly one shard.
+constexpr std::size_t kMaxInflightPerWorker = 2;
+
 }  // namespace
 
 std::string EncodeFleetJob(const FleetWorkerJob& job) {
@@ -51,10 +55,9 @@ std::string EncodeFleetJob(const FleetWorkerJob& job) {
   SHEP_REQUIRE(spec_text.size() <= kMaxJobSpecBytes,
                "fleet job spec text exceeds the job size cap");
   std::ostringstream os;
-  os << "shep-fleet-job v1\n";
+  os << "shep-fleet-job v2\n";
   os << "fingerprint " << job.fingerprint << '\n';
   os << "shard-size " << job.shard_size << '\n';
-  os << "threads " << job.threads << '\n';
   os << "heartbeat-ms " << job.heartbeat_ms << '\n';
   // The directory is the rest of the line ("-" = telemetry off), so paths
   // with spaces survive.
@@ -66,14 +69,12 @@ std::string EncodeFleetJob(const FleetWorkerJob& job) {
 
 FleetWorkerJob ParseFleetJob(std::istream& in) {
   serdes::ExpectToken(in, "shep-fleet-job");
-  serdes::ExpectToken(in, "v1");
+  serdes::ExpectToken(in, "v2");
   FleetWorkerJob job;
   serdes::ExpectToken(in, "fingerprint");
   job.fingerprint = serdes::ReadU64(in);
   serdes::ExpectToken(in, "shard-size");
   job.shard_size = static_cast<std::size_t>(serdes::ReadU64(in));
-  serdes::ExpectToken(in, "threads");
-  job.threads = static_cast<std::size_t>(serdes::ReadU64(in));
   serdes::ExpectToken(in, "heartbeat-ms");
   job.heartbeat_ms = static_cast<std::uint32_t>(serdes::ReadU64(in));
   serdes::ExpectToken(in, "trace-dir");
@@ -599,8 +600,6 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
   SHEP_REQUIRE(!options.worker_path.empty(),
                "coordinator needs a worker binary path");
   SHEP_REQUIRE(options.workers > 0, "coordinator needs at least one worker");
-  SHEP_REQUIRE(options.max_inflight_per_worker > 0,
-               "max_inflight_per_worker must be positive");
   const std::size_t respawn_budget =
       options.max_respawns != 0 ? options.max_respawns : 2 * options.workers;
 
@@ -609,7 +608,6 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
   FleetWorkerJob job;
   job.spec = plan.matrix.spec;  // slot_seconds already forced by expansion.
   job.shard_size = options.shard_size;
-  job.threads = options.worker_threads;
   job.heartbeat_ms = options.heartbeat_ms;
   job.fingerprint = plan.fingerprint;
 
@@ -722,7 +720,7 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
             worker->unwritable) {
           continue;
         }
-        while (worker->inflight.size() < options.max_inflight_per_worker) {
+        while (worker->inflight.size() < kMaxInflightPerWorker) {
           const std::optional<std::size_t> picked = PickShard(state, *worker);
           if (!picked) break;
           const std::size_t shard = *picked;

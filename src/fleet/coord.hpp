@@ -59,8 +59,6 @@ namespace shep {
 struct FleetWorkerJob {
   ScenarioSpec spec;
   std::size_t shard_size = 8;
-  /// Worker-local simulation threads (1 = serial).  Never changes results.
-  std::size_t threads = 1;
   /// Worker heartbeat period; the coordinator's liveness deadline should
   /// be a comfortable multiple of this.
   std::uint32_t heartbeat_ms = 100;
@@ -100,11 +98,6 @@ struct FleetCoordOptions {
   std::string worker_path;
   std::size_t workers = 4;
   std::size_t shard_size = 8;
-  /// Simulation threads per worker; 1 keeps the scaling curve honest.
-  std::size_t worker_threads = 1;
-  /// Shards dispatched to a worker ahead of completion; >1 hides the
-  /// dispatch round-trip, and every frame still carries exactly one shard.
-  std::size_t max_inflight_per_worker = 2;
   std::uint32_t heartbeat_ms = 100;
   /// No bytes at all from a worker for this long => dead.
   std::uint32_t liveness_timeout_ms = 5000;

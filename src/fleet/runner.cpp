@@ -9,11 +9,7 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "core/ar.hpp"
-#include "core/ewma.hpp"
-#include "core/wcma.hpp"
 #include "fleet/faults.hpp"
-#include "hw/costed_fixed.hpp"
 #include "mgmt/node_sim.hpp"
 #include "mgmt/node_sim_kernel.hpp"
 #include "solar/clearsky.hpp"
@@ -32,50 +28,26 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The per-kind dispatch behind SimulateSpecNode, parameterized on the
-/// kernel's slot probe and fault model so the traced/untraced and
-/// faulted/healthy paths share one definition.  With NoSlotProbe the probe
-/// call sites vanish and this IS the untraced hot path; with NodeTraceProbe
-/// each slot is offered to the worker's ring.  Likewise NoFaultModel
-/// compiles the fault branches away entirely, while FaultModel (built from
-/// a precomputed per-node schedule) injects outages, dropouts, and
-/// degradation.  Neither hook feeds back into the healthy simulation, so
-/// the healthy instantiations all produce bit-identical results.
+/// The kernel run behind SimulateSpecNode, parameterized on the kernel's
+/// slot probe and fault model so the traced/untraced and faulted/healthy
+/// paths share one definition.  WithPredictor hands the kernel the
+/// stack-built concrete predictor, so every kind dispatches statically.
+/// With NoSlotProbe the probe call sites vanish and this IS the untraced
+/// hot path; with NodeTraceProbe each slot is offered to the worker's
+/// ring.  Likewise NoFaultModel compiles the fault branches away entirely,
+/// while FaultModel (built from a precomputed per-node schedule) injects
+/// outages, dropouts, and degradation.  Neither hook feeds back into the
+/// healthy simulation, so the healthy instantiations all produce
+/// bit-identical results.
 template <class Probe, class Faults>
 NodeSimResult SimulateSpecNodeImpl(const PredictorSpec& spec,
                                    int slots_per_day,
                                    const SlotSeries& series,
                                    const NodeSimConfig& config,
                                    const Probe& probe, Faults faults) {
-  // The hot fleet kinds get a stack-constructed concrete predictor and the
-  // statically dispatched kernel; anything else takes the generic path.
-  // Every branch reproduces PredictorSpec::Make's construction exactly, so
-  // both paths are bit-identical.
-  switch (spec.kind) {
-    case PredictorKind::kWcma: {
-      Wcma predictor(spec.wcma, slots_per_day);
-      return SimulateNodeKernel(predictor, series, config, probe, faults);
-    }
-    case PredictorKind::kWcmaFixed: {
-      CostedFixedWcma predictor(spec.wcma, slots_per_day);
-      return SimulateNodeKernel(predictor, series, config, probe, faults);
-    }
-    case PredictorKind::kEwma: {
-      Ewma predictor(spec.ewma_weight, slots_per_day);
-      return SimulateNodeKernel(predictor, series, config, probe, faults);
-    }
-    case PredictorKind::kAr: {
-      ArPredictor predictor(spec.ar, slots_per_day);
-      return SimulateNodeKernel(predictor, series, config, probe, faults);
-    }
-    default: {
-      const auto predictor = spec.Make(slots_per_day);
-      // The kernel at P = Predictor is exactly the virtual SimulateNode
-      // entry point, here with the probe threaded through.
-      Predictor& base = *predictor;
-      return SimulateNodeKernel(base, series, config, probe, faults);
-    }
-  }
+  return WithPredictor(spec, slots_per_day, [&](auto& predictor) {
+    return SimulateNodeKernel(predictor, series, config, probe, faults);
+  });
 }
 
 }  // namespace
@@ -128,13 +100,9 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
   // show up in each other's deltas.
   std::atomic<std::uint64_t> cache_hits{0};
   std::atomic<std::uint64_t> cache_misses{0};
-  // Evictions (and the clear-sky memo below) cannot be counted per lookup
-  // — they happen inside the caches — so those ARE stats() diffs, exact
-  // for the usual one-run-at-a-time process and documented approximate
-  // otherwise (runner.hpp).
-  const std::uint64_t cache_evictions_before =
-      options.trace_cache != nullptr ? options.trace_cache->stats().evictions
-                                     : 0;
+  // The clear-sky memo is hit inside synthesis, not per lookup here, so
+  // its tallies ARE stats() diffs, exact for the usual one-run-at-a-time
+  // process and documented approximate otherwise (runner.hpp).
   const ClearSkyMemoStats clearsky_before = GetClearSkyMemoStats();
   // One synthesis scratch per batch worker: lanes sharing a worker id run
   // serialized, so each slot's buffers are reused race-free across every
@@ -286,15 +254,9 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
     stats->sim_seconds = sim_seconds;
     stats->trace_cache_hits = cache_hits.load();
     stats->trace_cache_misses = cache_misses.load();
-    stats->trace_cache_evictions =
-        options.trace_cache != nullptr
-            ? options.trace_cache->stats().evictions - cache_evictions_before
-            : 0;
     const ClearSkyMemoStats clearsky_after = GetClearSkyMemoStats();
     stats->clearsky_hits = clearsky_after.hits - clearsky_before.hits;
     stats->clearsky_misses = clearsky_after.misses - clearsky_before.misses;
-    stats->clearsky_evictions =
-        clearsky_after.evictions - clearsky_before.evictions;
     if (sink != nullptr) {
       const TraceSinkStats after = sink->stats();
       stats->trace_events = after.events - sink_before.events;

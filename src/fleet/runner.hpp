@@ -72,16 +72,13 @@ struct FleetRunStats {
   double merge_seconds = 0.0;     ///< stage 3 wall time (RunFleet only;
                                   ///< stays 0 for bare RunFleetShards).
   /// TraceCache counter deltas of this run (0 when no cache was given).
-  /// Evictions only occur on capacity-capped caches (see TraceCache ctor).
   std::uint64_t trace_cache_hits = 0;
   std::uint64_t trace_cache_misses = 0;
-  std::uint64_t trace_cache_evictions = 0;
   /// Process-wide clear-sky memo deltas over this run (solar/clearsky.hpp).
   /// Approximate under concurrent runs in one process — the memo is shared
   /// — but exact for the common one-run-at-a-time case.
   std::uint64_t clearsky_hits = 0;
   std::uint64_t clearsky_misses = 0;
-  std::uint64_t clearsky_evictions = 0;
   /// Telemetry deltas of this run (all 0 when no trace sink was given).
   /// events + dropped is exactly the slot count the probes observed.
   std::uint64_t trace_events = 0;        ///< slot events drained.
@@ -100,13 +97,13 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
                             const FleetRunOptions& options = {},
                             FleetRunStats* stats = nullptr);
 
-/// Simulates one node of a cell: instantiates `spec` and runs it over
-/// `series` through the static-dispatch kernel (mgmt/node_sim_kernel.hpp)
-/// when the kind is one of the hot fleet predictors (WCMA, FixedWCMA,
-/// EWMA, AR) — no per-slot virtual calls, no per-run dynamic_cast, no heap
-/// allocation for the predictor — and falls back to PredictorSpec::Make +
-/// the virtual SimulateNode for every other kind.  Bit-identical to the
-/// virtual path for all kinds (pinned by tests/test_node_kernel.cpp).
+/// Simulates one node of a cell: builds `spec`'s predictor on the stack
+/// through WithPredictor and runs it over `series` through the
+/// static-dispatch kernel (mgmt/node_sim_kernel.hpp) at its concrete type.
+/// Every PredictorKind takes this path — no per-slot virtual calls, no
+/// per-run dynamic_cast, no heap allocation for the predictor.
+/// Bit-identical to Make() + the virtual SimulateNode for every kind,
+/// cost channel included (pinned by tests/test_node_kernel.cpp).
 NodeSimResult SimulateSpecNode(const PredictorSpec& spec, int slots_per_day,
                                const SlotSeries& series,
                                const NodeSimConfig& config);

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/serdes.hpp"
 #include "common/rng.hpp"
-#include "core/baselines.hpp"
-#include "core/ewma.hpp"
-#include "hw/costed_fixed.hpp"
-#include "hw/vm_predictor.hpp"
 #include "solar/sites.hpp"
 #include "timeseries/trace.hpp"
 
@@ -45,30 +43,15 @@ PredictorKind PredictorKindFromName(const std::string& name) {
 }
 
 std::unique_ptr<Predictor> PredictorSpec::Make(int slots_per_day) const {
-  switch (kind) {
-    case PredictorKind::kWcma:
-      return std::make_unique<Wcma>(wcma, slots_per_day);
-    case PredictorKind::kWcmaFixed:
-      return std::make_unique<CostedFixedWcma>(wcma, slots_per_day);
-    case PredictorKind::kWcmaVm:
-      return std::make_unique<VmWcmaPredictor>(wcma, slots_per_day);
-    case PredictorKind::kEwma:
-      return std::make_unique<Ewma>(ewma_weight, slots_per_day);
-    case PredictorKind::kAr:
-      return std::make_unique<ArPredictor>(ar, slots_per_day);
-    case PredictorKind::kAdaptiveWcma:
-      return std::make_unique<AdaptiveWcma>(adaptive, slots_per_day);
-    case PredictorKind::kPersistence:
-      return std::make_unique<Persistence>();
-    case PredictorKind::kPreviousDay:
-      return std::make_unique<PreviousDay>(slots_per_day);
-  }
-  SHEP_REQUIRE(false, "unknown predictor kind");
-  throw std::logic_error("unreachable");
+  return WithPredictor(*this, slots_per_day,
+                       [](auto& predictor) -> std::unique_ptr<Predictor> {
+    using Concrete = std::remove_reference_t<decltype(predictor)>;
+    return std::make_unique<Concrete>(std::move(predictor));
+  });
 }
 
 void PredictorSpec::Validate(int slots_per_day) const {
-  // Mirrors every constructor precondition Make() can hit, per kind.
+  // Mirrors every constructor precondition WithPredictor can hit, per kind.
   switch (kind) {
     case PredictorKind::kWcma:
     case PredictorKind::kWcmaFixed:

@@ -21,14 +21,20 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "core/adaptive.hpp"
 #include "core/ar.hpp"
+#include "core/baselines.hpp"
+#include "core/ewma.hpp"
 #include "core/predictor.hpp"
 #include "core/wcma.hpp"
 #include "fleet/faults.hpp"
+#include "hw/costed_fixed.hpp"
+#include "hw/vm_predictor.hpp"
 #include "mgmt/node_sim.hpp"
 
 namespace shep {
@@ -61,10 +67,11 @@ struct PredictorSpec {
   ArParams ar;                    ///< kAr.
   AdaptiveWcmaParams adaptive;    ///< kAdaptiveWcma.
 
-  /// Instantiates a fresh predictor for a deployment with N slots per day.
+  /// Instantiates a fresh predictor for a deployment with N slots per day
+  /// (WithPredictor's object, moved to the heap).
   std::unique_ptr<Predictor> Make(int slots_per_day) const;
 
-  /// Rejects parameters Make() would throw on, so a malformed design is
+  /// Rejects parameters WithPredictor would throw on, so a malformed design is
   /// caught by ScenarioSpec::Validate up front instead of on a pool worker
   /// (where the throw would std::terminate).
   void Validate(int slots_per_day) const;
@@ -74,6 +81,52 @@ struct PredictorSpec {
   /// "#<index>" so cells stay distinguishable in tables and CSV.
   std::string Label() const { return PredictorKindName(kind); }
 };
+
+/// The one place that names each kind's concrete predictor type and its
+/// constructor arguments: builds the predictor `spec` describes on the
+/// stack, as its concrete `final` class, and returns f(predictor).  A
+/// generic `f` is instantiated once per kind, so a kernel called inside it
+/// dispatches statically (mgmt/node_sim_kernel.hpp); Make() moves the same
+/// object to the heap for callers that want a Predictor.
+template <class F>
+auto WithPredictor(const PredictorSpec& spec, int slots_per_day, F&& f) {
+  switch (spec.kind) {
+    case PredictorKind::kWcma: {
+      Wcma predictor(spec.wcma, slots_per_day);
+      return f(predictor);
+    }
+    case PredictorKind::kWcmaFixed: {
+      CostedFixedWcma predictor(spec.wcma, slots_per_day);
+      return f(predictor);
+    }
+    case PredictorKind::kWcmaVm: {
+      VmWcmaPredictor predictor(spec.wcma, slots_per_day);
+      return f(predictor);
+    }
+    case PredictorKind::kEwma: {
+      Ewma predictor(spec.ewma_weight, slots_per_day);
+      return f(predictor);
+    }
+    case PredictorKind::kAr: {
+      ArPredictor predictor(spec.ar, slots_per_day);
+      return f(predictor);
+    }
+    case PredictorKind::kAdaptiveWcma: {
+      AdaptiveWcma predictor(spec.adaptive, slots_per_day);
+      return f(predictor);
+    }
+    case PredictorKind::kPersistence: {
+      Persistence predictor;
+      return f(predictor);
+    }
+    case PredictorKind::kPreviousDay: {
+      PreviousDay predictor(slots_per_day);
+      return f(predictor);
+    }
+  }
+  SHEP_REQUIRE(false, "unknown predictor kind");
+  throw std::logic_error("unreachable");
+}
 
 /// Declarative description of a fleet campaign.
 struct ScenarioSpec {

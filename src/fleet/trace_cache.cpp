@@ -44,30 +44,12 @@ std::shared_ptr<const SlotSeries> TraceCache::Get(const std::string& site_code,
   // First insertion wins so every caller shares one instance; a racing
   // duplicate is bit-identical (synthesis is deterministic in the key)
   // and is discarded here.
-  const auto [it, inserted] = entries_.emplace(key, series);
-  auto result = it->second;
-  if (inserted && max_entries_ != 0 && entries_.size() > max_entries_) {
-    // Evict the lowest key, skipping the one just inserted so a run
-    // sweeping keys in order never evicts what it is about to use.
-    auto victim = entries_.begin();
-    if (victim->first == key) ++victim;
-    entries_.erase(victim);
-    ++evictions_;
-  }
-  return result;
+  return entries_.emplace(key, std::move(series)).first->second;
 }
 
 TraceCache::Stats TraceCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return Stats{hits_, misses_, evictions_, entries_.size()};
-}
-
-void TraceCache::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  hits_ = 0;
-  misses_ = 0;
-  evictions_ = 0;
+  return Stats{hits_, misses_, entries_.size()};
 }
 
 }  // namespace shep

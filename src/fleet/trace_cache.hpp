@@ -18,6 +18,10 @@
 // Caching is opt-in (FleetRunOptions::trace_cache): the runner's results
 // are bit-identical with and without a cache, only phase-1 wall time
 // changes — pinned by tests/test_fleet_distributed.cpp.
+//
+// The cache never evicts.  A caller holds one for a campaign (or a few
+// overlapping ones), and a fleet worker's cache only ever sees the lanes
+// of its one plan, so the entry count is bounded by the lanes requested.
 #pragma once
 
 #include <cstddef>
@@ -37,15 +41,6 @@ struct SynthScratch;
 /// Thread-safe memo of synthesized + slotted weather lanes.
 class TraceCache {
  public:
-  /// `max_entries` caps the cache (0 = unbounded, the historical default
-  /// for single-campaign runs).  A long-lived coordinator sharing one
-  /// cache across many campaigns should cap it: when an insert exceeds
-  /// the cap the lowest key is evicted — deterministic because the map is
-  /// ordered — and counted in stats().evictions.  Series already handed
-  /// out stay alive through their shared_ptrs.
-  explicit TraceCache(std::size_t max_entries = 0)
-      : max_entries_(max_entries) {}
-
   /// Returns the SlotSeries for (site_code, trace_seed, days,
   /// slots_per_day), synthesizing it on first use.  Repeated calls with
   /// the same key return the identical (shared) instance.  When `was_hit`
@@ -68,24 +63,17 @@ class TraceCache {
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
     std::size_t entries = 0;
   };
   Stats stats() const;
-
-  /// Drops every entry (shared_ptrs held by callers stay alive) and
-  /// resets the counters.
-  void Clear();
 
  private:
   using Key = std::tuple<std::string, std::uint64_t, std::size_t, int>;
 
   mutable std::mutex mutex_;
   std::map<Key, std::shared_ptr<const SlotSeries>> entries_;
-  std::size_t max_entries_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace shep

@@ -12,8 +12,9 @@
 // semantics, two dispatch strategies, bit-identical results (pinned by
 // tests/test_node_kernel.cpp and the fleet golden suite).
 //
-// fleet/runner.cpp selects the concrete instantiation per PredictorKind;
-// sweep/ and the examples keep calling the virtual entry point.
+// The fleet runs every PredictorKind at its concrete type: runner.cpp
+// calls this kernel inside fleet/scenario.hpp's WithPredictor.  The
+// examples and the tests' reference runs call the virtual entry point.
 #pragma once
 
 #include <algorithm>

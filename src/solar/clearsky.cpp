@@ -63,10 +63,8 @@ struct ClearSkyMemo {
 
   std::mutex mutex;
   std::map<Key, std::shared_ptr<const std::vector<double>>> entries;
-  std::size_t capacity = kClearSkyMemoDefaultCapacity;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
 };
 
 ClearSkyMemo& TheClearSkyMemo() {
@@ -98,36 +96,13 @@ std::shared_ptr<const std::vector<double>> ClearSkyDayGhiCached(
 
   std::lock_guard<std::mutex> lock(memo.mutex);
   ++memo.misses;
-  const auto [it, inserted] = memo.entries.emplace(key, std::move(profile));
-  auto result = it->second;
-  if (inserted && memo.entries.size() > memo.capacity) {
-    // Evict the lowest key rather than the newest: a campaign sweeps keys
-    // in order, so dropping the just-inserted entry would thrash.  The
-    // choice is deterministic (ordered map) and callers keep their refs.
-    auto victim = memo.entries.begin();
-    if (victim->first == key) ++victim;
-    memo.entries.erase(victim);
-    ++memo.evictions;
-  }
-  return result;
+  return memo.entries.emplace(key, std::move(profile)).first->second;
 }
 
 ClearSkyMemoStats GetClearSkyMemoStats() {
   ClearSkyMemo& memo = TheClearSkyMemo();
   std::lock_guard<std::mutex> lock(memo.mutex);
-  return ClearSkyMemoStats{memo.hits, memo.misses, memo.evictions,
-                           memo.entries.size()};
-}
-
-void SetClearSkyMemoCapacity(std::size_t max_entries) {
-  ClearSkyMemo& memo = TheClearSkyMemo();
-  std::lock_guard<std::mutex> lock(memo.mutex);
-  memo.capacity =
-      max_entries == 0 ? kClearSkyMemoDefaultCapacity : max_entries;
-  while (memo.entries.size() > memo.capacity) {
-    memo.entries.erase(memo.entries.begin());
-    ++memo.evictions;
-  }
+  return ClearSkyMemoStats{memo.hits, memo.misses, memo.entries.size()};
 }
 
 void ClearClearSkyMemo() {
@@ -136,7 +111,6 @@ void ClearClearSkyMemo() {
   memo.entries.clear();
   memo.hits = 0;
   memo.misses = 0;
-  memo.evictions = 0;
 }
 
 double DaylightHours(double latitude_deg, int day_of_year) {

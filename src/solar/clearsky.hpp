@@ -54,6 +54,11 @@ std::vector<double> ClearSkyDayGhi(double latitude_deg, int day_of_year,
 /// Thread-safe; like fleet's TraceCache the profile is computed OUTSIDE the
 /// lock, so concurrent first calls on one key may both compute it and the
 /// first insertion wins — the loser's bit-identical copy is dropped.
+///
+/// The memo never evicts.  SynthesizeTrace, its one caller in the library,
+/// asks for 60 s profiles of day-of-year 1..365 at a paper site's latitude,
+/// so it holds at most PaperSites().size() * 365 profiles
+/// (tests/test_clearsky.cpp pins the bound).
 std::shared_ptr<const std::vector<double>> ClearSkyDayGhiCached(
     double latitude_deg, int day_of_year, int resolution_s);
 
@@ -62,21 +67,9 @@ std::shared_ptr<const std::vector<double>> ClearSkyDayGhiCached(
 struct ClearSkyMemoStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
   std::size_t entries = 0;
 };
 ClearSkyMemoStats GetClearSkyMemoStats();
-
-/// Default entry cap of the process-wide memo: generous for any single
-/// campaign (sites x days distinct keys) yet bounds a coordinator that
-/// lives through thousands of campaigns with shifting latitudes.
-inline constexpr std::size_t kClearSkyMemoDefaultCapacity = 4096;
-
-/// Caps the memo at `max_entries` profiles (0 restores the default).  When
-/// an insert would exceed the cap the lowest key is evicted — deterministic
-/// because the memo is an ordered map — and counted in stats.evictions.
-/// Shared_ptrs already handed out stay alive; only the memo forgets.
-void SetClearSkyMemoCapacity(std::size_t max_entries);
 
 /// Drops every memoized profile (shared_ptrs held by callers stay alive)
 /// and resets the counters; used by tests to start from a cold memo.

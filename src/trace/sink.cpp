@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "common/check.hpp"
+#include "trace/policy.hpp"
 
 namespace shep {
 
@@ -19,6 +20,7 @@ constexpr std::size_t kDrainBatch = 1024;
 TraceSink::TraceSink(TraceSinkOptions options) : options_(std::move(options)) {
   SHEP_REQUIRE(options_.ring_capacity >= 2,
                "trace sink needs ring_capacity >= 2");
+  batch_.reserve(kDrainBatch);
 }
 
 TraceSink::~TraceSink() {
@@ -123,11 +125,10 @@ void TraceSink::DrainLoop() {
 
 std::size_t TraceSink::DrainPass() {
   std::size_t drained = 0;
-  std::vector<TraceEvent> batch;
   for (std::size_t i = 0; i < rings_.size(); ++i) {
-    batch.clear();
-    drained += rings_[i]->PopBatch(batch, kDrainBatch);
-    for (const TraceEvent& event : batch) Consume(assemblies_[i], event);
+    batch_.clear();
+    drained += rings_[i]->PopBatch(batch_, kDrainBatch);
+    for (const TraceEvent& event : batch_) Consume(assemblies_[i], event);
   }
   return drained;
 }
@@ -166,7 +167,7 @@ void TraceSink::Consume(RingAssembly& assembly, const TraceEvent& event) {
 void TraceSink::CloseNode(RingAssembly& assembly) {
   if (assembly.node_open && !assembly.node_events.empty()) {
     ApplyTracePolicy(assembly.node_events, assembly.file.slots_per_day,
-                     options_.policy, assembly.file.records,
+                     TracePolicyConfig{}, assembly.file.records,
                      assembly.file.day_records);
   }
   assembly.node_events.clear();

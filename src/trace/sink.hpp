@@ -33,7 +33,6 @@
 #include <thread>
 #include <vector>
 
-#include "trace/policy.hpp"
 #include "trace/record.hpp"
 #include "trace/ring_buffer.hpp"
 #include "trace/trace_file.hpp"
@@ -56,7 +55,6 @@ struct TraceSinkOptions {
   bool block_on_full = false;
   /// How long the drain sleeps when every ring comes up empty.
   std::uint32_t drain_idle_micros = 200;
-  TracePolicyConfig policy;
 };
 
 /// What one run hands the sink before its shards start: the identity and
@@ -149,6 +147,9 @@ class TraceSink {
   TraceRunContext context_;
   std::vector<std::unique_ptr<TraceRing>> rings_;
   std::vector<RingAssembly> assemblies_;
+  /// DrainPass's pop buffer, reserved once to the batch size so a pass
+  /// never allocates.
+  std::vector<TraceEvent> batch_;
   TraceSinkStats stats_;
   bool flush_requested_ = false;
   bool stopping_ = false;

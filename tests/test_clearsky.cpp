@@ -8,6 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "solar/sites.hpp"
+#include "solar/synth.hpp"
 #include "timeseries/trace.hpp"
 
 namespace shep {
@@ -124,36 +126,20 @@ TEST(ClearSkyMemo, DistinguishesEveryKeyComponent) {
   EXPECT_EQ(GetClearSkyMemoStats().entries, 0u);
 }
 
-TEST(ClearSkyMemo, CapacityBoundsGrowthAndCountsEvictions) {
+// The memo never evicts; what bounds it is that synthesis only asks for
+// the paper sites' latitudes at day-of-year 1..365.  Two years of every
+// site wrap onto the same 365 days, so the memo ends at exactly one
+// profile per (site, day-of-year).
+TEST(ClearSkyMemo, SynthesisOfEverySiteHoldsOneProfilePerSiteAndDay) {
   ClearClearSkyMemo();
-  SetClearSkyMemoCapacity(3);
-  for (int doy = 1; doy <= 5; ++doy) ClearSkyDayGhiCached(40.0, doy, 60);
-
-  auto stats = GetClearSkyMemoStats();
-  EXPECT_EQ(stats.entries, 3u);
-  EXPECT_EQ(stats.evictions, 2u);
-  EXPECT_EQ(stats.misses, 5u);
-
-  // Eviction takes the lowest key, never the just-inserted one: a campaign
-  // sweeping keys in order keeps its newest entry, so re-requesting the
-  // last insert is a hit, and the survivors are exactly the top three.
-  ClearSkyDayGhiCached(40.0, 5, 60);
-  EXPECT_EQ(GetClearSkyMemoStats().hits, 1u);
-  ClearSkyDayGhiCached(40.0, 1, 60);  // evicted: a miss that re-evicts.
-  stats = GetClearSkyMemoStats();
-  EXPECT_EQ(stats.misses, 6u);
-  EXPECT_EQ(stats.evictions, 3u);
-  EXPECT_EQ(stats.entries, 3u);
-
-  // Shrinking the cap evicts eagerly and keeps counting.
-  SetClearSkyMemoCapacity(1);
-  stats = GetClearSkyMemoStats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.evictions, 5u);
-
-  SetClearSkyMemoCapacity(0);  // restore the default for later tests.
+  SynthOptions options;
+  options.days = 730;
+  SynthScratch scratch;
+  for (const SiteProfile& site : PaperSites()) {
+    SynthesizeTrace(site, options, scratch);
+  }
+  EXPECT_EQ(GetClearSkyMemoStats().entries, PaperSites().size() * 365);
   ClearClearSkyMemo();
-  EXPECT_EQ(GetClearSkyMemoStats().entries, 0u);
 }
 
 TEST(ClearSkyMemo, ConcurrentFirstUseIsRaceFreeAndConverges) {

@@ -172,7 +172,6 @@ TEST(FleetProtocol, JobRoundTripsAndFramesChecksum) {
   FleetWorkerJob job;
   job.spec = EverythingSpec();
   job.shard_size = 5;
-  job.threads = 2;
   job.heartbeat_ms = 75;
   job.fingerprint = 0xDEADBEEFull;
   job.trace_dir = "/tmp/trace dir with spaces";
@@ -181,7 +180,6 @@ TEST(FleetProtocol, JobRoundTripsAndFramesChecksum) {
   const FleetWorkerJob parsed = ParseFleetJob(in);
   EXPECT_EQ(parsed.spec.Describe(), job.spec.Describe());
   EXPECT_EQ(parsed.shard_size, 5u);
-  EXPECT_EQ(parsed.threads, 2u);
   EXPECT_EQ(parsed.heartbeat_ms, 75u);
   EXPECT_EQ(parsed.fingerprint, 0xDEADBEEFull);
   EXPECT_EQ(parsed.trace_dir, job.trace_dir);
@@ -191,7 +189,7 @@ TEST(FleetProtocol, JobRoundTripsAndFramesChecksum) {
   std::istringstream in2(EncodeFleetJob(job));
   EXPECT_TRUE(ParseFleetJob(in2).trace_dir.empty());
 
-  std::istringstream garbage("shep-fleet-job v2\n");
+  std::istringstream garbage("shep-fleet-job v1\n");
   EXPECT_THROW(ParseFleetJob(garbage), std::invalid_argument);
   std::istringstream truncated(
       EncodeFleetJob(job).substr(0, 120));

@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "common/strings.hpp"
-#include "common/threadpool.hpp"
 #include "fleet/coord.hpp"
 #include "fleet/partial.hpp"
 #include "fleet/runner.hpp"
@@ -158,12 +157,9 @@ int main(int argc, char** argv) {
   std::thread heartbeat(
       [&] { HeartbeatMain(stop_heartbeat, job.heartbeat_ms); });
 
-  std::unique_ptr<shep::ThreadPool> pool;
-  if (job.threads > 1) pool = std::make_unique<shep::ThreadPool>(job.threads);
-  // One lane per entry is plenty for a single campaign; the cap (rather
-  // than unbounded) is deliberate — a worker reused across many jobs would
-  // otherwise grow forever (the coordinator-era leak this PR closes).
-  shep::TraceCache cache(plan.lanes.size());
+  // Every shard runs serially on this thread.  The cache only ever sees
+  // this plan's lanes, so it holds at most plan.lanes.size() series.
+  shep::TraceCache cache;
   std::unique_ptr<shep::TraceSink> sink;
   if (!job.trace_dir.empty()) {
     shep::TraceSinkOptions sink_options;
@@ -185,7 +181,6 @@ int main(int argc, char** argv) {
     sink = std::make_unique<shep::TraceSink>(sink_options);
   }
   shep::FleetRunOptions run_options;
-  run_options.pool = pool.get();
   run_options.shard_size = job.shard_size;
   run_options.trace_cache = &cache;
   run_options.trace_sink = sink.get();
