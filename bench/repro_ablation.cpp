@@ -1,5 +1,5 @@
-// repro_ablation — ablations of the design choices DESIGN.md §5 calls out
-// beyond those the paper already tabulates:
+// repro_ablation — ablations of design choices beyond those the paper
+// already tabulates (README "Synthetic substrate and known deviations"):
 //   A. Φ weighting: the paper's ramp θ(k)=k/K vs uniform weights.
 //   B. ROI threshold: the 10 %-of-peak cut vs 0 % and 20 %.
 //   C. Arithmetic: double vs Q16.16 fixed point (deployment fidelity).

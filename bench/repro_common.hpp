@@ -48,8 +48,9 @@ inline void Banner(const std::string& artifact, const std::string& what) {
   std::cout << "==============================================================\n"
             << "Reproduction of " << artifact << " — " << what << "\n"
             << "Protocol: " << TraceDays()
-            << "-day synthetic traces (see DESIGN.md §2), evaluation days "
-               "21.., samples >= 10% of peak, MAPE per Sec. III\n"
+            << "-day synthetic traces (README: Synthetic substrate), "
+               "evaluation days 21.., samples >= 10% of peak, MAPE per "
+               "Sec. III\n"
             << "==============================================================\n";
 }
 

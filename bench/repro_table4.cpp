@@ -2,11 +2,12 @@
 // prediction algorithm", plus the Fig. 5 wake-up sequence.
 //
 // The paper measured an MSP430F1611 at 3 V / 5 MHz.  Here the same numbers
-// come from the hardware model (DESIGN.md §2): the ADC sample cost is
-// Vref-settle dominated; the prediction cost is measured two independent
-// ways — (a) operation counts of the fixed-point predictor run over a real
-// trace, and (b) executing the prediction routine on the cycle-counted
-// MicroVm — and both are converted through the active-cycle energy.
+// come from the hardware model (README "Synthetic substrate and known
+// deviations"): the ADC sample cost is Vref-settle dominated; the
+// prediction cost is measured two independent ways — (a) operation counts
+// of the fixed-point predictor run over a real trace, and (b) executing
+// the prediction routine on the cycle-counted MicroVm — and both are
+// converted through the active-cycle energy.
 #include <iostream>
 
 #include "common/strings.hpp"
@@ -121,7 +122,7 @@ int main() {
                "software division per slot; a=0 is cheaper than a=0.7 at "
                "equal K; sampling dominates prediction; management is <1% "
                "of sleep energy at N=48.\n"
-            << "Known deviation (documented in EXPERIMENTS.md): our a=0 "
+            << "Known deviation (README: Synthetic substrate): our a=0 "
                "saving is smaller than the paper's 1.9 uJ because only the "
                "blend multiplies are elided; the paper's firmware likely "
                "skipped a software floating-point path we do not model.\n";

@@ -25,29 +25,6 @@ double MaxValue(std::span<const double> xs) {
   return *std::max_element(xs.begin(), xs.end());
 }
 
-double MinValue(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-std::vector<double> PrefixSums(std::span<const double> xs) {
-  std::vector<double> out(xs.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    acc += xs[i];
-    out[i] = acc;
-  }
-  return out;
-}
-
-bool ApproxEqual(double a, double b, double rel_tol, double abs_tol) {
-  const double diff = std::fabs(a - b);
-  const double scale = std::max(std::fabs(a), std::fabs(b));
-  return diff <= abs_tol + rel_tol * scale;
-}
-
-long long RoundToLL(double x) { return static_cast<long long>(std::llround(x)); }
-
 double WelfordMoments::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace shep

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace shep {
 
@@ -17,23 +16,10 @@ double Variance(std::span<const double> xs);
 /// Maximum value; 0 for an empty span.
 double MaxValue(std::span<const double> xs);
 
-/// Minimum value; 0 for an empty span.
-double MinValue(std::span<const double> xs);
-
-/// Inclusive prefix sums: out[i] = xs[0] + ... + xs[i].  Size preserved.
-std::vector<double> PrefixSums(std::span<const double> xs);
-
-/// Linear interpolation between a and b by t in [0,1] (not clamped).
-constexpr double Lerp(double a, double b, double t) { return a + (b - a) * t; }
-
 /// Clamps x into [lo, hi].
 constexpr double Clamp(double x, double lo, double hi) {
   return x < lo ? lo : (x > hi ? hi : x);
 }
-
-/// True when |a-b| <= abs_tol + rel_tol*max(|a|,|b|).
-bool ApproxEqual(double a, double b, double rel_tol = 1e-9,
-                 double abs_tol = 1e-12);
 
 /// Streaming count/mean/variance via Welford's update.  Unlike the
 /// textbook sum/sum-of-squares accumulator (variance = E[x²] − E[x]²,
@@ -60,8 +46,5 @@ struct WelfordMoments {
   }
   double stddev() const;
 };
-
-/// Rounds a double to the nearest integer of type long long.
-long long RoundToLL(double x);
 
 }  // namespace shep

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "common/check.hpp"
@@ -49,6 +50,23 @@ std::uint64_t ReadU64(std::istream& is) {
                    errno != ERANGE,
                "malformed serialized integer: " + token);
   return static_cast<std::uint64_t>(value);
+}
+
+std::uint32_t ReadU32(std::istream& is) {
+  const std::uint64_t value = ReadU64(is);
+  SHEP_REQUIRE(value <= std::numeric_limits<std::uint32_t>::max(),
+               "serialized value does not fit 32 bits: " +
+                   std::to_string(value));
+  return static_cast<std::uint32_t>(value);
+}
+
+int ReadInt(std::istream& is) {
+  const std::uint64_t value = ReadU64(is);
+  SHEP_REQUIRE(value <= static_cast<std::uint64_t>(
+                            std::numeric_limits<int>::max()),
+               "serialized value does not fit an int: " +
+                   std::to_string(value));
+  return static_cast<int>(value);
 }
 
 void ExpectToken(std::istream& is, const std::string& keyword) {

@@ -23,6 +23,11 @@ namespace shep::serdes {
 void WriteDouble(std::ostream& os, double value);
 double ReadDouble(std::istream& is);
 std::uint64_t ReadU64(std::istream& is);
+/// ReadU64 narrowed with a range check: a value that does not fit throws
+/// instead of wrapping to a legal one (2^32 + 48 is corruption, not 48).
+std::uint32_t ReadU32(std::istream& is);
+/// ReadU64 narrowed to a non-negative int, range-checked the same way.
+int ReadInt(std::istream& is);
 /// Reads one token and requires it to equal `keyword` (format framing).
 void ExpectToken(std::istream& is, const std::string& keyword);
 

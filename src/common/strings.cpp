@@ -6,35 +6,12 @@
 
 namespace shep {
 
-std::vector<std::string> Split(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 std::string_view Trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
-}
-
-std::optional<double> ParseDouble(std::string_view s) {
-  s = Trim(s);
-  if (s.empty()) return std::nullopt;
-  double value = 0.0;
-  const auto* first = s.data();
-  const auto* last = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc() || ptr != last) return std::nullopt;
-  return value;
 }
 
 std::optional<long long> ParseInt(std::string_view s) {
@@ -56,10 +33,6 @@ std::string FormatFixed(double value, int digits) {
 
 std::string FormatPercent(double ratio, int digits) {
   return FormatFixed(ratio * 100.0, digits) + "%";
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
 }  // namespace shep

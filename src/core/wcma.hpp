@@ -44,7 +44,8 @@ struct WcmaParams {
 };
 
 /// Conditioning-weight profiles.  The paper uses the ramp θ(k)=k/K (Eq. 5);
-/// the uniform variant exists for the ablation called out in DESIGN.md §5.
+/// the uniform variant exists for bench/repro_ablation (README "Synthetic
+/// substrate and known deviations").
 enum class WcmaWeighting {
   kRamp,     ///< θ(k) = k/K (paper).
   kUniform,  ///< θ(k) = 1.

@@ -5,7 +5,8 @@
 // consumers:
 //  * tests: the fixed-point output must track the double-precision
 //    reference within a small tolerance over the region of interest
-//    (DESIGN.md §5, "fixed-point width" ablation), and
+//    (the double-vs-Q16.16 ablation, README "Synthetic substrate and
+//    known deviations"), and
 //  * src/hw: the operation counts, mapped through an MSP430-style cycle
 //    cost table, yield the per-prediction energy of the paper's Table IV.
 //

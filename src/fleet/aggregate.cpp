@@ -11,6 +11,15 @@
 
 namespace shep {
 
+namespace {
+
+/// Largest histogram bin count a serialized partial may name.  Every
+/// histogram a CellAccumulator builds has at most a few hundred bins; the
+/// cap exists so a garbled count can never size an allocation.
+constexpr std::uint64_t kMaxSerializedBins = 1 << 16;
+
+}  // namespace
+
 void StreamingMoments::Add(double x) {
   if (count == 0) {
     min = x;
@@ -123,8 +132,10 @@ FixedHistogram FixedHistogram::Deserialize(std::istream& is) {
   serdes::ExpectToken(is, "hist");
   const double lo = serdes::ReadDouble(is);
   const double hi = serdes::ReadDouble(is);
-  const auto bin_count = static_cast<std::size_t>(serdes::ReadU64(is));
-  FixedHistogram hist(lo, hi, bin_count);
+  const std::uint64_t bin_count = serdes::ReadU64(is);
+  SHEP_REQUIRE(bin_count <= kMaxSerializedBins,
+               "histogram bin count exceeds the serialized cap");
+  FixedHistogram hist(lo, hi, static_cast<std::size_t>(bin_count));
   hist.nan_count_ = serdes::ReadU64(is);
   const std::uint64_t nonzero = serdes::ReadU64(is);
   bool any = false;

@@ -76,7 +76,8 @@ FleetWorkerJob ParseFleetJob(std::istream& in) {
   serdes::ExpectToken(in, "shard-size");
   job.shard_size = static_cast<std::size_t>(serdes::ReadU64(in));
   serdes::ExpectToken(in, "heartbeat-ms");
-  job.heartbeat_ms = static_cast<std::uint32_t>(serdes::ReadU64(in));
+  job.heartbeat_ms = serdes::ReadU32(in);
+  SHEP_REQUIRE(job.heartbeat_ms > 0, "fleet job heartbeat must be positive");
   serdes::ExpectToken(in, "trace-dir");
   in >> std::ws;
   std::string dir;
@@ -600,6 +601,8 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
   SHEP_REQUIRE(!options.worker_path.empty(),
                "coordinator needs a worker binary path");
   SHEP_REQUIRE(options.workers > 0, "coordinator needs at least one worker");
+  SHEP_REQUIRE(options.heartbeat_ms > 0,
+               "coordinator needs a positive worker heartbeat");
   const std::size_t respawn_budget =
       options.max_respawns != 0 ? options.max_respawns : 2 * options.workers;
 

@@ -53,7 +53,6 @@ FleetPartial FleetPartial::Parse(const std::string& text) {
   partial.sim_seconds = serdes::ReadDouble(is);
   serdes::ExpectToken(is, "shards");
   const std::uint64_t shard_count = serdes::ReadU64(is);
-  partial.shards.reserve(shard_count);
   std::size_t last_shard = 0;
   for (std::uint64_t s = 0; s < shard_count; ++s) {
     serdes::ExpectToken(is, "shard");
@@ -64,7 +63,6 @@ FleetPartial FleetPartial::Parse(const std::string& text) {
     last_shard = shard.shard;
     serdes::ExpectToken(is, "cells");
     const std::uint64_t cell_count = serdes::ReadU64(is);
-    shard.cells.reserve(cell_count);
     for (std::uint64_t c = 0; c < cell_count; ++c) {
       serdes::ExpectToken(is, "cell");
       const auto cell = static_cast<std::size_t>(serdes::ReadU64(is));

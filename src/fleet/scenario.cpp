@@ -219,7 +219,7 @@ ScenarioSpec ParseScenarioSpec(const std::string& text) {
   spec.seed = serdes::ReadU64(is);
   serdes::ExpectToken(is, "shape");
   spec.days = static_cast<std::size_t>(serdes::ReadU64(is));
-  spec.slots_per_day = static_cast<int>(serdes::ReadU64(is));
+  spec.slots_per_day = serdes::ReadInt(is);
   spec.nodes_per_cell = static_cast<std::size_t>(serdes::ReadU64(is));
 
   serdes::ExpectToken(is, "sites");
@@ -250,13 +250,13 @@ ScenarioSpec ParseScenarioSpec(const std::string& text) {
     p.kind = PredictorKindFromName(kind);
     serdes::ExpectToken(is, "wcma");
     p.wcma.alpha = serdes::ReadDouble(is);
-    p.wcma.days = static_cast<int>(serdes::ReadU64(is));
-    p.wcma.slots_k = static_cast<int>(serdes::ReadU64(is));
+    p.wcma.days = serdes::ReadInt(is);
+    p.wcma.slots_k = serdes::ReadInt(is);
     serdes::ExpectToken(is, "ewma");
     p.ewma_weight = serdes::ReadDouble(is);
     serdes::ExpectToken(is, "ar");
-    p.ar.order = static_cast<int>(serdes::ReadU64(is));
-    p.ar.days = static_cast<int>(serdes::ReadU64(is));
+    p.ar.order = serdes::ReadInt(is);
+    p.ar.days = serdes::ReadInt(is);
     p.ar.lambda = serdes::ReadDouble(is);
     p.ar.delta = serdes::ReadDouble(is);
     serdes::ExpectToken(is, "adaptive");
@@ -268,9 +268,9 @@ ScenarioSpec ParseScenarioSpec(const std::string& text) {
     const std::uint64_t k_count = serdes::ReadU64(is);
     p.adaptive.ks.clear();
     for (std::uint64_t k = 0; k < k_count; ++k) {
-      p.adaptive.ks.push_back(static_cast<int>(serdes::ReadU64(is)));
+      p.adaptive.ks.push_back(serdes::ReadInt(is));
     }
-    p.adaptive.days = static_cast<int>(serdes::ReadU64(is));
+    p.adaptive.days = serdes::ReadInt(is);
     p.adaptive.discount = serdes::ReadDouble(is);
     spec.predictors.push_back(p);
   }

@@ -13,8 +13,8 @@
 //
 // Because the routine performs the same double-precision operations in the
 // same order as core/Wcma::PredictNext, the VM-backed predictions track the
-// float reference to within FMA-contraction noise (ulps); the fleet parity
-// harness (fleet/parity, tests/test_backend_parity) pins that bound.
+// float reference to within FMA-contraction noise (ulps);
+// tests/test_backend_parity.cpp pins that bound.
 //
 // Warm-up corners mirror core/wcma.cpp: with fewer than K elapsed slots the
 // routine compiled for the available window size runs (θ ramps over

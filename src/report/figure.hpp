@@ -2,8 +2,9 @@
 //
 // The repro binaries cannot render PDFs, so each "figure" is emitted two
 // ways: as CSV (machine-readable, plot with any tool) and as a terminal
-// ASCII chart that makes the qualitative shape — the thing EXPERIMENTS.md
-// compares against the paper — visible directly in the bench output.
+// ASCII chart that makes the qualitative shape — the thing a synthetic
+// reproduction can be compared on (README "Synthetic substrate and known
+// deviations") — visible directly in the bench output.
 #pragma once
 
 #include <string>

@@ -4,16 +4,6 @@
 
 namespace shep {
 
-PowerTrace DownsampleMean(const PowerTrace& trace, int factor) {
-  SHEP_REQUIRE(factor >= 1, "downsample factor must be >= 1");
-  SHEP_REQUIRE(trace.samples_per_day() % static_cast<std::size_t>(factor) == 0,
-               "factor must divide samples per day");
-  std::vector<double> out;
-  DownsampleMeanInto(trace.samples(), factor, out);
-  return PowerTrace(trace.name(), std::move(out),
-                    trace.resolution_s() * factor);
-}
-
 void DownsampleMeanInto(std::span<const double> in, int factor,
                         std::vector<double>& out) {
   SHEP_REQUIRE(factor >= 1, "downsample factor must be >= 1");
@@ -28,35 +18,6 @@ void DownsampleMeanInto(std::span<const double> in, int factor,
     }
     out[i] = acc / factor;
   }
-}
-
-PowerTrace DownsampleDecimate(const PowerTrace& trace, int factor) {
-  SHEP_REQUIRE(factor >= 1, "decimation factor must be >= 1");
-  SHEP_REQUIRE(trace.samples_per_day() % static_cast<std::size_t>(factor) == 0,
-               "factor must divide samples per day");
-  const auto in = trace.samples();
-  std::vector<double> out(in.size() / static_cast<std::size_t>(factor));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = in[i * static_cast<std::size_t>(factor)];
-  }
-  return PowerTrace(trace.name(), std::move(out),
-                    trace.resolution_s() * factor);
-}
-
-PowerTrace UpsampleHold(const PowerTrace& trace, int factor) {
-  SHEP_REQUIRE(factor >= 1, "upsample factor must be >= 1");
-  SHEP_REQUIRE(trace.resolution_s() % factor == 0,
-               "factor must divide the trace resolution");
-  const auto in = trace.samples();
-  std::vector<double> out(in.size() * static_cast<std::size_t>(factor));
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    for (int k = 0; k < factor; ++k) {
-      out[i * static_cast<std::size_t>(factor) + static_cast<std::size_t>(k)] =
-          in[i];
-    }
-  }
-  return PowerTrace(trace.name(), std::move(out),
-                    trace.resolution_s() / factor);
 }
 
 }  // namespace shep

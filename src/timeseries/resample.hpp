@@ -2,36 +2,21 @@
 //
 // The paper's data sets come at 1-minute and 5-minute resolution (Table I);
 // downsampling (block mean) lets the same synthetic site be rendered at
-// either resolution, and lets tests verify resolution-sensitivity claims
-// (Sec. III: "e̅ will be more accurate if solar power samples data is
-// available at a high resolution").
+// either resolution.
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "timeseries/trace.hpp"
-
 namespace shep {
 
-/// Downsamples by block-averaging: each output sample is the mean of the
-/// `factor` input samples it covers.  `factor` = new_resolution / old.
-/// Preserves total energy exactly.
-PowerTrace DownsampleMean(const PowerTrace& trace, int factor);
-
-/// Allocation-free core of DownsampleMean: block-averages `in` into `out`
-/// (resized to in.size()/factor; `factor` must divide in.size()).  Callers
-/// that already hold day-aligned samples (trace synthesis, per-worker
-/// fleet scratch) reuse `out` across traces instead of building a
-/// PowerTrace per resolution hop.  Bit-identical to DownsampleMean.
+/// Downsamples by block-averaging: out[i] is the mean of the `factor`
+/// input samples in[i*factor .. i*factor+factor-1], so total energy is
+/// preserved at the `factor`-times coarser resolution.  `out` is resized
+/// to in.size()/factor; `factor` must be >= 1 and divide in.size().
+/// Callers that already hold day-aligned samples (trace synthesis,
+/// per-worker fleet scratch) reuse `out` across traces.
 void DownsampleMeanInto(std::span<const double> in, int factor,
                         std::vector<double>& out);
-
-/// Downsamples by decimation: keeps the first sample of every block, which
-/// models a low-rate data logger that records instantaneous values.
-PowerTrace DownsampleDecimate(const PowerTrace& trace, int factor);
-
-/// Upsamples by sample-and-hold (each input sample repeated `factor` times).
-PowerTrace UpsampleHold(const PowerTrace& trace, int factor);
 
 }  // namespace shep

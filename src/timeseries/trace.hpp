@@ -62,9 +62,6 @@ class PowerTrace {
   /// Total energy over the full trace in joules.
   double total_energy_j() const;
 
-  /// Returns a copy containing only days [first_day, first_day+count).
-  PowerTrace Slice(std::size_t first_day, std::size_t count) const;
-
  private:
   std::string name_;
   std::vector<double> samples_;

@@ -13,16 +13,6 @@ constexpr std::uint32_t kAllTriggers =
     kTraceTriggerViolationBurst | kTraceTriggerSocLowWater |
     kTraceTriggerDivergence | kTraceTriggerOutage;
 
-/// Reads a token already extracted as u64 and narrows it with a range
-/// check — a 2^40 "slot" in a trace file is corruption, not data.
-std::uint32_t ReadU32(std::istream& is) {
-  const std::uint64_t value = serdes::ReadU64(is);
-  SHEP_REQUIRE(value <= 0xFFFFFFFFull,
-               "serialized value does not fit 32 bits: " +
-                   std::to_string(value));
-  return static_cast<std::uint32_t>(value);
-}
-
 bool ReadFlag(std::istream& is) {
   const std::uint64_t value = serdes::ReadU64(is);
   SHEP_REQUIRE(value <= 1, "serialized flag must be 0 or 1");
@@ -84,8 +74,8 @@ TraceRecord TraceRecord::Deserialize(std::istream& is) {
   TraceRecord r;
   r.node = serdes::ReadU64(is);
   r.cell = serdes::ReadU64(is);
-  r.slot = ReadU32(is);
-  r.trigger_mask = ReadU32(is);
+  r.slot = serdes::ReadU32(is);
+  r.trigger_mask = serdes::ReadU32(is);
   SHEP_REQUIRE((r.trigger_mask & ~kAllTriggers) == 0,
                "trace record carries unknown trigger bits");
   r.violated = ReadFlag(is);
@@ -112,9 +102,9 @@ TraceDayRecord TraceDayRecord::Deserialize(std::istream& is) {
   TraceDayRecord r;
   r.node = serdes::ReadU64(is);
   r.cell = serdes::ReadU64(is);
-  r.day = ReadU32(is);
-  r.slots = ReadU32(is);
-  r.violations = ReadU32(is);
+  r.day = serdes::ReadU32(is);
+  r.slots = serdes::ReadU32(is);
+  r.violations = serdes::ReadU32(is);
   SHEP_REQUIRE(r.violations <= r.slots,
                "day record counts more violations than slots");
   r.min_soc = serdes::ReadDouble(is);

@@ -51,12 +51,11 @@ TraceShardFile TraceShardFile::Parse(std::istream& is) {
   serdes::ExpectToken(is, "shard");
   file.shard = serdes::ReadU64(is);
   serdes::ExpectToken(is, "slots_per_day");
-  file.slots_per_day = static_cast<std::uint32_t>(serdes::ReadU64(is));
+  file.slots_per_day = serdes::ReadU32(is);
   serdes::ExpectToken(is, "days");
-  file.days = static_cast<std::uint32_t>(serdes::ReadU64(is));
+  file.days = serdes::ReadU32(is);
   serdes::ExpectToken(is, "cells");
   const std::uint64_t cell_count = serdes::ReadU64(is);
-  file.cells.reserve(cell_count);
   for (std::uint64_t c = 0; c < cell_count; ++c) {
     serdes::ExpectToken(is, "cell");
     TraceCellInfo cell;
@@ -70,13 +69,11 @@ TraceShardFile TraceShardFile::Parse(std::istream& is) {
   }
   serdes::ExpectToken(is, "records");
   const std::uint64_t record_count = serdes::ReadU64(is);
-  file.records.reserve(record_count);
   for (std::uint64_t r = 0; r < record_count; ++r) {
     file.records.push_back(TraceRecord::Deserialize(is));
   }
   serdes::ExpectToken(is, "day_records");
   const std::uint64_t day_count = serdes::ReadU64(is);
-  file.day_records.reserve(day_count);
   for (std::uint64_t r = 0; r < day_count; ++r) {
     file.day_records.push_back(TraceDayRecord::Deserialize(is));
   }

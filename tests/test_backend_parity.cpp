@@ -6,10 +6,16 @@
 // (MAPE delta on paired fleet weather) — and pin the runner's core
 // invariant for the new backends: summaries, including the MCU-cost
 // aggregates, are bit-identical at any thread count.
-#include "fleet/parity.hpp"
-
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/check.hpp"
 #include "common/threadpool.hpp"
 #include "core/wcma.hpp"
 #include "fleet/runner.hpp"
@@ -21,6 +27,90 @@
 
 namespace shep {
 namespace {
+
+/// Envelope of |prediction_a − prediction_b| over a shared series.
+struct BackendDivergence {
+  std::size_t slots = 0;      ///< predictions compared (after skip).
+  double max_abs_w = 0.0;     ///< worst slot divergence, watts.
+  double mean_abs_w = 0.0;    ///< average slot divergence, watts.
+  double max_rel_peak = 0.0;  ///< max_abs_w normalised by the series peak.
+};
+
+/// Runs both predictors over every slot of `series` (each is Reset()
+/// first) and measures the per-slot prediction divergence.  `skip_slots`
+/// excludes the leading warm-up slots where backends intentionally differ
+/// (e.g. FixedWcma's warm-up θ indexing — see wcma_fixed.hpp).
+BackendDivergence MeasurePredictionDivergence(Predictor& a, Predictor& b,
+                                              const SlotSeries& series,
+                                              std::size_t skip_slots = 0) {
+  a.Reset();
+  b.Reset();
+  BackendDivergence divergence;
+  double abs_sum = 0.0;
+  // Same loop shape as SimulateNode: the final boundary has no successor
+  // slot, so it is observed by neither comparison.
+  for (std::size_t g = 0; g + 1 < series.size(); ++g) {
+    a.Observe(series.boundary(g));
+    b.Observe(series.boundary(g));
+    if (g < skip_slots) continue;
+    const double diff = std::fabs(a.PredictNext() - b.PredictNext());
+    ++divergence.slots;
+    abs_sum += diff;
+    divergence.max_abs_w = std::max(divergence.max_abs_w, diff);
+  }
+  if (divergence.slots > 0) {
+    divergence.mean_abs_w = abs_sum / static_cast<double>(divergence.slots);
+  }
+  if (series.peak_mean() > 0.0) {
+    divergence.max_rel_peak = divergence.max_abs_w / series.peak_mean();
+  }
+  return divergence;
+}
+
+/// (site, storage) -> cell index for one predictor label.
+std::map<std::pair<std::size_t, std::size_t>, std::size_t> CellsOf(
+    const FleetSummary& summary, const std::string& label) {
+  std::map<std::pair<std::size_t, std::size_t>, std::size_t> cells;
+  for (const ScenarioCell& cell : summary.cells) {
+    if (cell.predictor_label == label) {
+      cells.emplace(std::make_pair(cell.site_index, cell.storage_index),
+                    cell.index);
+    }
+  }
+  SHEP_REQUIRE(!cells.empty(), "no cells carry predictor label " + label);
+  return cells;
+}
+
+/// |MAPE(label_a) − MAPE(label_b)| for every (site, storage) cell pair of
+/// the two labels.  Fleet weather is paired per site, so matched cells
+/// faced identical draws and the delta isolates the backend, not sampling
+/// noise.  Throws std::invalid_argument when a label is missing, a
+/// counterpart cell does not exist, or a matched cell has no measured MAPE
+/// (parity over unmeasured accuracy would be vacuous).
+std::vector<double> MapeDeltas(const FleetSummary& summary,
+                               const std::string& label_a,
+                               const std::string& label_b) {
+  const auto cells_a = CellsOf(summary, label_a);
+  const auto cells_b = CellsOf(summary, label_b);
+  std::vector<double> deltas;
+  for (const auto& [key, index_a] : cells_a) {
+    const auto it = cells_b.find(key);
+    SHEP_REQUIRE(it != cells_b.end(),
+                 "label " + label_b + " has no cell matching a " + label_a +
+                     " (site, storage) combination");
+    const CellAccumulator& stats_a = summary.stats[index_a];
+    const CellAccumulator& stats_b = summary.stats[it->second];
+    SHEP_REQUIRE(stats_a.mape.valid() && stats_b.mape.valid(),
+                 "matched cells must both have measured MAPE");
+    deltas.push_back(std::fabs(stats_a.mape.mean - stats_b.mape.mean));
+  }
+  return deltas;
+}
+
+double MaxAbsMapeDelta(const std::vector<double>& deltas) {
+  return deltas.empty() ? 0.0
+                        : *std::max_element(deltas.begin(), deltas.end());
+}
 
 constexpr int kSlotsPerDay = 48;
 
@@ -79,7 +169,7 @@ TEST(BackendParity, VmTracksFloatToUlps) {
 }
 
 TEST(BackendParity, FixedTracksFloatWithinQuantisationBudget) {
-  // Same bound as tests/test_wcma_fixed.cpp, via the fleet-layer harness:
+  // Same bound as tests/test_wcma_fixed.cpp, via the divergence harness:
   // 1 % of peak + 1 mW once past day 0 (warm-up θ indexing differs by
   // design between the fixed and float builds — see wcma_fixed.hpp).
   const auto series = MakeSeries("ECSU", 15);

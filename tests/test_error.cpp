@@ -144,66 +144,5 @@ TEST(EvaluateErrors, ValidatesThreshold) {
                std::invalid_argument);
 }
 
-// ------- Extended measures (Hyndman & Koehler, the paper's ref. [8]) -----
-
-TEST(EvaluateExtended, PerfectPredictionScoresZero) {
-  std::vector<PredictionPoint> pts{Point(0, 5.0, 5.0, 5.0),
-                                   Point(0, 7.0, 7.0, 7.0)};
-  const auto s =
-      EvaluateExtended(pts, ErrorTarget::kSlotMean, 7.0, NoFilter());
-  EXPECT_EQ(s.count, 2u);
-  EXPECT_DOUBLE_EQ(s.smape, 0.0);
-  EXPECT_DOUBLE_EQ(s.mase, 0.0);
-  EXPECT_DOUBLE_EQ(s.theils_u, 0.0);
-}
-
-TEST(EvaluateExtended, SmapeKnownValue) {
-  // ref 10, pred 5: 2*5/(10+5) = 2/3.
-  std::vector<PredictionPoint> pts{Point(0, 5.0, 0.0, 10.0)};
-  const auto s =
-      EvaluateExtended(pts, ErrorTarget::kSlotMean, 10.0, NoFilter());
-  EXPECT_NEAR(s.smape, 2.0 / 3.0, 1e-12);
-}
-
-TEST(EvaluateExtended, MaseBelowOneBeatsPersistence) {
-  // Refs jump 10 -> 20 -> 10 (naive MAE = 10); predictions miss by 1 (MAE
-  // = 1) -> MASE = 0.1.
-  std::vector<PredictionPoint> pts{Point(0, 9.0, 0.0, 10.0),
-                                   Point(0, 21.0, 0.0, 20.0),
-                                   Point(0, 11.0, 0.0, 10.0)};
-  const auto s =
-      EvaluateExtended(pts, ErrorTarget::kSlotMean, 20.0, NoFilter());
-  EXPECT_NEAR(s.mase, 0.1, 1e-12);
-  EXPECT_LT(s.theils_u, 1.0);
-}
-
-TEST(EvaluateExtended, MaseAboveOneWorseThanPersistence) {
-  // Constant reference (naive is perfect... naive MAE 0 -> skip) — use a
-  // slowly-moving reference and terrible predictions instead.
-  std::vector<PredictionPoint> pts{Point(0, 0.0, 0.0, 10.0),
-                                   Point(0, 0.0, 0.0, 11.0),
-                                   Point(0, 0.0, 0.0, 12.0)};
-  const auto s =
-      EvaluateExtended(pts, ErrorTarget::kSlotMean, 12.0, NoFilter());
-  EXPECT_GT(s.mase, 1.0);
-  EXPECT_GT(s.theils_u, 1.0);
-}
-
-TEST(EvaluateExtended, RespectsRoiFilter) {
-  std::vector<PredictionPoint> pts{Point(0, 9.0, 0.0, 10.0),
-                                   Point(0, 1.0, 0.0, 0.5),  // below 10 %
-                                   Point(0, 18.0, 0.0, 20.0)};
-  RoiFilter f;
-  f.threshold_fraction = 0.10;
-  f.first_day = 0;
-  const auto s = EvaluateExtended(pts, ErrorTarget::kSlotMean, 20.0, f);
-  EXPECT_EQ(s.count, 2u);
-}
-
-TEST(EvaluateExtended, EmptyIsInvalid) {
-  const auto s = EvaluateExtended({}, ErrorTarget::kSlotMean, 1.0, {});
-  EXPECT_FALSE(s.valid());
-}
-
 }  // namespace
 }  // namespace shep

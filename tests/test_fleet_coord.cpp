@@ -18,6 +18,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fleet/runner.hpp"
@@ -164,6 +165,45 @@ TEST(ScenarioSpecSerde, RejectsMalformedText) {
   }(), std::invalid_argument);
   EXPECT_EQ(PredictorKindFromName("EWMA"), PredictorKind::kEwma);
   EXPECT_THROW(PredictorKindFromName("nope"), std::invalid_argument);
+}
+
+/// `text` with the token `offset` places after the first `keyword` (which
+/// includes its leading separator, e.g. " ar" or "\nshape") raised by 2^32:
+/// the value a parser that narrows a u64 without a range check wraps back
+/// to the original.
+std::string WrapTokenAfter(std::string text, const std::string& keyword,
+                           std::size_t offset) {
+  const std::size_t at = text.find(keyword + ' ');
+  EXPECT_NE(at, std::string::npos) << keyword;
+  std::size_t pos = at + keyword.size() + 1;  // token 1
+  for (std::size_t i = 1; i < offset; ++i) {
+    pos = text.find_first_of(" \n", pos) + 1;
+  }
+  const std::size_t end = text.find_first_of(" \n", pos);
+  const std::uint64_t value = std::stoull(text.substr(pos, end - pos));
+  return text.replace(pos, end - pos, std::to_string(value + (1ull << 32)));
+}
+
+TEST(ScenarioSpecSerde, RejectsIntegersThatDoNotFitTheirField) {
+  // Every int field of the text form, by (keyword, token offset).  The
+  // first predictor line is WCMA with adaptive alphas {0.25, 0.5, 0.9},
+  // ks {1, 2, 4} and days 7.
+  const std::string text = EverythingSpec().Describe();
+  const std::vector<std::pair<std::string, std::size_t>> fields = {
+      {"\nshape", 2},    // slots_per_day
+      {" wcma", 2},      // wcma.days
+      {" wcma", 3},      // wcma.slots_k
+      {" ar", 1},        // ar.order
+      {" ar", 2},        // ar.days
+      {" adaptive", 6},  // adaptive.ks[0]
+      {" adaptive", 9},  // adaptive.days
+  };
+  for (const auto& [keyword, offset] : fields) {
+    const std::string wrapped = WrapTokenAfter(text, keyword, offset);
+    ASSERT_NE(wrapped, text);
+    EXPECT_THROW(ParseScenarioSpec(wrapped), std::invalid_argument)
+        << keyword << " +" << offset;
+  }
 }
 
 // ---- Wire protocol -------------------------------------------------------
@@ -379,6 +419,11 @@ TEST(RunFleetCoordinated, ValidatesItsConfiguration) {
   zero_workers.workers = 0;
   EXPECT_THROW(RunFleetCoordinated(CoordSpec(), zero_workers),
                std::invalid_argument);
+  FleetCoordOptions zero_heartbeat = BaseOptions();
+  zero_heartbeat.worker_path = "/does/not/matter";
+  zero_heartbeat.heartbeat_ms = 0;
+  EXPECT_THROW(RunFleetCoordinated(CoordSpec(), zero_heartbeat),
+               std::invalid_argument);
 }
 
 TEST(FleetProtocol, JobRejectsAnOversizedSpecByteCount) {
@@ -395,6 +440,20 @@ TEST(FleetProtocol, JobRejectsAnOversizedSpecByteCount) {
     std::istringstream in(garbled);
     EXPECT_THROW(ParseFleetJob(in), std::invalid_argument) << huge;
   }
+}
+
+TEST(FleetProtocol, JobRejectsAnOutOfRangeOrZeroHeartbeat) {
+  FleetWorkerJob job;
+  job.spec = CoordSpec();
+  job.heartbeat_ms = 100;
+  const std::string text = EncodeFleetJob(job);
+  std::istringstream wrapped(WrapTokenAfter(text, "\nheartbeat-ms", 1));
+  EXPECT_THROW(ParseFleetJob(wrapped), std::invalid_argument);
+  // A zero period would spin the worker's heartbeat loop.
+  std::string zero = text;
+  zero.replace(zero.find("heartbeat-ms 100"), 16, "heartbeat-ms 0");
+  std::istringstream zero_in(zero);
+  EXPECT_THROW(ParseFleetJob(zero_in), std::invalid_argument);
 }
 
 TEST(RunFleetCoordinated, GarbledFrameHeaderCondemnsTheWorker) {

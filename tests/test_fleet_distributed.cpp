@@ -199,6 +199,20 @@ TEST(FleetPartial, SerializeParseRoundTripIsBitIdentical) {
   EXPECT_THROW(FleetPartial::Parse("garbage"), std::invalid_argument);
 }
 
+// A count in the wire text sizes nothing: a shard or cell count no input
+// could back fails on the first missing entry, as invalid_argument.
+TEST(FleetPartial, ParseRejectsHugeCountsWithoutReserving) {
+  const ShardPlan plan = BuildShardPlan(DistributedSpec(), 5);
+  const std::string text = RunFleetShards(plan, {0}).Serialize();
+  const std::string huge = "1000000000000000000";
+  for (const std::string key : {"\nshards ", " cells "}) {
+    std::string garbled = text;
+    const std::size_t at = garbled.find(key) + key.size();
+    garbled.replace(at, garbled.find('\n', at) - at, huge);
+    EXPECT_THROW(FleetPartial::Parse(garbled), std::invalid_argument) << key;
+  }
+}
+
 // Corrupted wire bytes must be rejected, never silently reinterpreted.
 TEST(FleetPartial, ParseRejectsCorruptedAggregates) {
   std::ostringstream os;
@@ -227,6 +241,12 @@ TEST(FleetPartial, ParseRejectsCorruptedAggregates) {
   // Out-of-order entries are equally malformed.
   EXPECT_THROW(parse("hist 0x0p+0 0x1p+0 10 0 2 4:1 3:1"),
                std::invalid_argument);
+  // The bin count sizes the histogram, so an absurd one is refused before
+  // it allocates anything.
+  EXPECT_THROW(parse("hist 0x0p+0 0x1p+0 1000000000000000000 0 0"),
+               std::invalid_argument);
+  EXPECT_THROW(parse("hist 0x0p+0 0x1p+0 65537 0 0"), std::invalid_argument);
+  EXPECT_EQ(parse("hist 0x0p+0 0x1p+0 65536 0 0").bins().size(), 65536u);
 
   // Integer overflow must not clamp to ULLONG_MAX silently.
   std::istringstream overflow("99999999999999999999999");

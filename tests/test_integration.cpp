@@ -94,8 +94,9 @@ TEST_F(PaperTrendsTest, DiminishingReturnsInD) {
   // Fig. 7: the steep accuracy gain is all in the first few days of
   // history; past D ≈ 10 the curve is flat (paper: asymptotically flat;
   // on our synthetic substrate seasonal staleness can even tilt it up a
-  // whisker — see EXPERIMENTS.md).  Assert: D=2 -> D=10 improves MAPE
-  // noticeably, while |D=20 - D=10| is small by comparison.
+  // whisker — see README "Synthetic substrate and known deviations").
+  // Assert: D=2 -> D=10 improves MAPE noticeably, while |D=20 - D=10| is
+  // small by comparison.
   const SweepContext ctx(Ornl(), 48);
   ParamGrid g = MidGrid();
   const auto sweep = SweepWcma(ctx, g);
@@ -136,9 +137,9 @@ TEST_F(PaperTrendsTest, DynamicOracleBeatsStaticBySeveralPoints) {
   // Paper Sec. IV-C: "dynamic algorithm accuracy at N=48 is higher than
   // the accuracy of static algorithm at N=288".  On our substrate the
   // N=288 static error is somewhat lower than NREL reality (documented in
-  // EXPERIMENTS.md), so we assert the softer form: the 48-slot oracle is
-  // in the same band as the 288-slot static optimum, not 6x coarser as
-  // the raw horizon ratio would suggest.
+  // README "Synthetic substrate and known deviations"), so we assert the
+  // softer form: the 48-slot oracle is in the same band as the 288-slot
+  // static optimum, not 6x coarser as the raw horizon ratio would suggest.
   const SweepContext ctx288(Ornl(), 288);
   const auto static288 =
       SweepWcma(ctx288, MidGrid()).BestByMape().mean_stats.mape;

@@ -123,6 +123,25 @@ TEST(SerdesDouble, RejectsMalformedAndOverflowingTokens) {
                            read("0x0.0000000000001p-1022")));
 }
 
+TEST(SerdesInteger, NarrowReadersRangeCheckInsteadOfWrapping) {
+  auto u32 = [](const std::string& text) {
+    std::istringstream is(text);
+    return serdes::ReadU32(is);
+  };
+  auto i32 = [](const std::string& text) {
+    std::istringstream is(text);
+    return serdes::ReadInt(is);
+  };
+  EXPECT_EQ(u32("4294967295"), 4294967295u);
+  EXPECT_THROW(u32("4294967296"), std::invalid_argument);
+  EXPECT_THROW(u32("4294967344"), std::invalid_argument);  // 2^32 + 48
+  EXPECT_EQ(i32("2147483647"), 2147483647);
+  EXPECT_EQ(i32("0"), 0);
+  EXPECT_THROW(i32("2147483648"), std::invalid_argument);
+  EXPECT_THROW(i32("4294967344"), std::invalid_argument);
+  EXPECT_THROW(i32("-1"), std::invalid_argument);
+}
+
 TEST(SerdesMoments, ExtremeFiniteSamplesSurviveTheWire) {
   // Samples spanning the full finite range: the mean stays finite, m2
   // overflows to +inf (a value hexfloat text must carry), and the extrema

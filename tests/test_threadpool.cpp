@@ -13,32 +13,31 @@
 namespace shep {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
+// The destructor drains the queue: every submitted task runs before the
+// workers exit, so scoping the pool is a join.
+TEST(ThreadPool, DestructorRunsEverySubmittedTask) {
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&counter] { counter.fetch_add(1); });
+    }
   }
-  pool.Wait();
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPool, WaitOnIdlePoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not deadlock
+TEST(ThreadPool, IdlePoolDestructsPromptly) {
+  { ThreadPool pool(2); }  // must not deadlock
   SUCCEED();
 }
 
 TEST(ThreadPool, ReusableAcrossWaves) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
-  for (int wave = 0; wave < 5; ++wave) {
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
+  for (int wave = 1; wave <= 5; ++wave) {
+    ParallelFor(&pool, 20, [&counter](std::size_t) { counter.fetch_add(1); });
+    EXPECT_EQ(counter.load(), 20 * wave);
   }
-  EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPool, DefaultsToHardwareConcurrency) {
@@ -67,9 +66,9 @@ TEST(ParallelFor, ZeroCountIsNoop) {
 }
 
 // Regression: a throwing body used to escape WorkerLoop and
-// std::terminate the process (and leak in_flight_, wedging Wait forever).
-// The first exception of the batch must surface at the join instead, and
-// the pool must stay fully usable afterwards.
+// std::terminate the process.  The first exception of the batch must
+// surface at the join instead, and the pool must stay fully usable
+// afterwards.
 TEST(ParallelFor, RethrowsTaskExceptionAtJoin) {
   ThreadPool pool(4);
   std::atomic<int> ran{0};
@@ -83,11 +82,10 @@ TEST(ParallelFor, RethrowsTaskExceptionAtJoin) {
   // Iterations claimed after the failure are abandoned, never half-run.
   EXPECT_LE(ran.load(), 100);
 
-  // The pool is not wedged: a fresh batch and a global Wait both complete.
+  // The pool is not wedged: a fresh batch completes on it.
   std::atomic<int> after{0};
   ParallelFor(&pool, 50, [&after](std::size_t) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 50);
-  pool.Wait();
 }
 
 // The serial (inline) path propagates exceptions the same way.
@@ -102,7 +100,7 @@ TEST(ParallelFor, RethrowsTaskExceptionInline) {
   EXPECT_EQ(ran.load(), 4);  // inline execution stops at the throw.
 }
 
-// Regression: ParallelFor used to join through the pool-global in_flight_
+// Regression: ParallelFor used to join through a pool-global in-flight
 // counter, so two concurrent batches each waited for the OTHER's tasks
 // too.  Here batch A's iterations only finish after batch B's join has
 // returned — under the old global join that is a deadlock (B's join waits

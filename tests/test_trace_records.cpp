@@ -14,6 +14,8 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/record.hpp"
@@ -212,6 +214,42 @@ TEST(TraceFileSerde, ShardFileRoundTripsExactly) {
   std::ostringstream first;
   file.Serialize(first);
   EXPECT_EQ(again.str(), first.str());
+}
+
+// The trace file is read back across a process boundary (shep_trace), so
+// its header fields are range-checked and its counts size nothing.
+TEST(TraceFileSerde, ParseRejectsOutOfRangeShapeAndHugeCounts) {
+  TraceShardFile file;
+  file.scenario_name = "bounds";
+  file.slots_per_day = 48;
+  file.days = 30;
+  file.cells.push_back({4, "HSU", "WCMA", 1500.0});
+  file.records.push_back(TraceRecord{});
+  file.day_records.push_back(TraceDayRecord{});
+  std::ostringstream os;
+  file.Serialize(os);
+  const std::string text = os.str();
+  auto parse = [](const std::string& garbled) {
+    std::istringstream is(garbled);
+    return TraceShardFile::Parse(is);
+  };
+  ASSERT_EQ(parse(text).cells.size(), 1u);
+
+  // (line keyword, replacement): 2^32 + the original value would wrap
+  // back to it; 10^18 entries would size a vector.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"\nslots_per_day ", "4294967344"},
+      {"\ndays ", "4294967326"},
+      {"\ncells ", "1000000000000000000"},
+      {"\nrecords ", "1000000000000000000"},
+      {"\nday_records ", "1000000000000000000"},
+  };
+  for (const auto& [key, value] : cases) {
+    std::string garbled = text;
+    const std::size_t at = garbled.find(key) + key.size();
+    garbled.replace(at, garbled.find('\n', at) - at, value);
+    EXPECT_THROW(parse(garbled), std::invalid_argument) << key;
+  }
 }
 
 TEST(TraceRing, OverflowDropsAndCountsExactly) {

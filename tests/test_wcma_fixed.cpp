@@ -20,7 +20,8 @@ SlotSeries MakeSeries(const char* site, int n, std::size_t days) {
 }
 
 TEST(FixedWcma, MatchesDoubleReferenceOnRealTrace) {
-  // DESIGN.md §5 fixed-point ablation: over in-ROI slots the Q16.16 build
+  // The fixed-point ablation (README "Synthetic substrate and known
+  // deviations"): over in-ROI slots the Q16.16 build
   // must track the double build within 1 % of the trace peak.
   const auto series = MakeSeries("ECSU", 48, 30);
   WcmaParams p;
