@@ -37,8 +37,7 @@ ArPredictor::ArPredictor(const ArParams& params, int slots_per_day)
   theta_.assign(dim, 0.0);
   theta_[0] = 0.0;
   theta_[1] = 1.0;  // start as "ratio persists" — a sensible prior
-  cov_.assign(dim * dim, 0.0);
-  for (std::size_t i = 0; i < dim; ++i) cov_[i * dim + i] = params_.delta;
+  ResetCovariance();
   x_.assign(dim, 0.0);
   px_.assign(dim, 0.0);
   gain_.assign(dim, 0.0);
@@ -49,10 +48,14 @@ double ArPredictor::Feature(std::size_t i) const {
   return ratio_lags_[ratio_lags_.size() - i];
 }
 
-void ArPredictor::RlsUpdate(double target) {
+void ArPredictor::ResetCovariance() {
+  const std::size_t dim = theta_.size();
+  cov_.assign(dim * dim, 0.0);  // same size: reuses the storage.
+  for (std::size_t i = 0; i < dim; ++i) cov_[i * dim + i] = params_.delta;
+}
+
+double ArPredictor::RlsDenominator() {
   const std::size_t dim = x_.size();
-  for (std::size_t i = 0; i < dim; ++i) x_[i] = Feature(i);
-  // k = P x / (λ + xᵀ P x)
   std::fill(px_.begin(), px_.end(), 0.0);
   for (std::size_t i = 0; i < dim; ++i) {
     for (std::size_t j = 0; j < dim; ++j) {
@@ -61,7 +64,22 @@ void ArPredictor::RlsUpdate(double target) {
   }
   double denom = params_.lambda;
   for (std::size_t i = 0; i < dim; ++i) denom += x_[i] * px_[i];
-  SHEP_DCHECK(denom > 0.0, "RLS denominator must be positive");
+  return denom;
+}
+
+void ArPredictor::RlsUpdate(double target) {
+  const std::size_t dim = x_.size();
+  for (std::size_t i = 0; i < dim; ++i) x_[i] = Feature(i);
+  // k = P x / (λ + xᵀ P x)
+  double denom = RlsDenominator();
+  if (!(denom > 0.0)) {
+    // Rounding has made P indefinite (on SPMD at N = 48 with λ = 0.995
+    // this first happens after about 6 000 updates).  Restart P from the δI
+    // prior, in place: then xᵀ P x = δ|x|² > 0, so the update below
+    // subtracts a positive semidefinite term from P instead of adding one.
+    ResetCovariance();
+    denom = RlsDenominator();
+  }
   for (std::size_t i = 0; i < dim; ++i) gain_[i] = px_[i] / denom;
 
   // θ += k (target − θᵀx)
@@ -140,8 +158,7 @@ void ArPredictor::Reset() {
   const auto dim = static_cast<std::size_t>(params_.order + 1);
   theta_.assign(dim, 0.0);
   theta_[1] = 1.0;
-  cov_.assign(dim * dim, 0.0);
-  for (std::size_t i = 0; i < dim; ++i) cov_[i * dim + i] = params_.delta;
+  ResetCovariance();
   updates_ = 0;
 }
 

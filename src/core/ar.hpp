@@ -49,6 +49,9 @@ class ArPredictor final : public Predictor {
   /// Current model coefficients: [bias, lag1 (most recent), ..., lagP].
   const std::vector<double>& coefficients() const { return theta_; }
 
+  /// RLS covariance P, (order+1)^2 row-major.
+  const std::vector<double>& covariance() const { return cov_; }
+
   /// Number of RLS updates performed so far.
   std::uint64_t updates() const { return updates_; }
 
@@ -58,6 +61,10 @@ class ArPredictor final : public Predictor {
   double Feature(std::size_t i) const;
   /// One RLS step on the current features toward `target`.
   void RlsUpdate(double target);
+  /// Fills px_ = P x and returns the RLS denominator λ + xᵀ P x.
+  double RlsDenominator();
+  /// P = δI, the prior every fit starts from.
+  void ResetCovariance();
 
   ArParams params_;
   int slots_per_day_;

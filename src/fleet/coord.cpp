@@ -1,6 +1,7 @@
 #include "fleet/coord.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <spawn.h>
 #include <sys/wait.h>
@@ -9,19 +10,15 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <filesystem>
 #include <istream>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "common/check.hpp"
@@ -45,6 +42,8 @@ constexpr std::uint64_t kMaxJobSpecBytes = 1 << 20;
 /// Shards dispatched to a worker ahead of completion: two hide the
 /// dispatch round-trip, and every frame still carries exactly one shard.
 constexpr std::size_t kMaxInflightPerWorker = 2;
+
+constexpr std::string_view kFrameTrailer = "end-frame\n";
 
 }  // namespace
 
@@ -111,8 +110,7 @@ std::string EncodeFleetFrame(std::size_t shard, const std::string& payload) {
   std::ostringstream os;
   os << "frame " << shard << ' ' << payload.size() << ' '
      << FleetFrameChecksum(payload) << '\n';
-  os << payload;
-  os << "end-frame\n";
+  os << payload << kFrameTrailer;
   return os.str();
 }
 
@@ -124,73 +122,12 @@ using Clock = std::chrono::steady_clock;
 
 /// Longest line a worker may send.  Every protocol line (heartbeat, frame
 /// header, trailer, one-line error) is far shorter; the cap only stops a
-/// stream with no newline from growing a line without bound.
+/// stream with no newline from growing an inbox without bound.  It is also
+/// the most one read() takes from a worker.
 constexpr std::size_t kMaxLineBytes = 1 << 16;
 
-/// Buffered reader over a pipe fd: the frame protocol needs both
-/// line-at-a-time and exact-byte reads from one stream.
-class FdReader {
- public:
-  explicit FdReader(int fd) : fd_(fd) {}
-
-  /// Next '\n'-terminated line without the terminator; nullopt on EOF (a
-  /// final unterminated line is discarded — a dying worker's half-written
-  /// line is never actionable) or once a line outgrows kMaxLineBytes
-  /// (then overlong() is set and the stream is no longer readable).
-  std::optional<std::string> ReadLine() {
-    std::string line;
-    while (true) {
-      for (; pos_ < len_; ++pos_) {
-        if (buf_[pos_] == '\n') {
-          ++pos_;
-          return line;
-        }
-        if (line.size() == kMaxLineBytes) {
-          overlong_ = true;
-          return std::nullopt;
-        }
-        line.push_back(buf_[pos_]);
-      }
-      if (!Fill()) return std::nullopt;
-    }
-  }
-
-  /// True once ReadLine met a line longer than kMaxLineBytes.
-  bool overlong() const { return overlong_; }
-
-  /// Exactly `n` bytes into `out`; false on EOF before they all arrive.
-  bool ReadExact(std::string& out, std::size_t n) {
-    out.clear();
-    out.reserve(n);
-    while (out.size() < n) {
-      if (pos_ == len_ && !Fill()) return false;
-      const std::size_t take = std::min(n - out.size(), len_ - pos_);
-      out.append(buf_ + pos_, take);
-      pos_ += take;
-    }
-    return true;
-  }
-
- private:
-  bool Fill() {
-    pos_ = len_ = 0;
-    while (true) {
-      const ssize_t got = ::read(fd_, buf_, sizeof buf_);
-      if (got > 0) {
-        len_ = static_cast<std::size_t>(got);
-        return true;
-      }
-      if (got == 0) return false;
-      if (errno != EINTR) return false;
-    }
-  }
-
-  int fd_;
-  char buf_[1 << 16];
-  std::size_t pos_ = 0;
-  std::size_t len_ = 0;
-  bool overlong_ = false;
-};
+/// Longest one pass of the event loop waits for worker output.
+constexpr int kPollTimeoutMs = 10;
 
 /// Writes the whole buffer; false on any error (EPIPE = worker death).
 bool WriteAll(int fd, std::string_view data) {
@@ -213,7 +150,7 @@ enum class ShardState { kPending, kInflight, kDone };
 struct ShardGroup {
   std::vector<std::size_t> lanes;  ///< sorted, distinct.
   std::deque<std::size_t> pending;  ///< plan order.
-  std::size_t servers = 0;          ///< unreaped workers serving the group.
+  std::size_t servers = 0;          ///< live workers serving the group.
 };
 
 struct WorkerProc {
@@ -221,17 +158,17 @@ struct WorkerProc {
   pid_t pid = -1;
   int stdin_fd = -1;
   int stdout_fd = -1;
-  std::thread reader;
-
-  // Guarded by the coordinator mutex:
-  bool alive = true;    ///< reader thread still streaming.
-  bool faulty = false;  ///< sent a corrupt frame; must be killed.
+  /// Bytes read but not yet handled: at most one unfinished message, which
+  /// is never longer than max(kMaxLineBytes, frame header +
+  /// max_frame_bytes + trailer).
+  std::string inbox;
+  bool ended = false;   ///< stdout closed or said bye/error: reap as died.
+  bool faulty = false;  ///< lied or missed a deadline: reap as killed.
   /// A write to its stdin failed: dispatch nothing more.  Usually the
-  /// worker is dead and the reader's EOF reaps it as died; a live one
-  /// still answers to the deadlines for the shards it owes.
+  /// worker is dead and its EOF reaps it as died; a live one still answers
+  /// to the deadlines for the shards it owes.
   bool unwritable = false;
-  bool reaped = false;
-  Clock::time_point last_activity;
+  Clock::time_point last_activity;  ///< last byte read from it.
   std::set<std::size_t> inflight;                 ///< dispatched shards.
   std::map<std::size_t, Clock::time_point> sent;  ///< dispatch times.
   std::vector<std::size_t> groups;  ///< shard groups it serves.
@@ -239,9 +176,6 @@ struct WorkerProc {
 };
 
 struct CoordState {
-  std::mutex mutex;
-  std::condition_variable cv;
-
   const ShardPlan* plan = nullptr;
   /// Largest payload an honest frame of this plan can carry.
   std::size_t max_frame_bytes = 0;
@@ -256,100 +190,115 @@ struct CoordState {
   std::vector<std::size_t> winning_spawn;             ///< per shard.
   std::size_t done = 0;
 
-  std::vector<std::unique_ptr<WorkerProc>> workers;
+  std::vector<WorkerProc> workers;  ///< live (unreaped) workers.
   std::string last_worker_error;
   FleetCoordStats stats;
 };
 
-/// Per-worker reader thread: the data plane.  Every byte refreshes the
-/// liveness timestamp; frames are checked (checksum, parse, fingerprint,
-/// exactly the announced shard) and the first valid frame per shard wins.
-void ReaderMain(CoordState& state, WorkerProc& worker) {
-  FdReader reader(worker.stdout_fd);
-  while (true) {
-    std::optional<std::string> line = reader.ReadLine();
-    if (!line) break;
-    {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      worker.last_activity = Clock::now();
-    }
-    if (*line == "hb") continue;
-    if (*line == "bye") break;
-    if (line->rfind("error ", 0) == 0) {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      state.last_worker_error = line->substr(6);
-      break;  // the worker is about to exit; EOF follows.
-    }
-    if (line->rfind("frame ", 0) != 0) continue;  // forward compatibility.
-
-    // The header is checked before its byte count sizes anything: a
-    // garbled or oversized header is a lie like any other.
-    std::istringstream header(line->substr(6));
-    std::uint64_t shard = 0, bytes = 0, checksum = 0;
-    header >> shard >> bytes >> checksum;
-    bool header_ok = !header.fail();
-    header >> std::ws;
-    header_ok = header_ok && header.eof() &&
-                shard < state.plan->shards.size() &&
-                bytes <= state.max_frame_bytes;
-
-    // Validate the frame itself; any lie makes the worker faulty (its
-    // framing can no longer be trusted, so stop reading it entirely).
-    std::optional<FleetPartial> partial;
-    if (header_ok) {
-      // Payload + trailer, off-lock (pipe reads may block).
-      std::string payload;
-      bool ok = reader.ReadExact(payload, bytes);
-      if (ok) {
-        std::optional<std::string> trailer = reader.ReadLine();
-        ok = trailer && *trailer == "end-frame";
-      }
-      if (!ok) break;  // stream died mid-frame: plain worker death.
-      if (FleetFrameChecksum(payload) == checksum) {
-        try {
-          FleetPartial parsed = FleetPartial::Parse(payload);
-          if (parsed.plan_fingerprint == state.plan->fingerprint &&
-              parsed.shards.size() == 1 && parsed.shards[0].shard == shard) {
-            partial = std::move(parsed);
-          }
-        } catch (const std::exception&) {
-          // fall through: corrupt.
-        }
-      }
-    }
-
-    std::unique_lock<std::mutex> lock(state.mutex);
-    worker.last_activity = Clock::now();
-    if (!partial) {
-      ++state.stats.corrupt_frames;
-      worker.faulty = true;
-      state.cv.notify_all();
-      break;
-    }
-    worker.inflight.erase(shard);
-    worker.sent.erase(shard);
-    if (state.shard_state[shard] == ShardState::kDone) {
-      ++state.stats.duplicate_frames;  // a reassigned shard finished twice.
-      continue;
-    }
-    state.shard_state[shard] = ShardState::kDone;
-    state.stats.worker_synth_seconds += partial->synth_seconds;
-    state.stats.worker_sim_seconds += partial->sim_seconds;
-    state.lanes_reported += state.shard_new_lanes[shard];
-    state.partials[shard] = std::move(partial);
-    state.winning_spawn[shard] = worker.spawn;
-    ++state.done;
-    ++state.stats.frames_accepted;
-    state.cv.notify_all();
+/// Checks one complete frame (checksum, parse, fingerprint, exactly the
+/// announced shard) and records it; false when the frame lies.  The first
+/// valid frame per shard wins.
+bool AcceptFrame(CoordState& state, WorkerProc& worker, std::size_t shard,
+                 std::uint64_t checksum, std::string_view payload) {
+  if (FleetFrameChecksum(payload) != checksum) return false;
+  FleetPartial partial;
+  try {
+    partial = FleetPartial::Parse(std::string(payload));
+  } catch (const std::exception&) {
+    return false;
   }
-  std::lock_guard<std::mutex> lock(state.mutex);
-  if (reader.overlong()) {
-    // A line that never ends is a lie like a garbled frame header.
+  if (partial.plan_fingerprint != state.plan->fingerprint ||
+      partial.shards.size() != 1 || partial.shards[0].shard != shard) {
+    return false;
+  }
+  worker.inflight.erase(shard);
+  worker.sent.erase(shard);
+  if (state.shard_state[shard] == ShardState::kDone) {
+    ++state.stats.duplicate_frames;  // a reassigned shard finished twice.
+    return true;
+  }
+  state.shard_state[shard] = ShardState::kDone;
+  state.stats.worker_synth_seconds += partial.synth_seconds;
+  state.stats.worker_sim_seconds += partial.sim_seconds;
+  state.lanes_reported += state.shard_new_lanes[shard];
+  state.partials[shard] = std::move(partial);
+  state.winning_spawn[shard] = worker.spawn;
+  ++state.done;
+  ++state.stats.frames_accepted;
+  return true;
+}
+
+/// Handles every complete message at the front of the worker's inbox and
+/// leaves the unfinished tail there for the next read.  Any lie — a line
+/// over kMaxLineBytes, a bad frame header, a frame AcceptFrame rejects —
+/// makes the worker faulty, and nothing after it is read.
+void ConsumeInbox(CoordState& state, WorkerProc& worker) {
+  const auto condemn = [&] {
     ++state.stats.corrupt_frames;
     worker.faulty = true;
+  };
+  const std::string_view in = worker.inbox;
+  std::size_t pos = 0;  // start of the first unhandled message.
+  while (!worker.ended && !worker.faulty) {
+    const std::size_t eol = std::min(in.find('\n', pos), in.size());
+    if (eol - pos > kMaxLineBytes) {
+      condemn();
+      break;
+    }
+    if (eol == in.size()) break;  // the line is still arriving.
+    const std::string_view line = in.substr(pos, eol - pos);
+    const std::size_t next = eol + 1;
+    if (line == "bye") {
+      worker.ended = true;
+    } else if (line.starts_with("error ")) {
+      state.last_worker_error = line.substr(6);
+      worker.ended = true;  // the worker is about to exit.
+    } else if (line.starts_with("frame ")) {
+      // The header is checked before its byte count decides how much to
+      // buffer: a garbled or oversized header is a lie like any other.
+      std::istringstream header{std::string(line.substr(6))};
+      std::uint64_t shard = 0, bytes = 0, checksum = 0;
+      header >> shard >> bytes >> checksum;
+      const bool parsed = !header.fail();
+      header >> std::ws;
+      if (!parsed || !header.eof() || shard >= state.plan->shards.size() ||
+          bytes > state.max_frame_bytes) {
+        condemn();
+        break;
+      }
+      const std::size_t frame_end = next + bytes + kFrameTrailer.size();
+      if (in.size() < frame_end) break;  // the payload is still arriving.
+      if (in.substr(next + bytes, kFrameTrailer.size()) != kFrameTrailer) {
+        worker.ended = true;  // framing lost, as when the stream dies.
+        break;
+      }
+      if (!AcceptFrame(state, worker, shard, checksum,
+                       in.substr(next, bytes))) {
+        condemn();
+        break;
+      }
+      pos = frame_end;
+      continue;
+    }
+    pos = next;  // "hb", and unknown lines for forward compatibility.
   }
-  worker.alive = false;
-  state.cv.notify_all();
+  worker.inbox.erase(0, pos);
+}
+
+/// One read() from a worker that poll(2) reported ready, then every message
+/// it completed.  Every byte refreshes the liveness timestamp; EOF, even in
+/// the middle of a frame, is a plain death.
+void ReadWorker(CoordState& state, WorkerProc& worker) {
+  char buf[kMaxLineBytes];
+  const ssize_t got = ::read(worker.stdout_fd, buf, sizeof buf);
+  if (got < 0 && errno == EINTR) return;
+  if (got <= 0) {
+    worker.ended = true;
+    return;
+  }
+  worker.last_activity = Clock::now();
+  worker.inbox.append(buf, static_cast<std::size_t>(got));
+  ConsumeInbox(state, worker);
 }
 
 /// Starts one worker with the pipes as its stdin/stdout.  Throws
@@ -389,40 +338,35 @@ void SpawnWorker(CoordState& state, const FleetCoordOptions& options,
                              std::to_string(error) + ")");
   }
 
-  auto worker = std::make_unique<WorkerProc>();
-  worker->spawn = spawn;
-  worker->pid = pid;
-  worker->stdin_fd = to_child[1];
-  worker->stdout_fd = from_child[0];
-  worker->last_activity = Clock::now();
+  WorkerProc worker;
+  worker.spawn = spawn;
+  worker.pid = pid;
+  worker.stdin_fd = to_child[1];
+  worker.stdout_fd = from_child[0];
+  worker.last_activity = Clock::now();
   // The job header is far smaller than the pipe buffer, so this never
   // blocks even against a worker that dies before reading it.
-  if (!WriteAll(worker->stdin_fd, job_text)) worker->unwritable = true;
-  WorkerProc& ref = *worker;
-  {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    ++state.stats.workers_spawned;
-    state.workers.push_back(std::move(worker));
-  }
-  ref.reader = std::thread([&state, &ref] { ReaderMain(state, ref); });
+  if (!WriteAll(worker.stdin_fd, job_text)) worker.unwritable = true;
+  ++state.stats.workers_spawned;
+  state.workers.push_back(std::move(worker));
   if (options.on_spawn) options.on_spawn(spawn, static_cast<long>(pid));
 }
 
-/// Kills (if needed), joins, reaps, and requeues one worker's uncovered
-/// shards.  Called with the lock HELD; drops it around the blocking join
-/// and waitpid (the reader thread itself takes the lock).
-void ReapWorker(CoordState& state, std::unique_lock<std::mutex>& lock,
-                WorkerProc& worker, bool was_killed) {
-  worker.reaped = true;
-  lock.unlock();
+/// Ends one worker process.  Closing its stdin is the quit command; SIGKILL
+/// stops one mid-shard at once (a no-op on a worker already dead), and
+/// waitpid reaps it.
+void StopWorker(const WorkerProc& worker) {
   ::close(worker.stdin_fd);
-  ::kill(worker.pid, SIGKILL);  // no-op on an already-dead pid (ESRCH).
-  if (worker.reader.joinable()) worker.reader.join();
+  ::kill(worker.pid, SIGKILL);
   ::close(worker.stdout_fd);
   int status = 0;
   ::waitpid(worker.pid, &status, 0);
-  lock.lock();
-  if (was_killed) {
+}
+
+/// Stops a dead or condemned worker and requeues the shards it still owed.
+void ReapWorker(CoordState& state, const WorkerProc& worker) {
+  StopWorker(worker);
+  if (worker.faulty) {
     ++state.stats.workers_killed;
   } else {
     ++state.stats.workers_died;
@@ -438,9 +382,6 @@ void ReapWorker(CoordState& state, std::unique_lock<std::mutex>& lock,
     }
   }
   for (std::size_t group : worker.groups) --state.groups[group].servers;
-  worker.inflight.clear();
-  worker.sent.clear();
-  worker.groups.clear();
 }
 
 /// Splits the plan's shards into groups by the exact set of lanes they
@@ -636,79 +577,59 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
     ++next_spawn;
   };
 
-  // Everything below must tear the fleet down on ANY exit path — a leaked
-  // child would outlive the run and keep writing into freed state.
+  // Everything below must stop the fleet on ANY exit path — a leaked child
+  // would outlive the run.
   auto shutdown = [&] {
-    std::unique_lock<std::mutex> lock(state.mutex);
-    for (auto& worker : state.workers) {
-      if (worker->reaped) continue;
-      worker->reaped = true;
-      lock.unlock();
-      WriteAll(worker->stdin_fd, "quit\n");
-      ::close(worker->stdin_fd);
-      // A worker mid-shard ignores quit until done; SIGKILL keeps
-      // shutdown prompt (every needed frame has already been accepted).
-      ::kill(worker->pid, SIGKILL);
-      if (worker->reader.joinable()) worker->reader.join();
-      ::close(worker->stdout_fd);
-      int status = 0;
-      ::waitpid(worker->pid, &status, 0);
-      lock.lock();
-    }
+    for (const WorkerProc& worker : state.workers) StopWorker(worker);
+    state.workers.clear();
   };
 
+  // One thread runs the whole fleet.  Each pass checks the deadlines, reaps
+  // and replaces dead or condemned workers, dispatches, then waits at most
+  // kPollTimeoutMs for worker output and reads each ready worker once.
   try {
     for (std::size_t i = 0; i < options.workers; ++i) spawn_one();
 
-    std::unique_lock<std::mutex> lock(state.mutex);
     const auto liveness =
         std::chrono::milliseconds(options.liveness_timeout_ms);
     const auto shard_deadline =
         std::chrono::milliseconds(options.shard_timeout_ms);
+    std::vector<pollfd> polled;
     while (state.done < plan.shards.size()) {
       const Clock::time_point now = Clock::now();
 
       // Deadlines: silence => dead, an unanswered shard => straggler.
       // Both become "faulty" so one reap path below handles everything.
-      for (auto& worker : state.workers) {
-        if (worker->reaped || !worker->alive || worker->faulty) continue;
+      for (WorkerProc& worker : state.workers) {
+        if (worker.ended || worker.faulty) continue;
         // An unwritable worker owing no shard has no deadline left to
         // miss, yet can never be given work.
-        if (now - worker->last_activity > liveness ||
-            (worker->unwritable && worker->inflight.empty())) {
-          worker->faulty = true;
+        if (now - worker.last_activity > liveness ||
+            (worker.unwritable && worker.inflight.empty())) {
+          worker.faulty = true;
           continue;
         }
-        for (const auto& [shard, sent_at] : worker->sent) {
+        for (const auto& [shard, sent_at] : worker.sent) {
           if (now - sent_at > shard_deadline) {
-            worker->faulty = true;
+            worker.faulty = true;
             break;
           }
         }
       }
 
-      // Reap every dead or condemned worker and requeue its shards.
-      for (auto& worker : state.workers) {
-        if (worker->reaped) continue;
-        if (!worker->alive || worker->faulty) {
-          ReapWorker(state, lock, *worker, worker->faulty);
-        }
-      }
-
-      // Keep the fleet at strength while work remains.
-      std::size_t live = 0;
-      for (const auto& worker : state.workers) {
-        if (!worker->reaped) ++live;
-      }
-      while (live < options.workers && state.done < plan.shards.size() &&
+      // Reap every dead or condemned worker, requeue its shards, and keep
+      // the fleet at strength while the respawn budget lasts.
+      std::erase_if(state.workers, [&state](const WorkerProc& worker) {
+        if (!worker.ended && !worker.faulty) return false;
+        ReapWorker(state, worker);
+        return true;
+      });
+      while (state.workers.size() < options.workers &&
              state.stats.respawns < respawn_budget) {
         ++state.stats.respawns;
-        lock.unlock();
         spawn_one();
-        lock.lock();
-        ++live;
       }
-      if (live == 0) {
+      if (state.workers.empty()) {
         throw std::runtime_error(
             "fleet coordinator lost every worker with shards uncovered"
             " (respawn budget exhausted)" +
@@ -717,36 +638,39 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
                  : "; last worker error: " + state.last_worker_error));
       }
 
-      // Dispatch: refill every live worker up to its inflight window.
-      for (auto& worker : state.workers) {
-        if (worker->reaped || !worker->alive || worker->faulty ||
-            worker->unwritable) {
-          continue;
-        }
-        while (worker->inflight.size() < kMaxInflightPerWorker) {
-          const std::optional<std::size_t> picked = PickShard(state, *worker);
+      // Dispatch: refill every worker up to its inflight window.
+      for (WorkerProc& worker : state.workers) {
+        if (worker.unwritable) continue;
+        while (worker.inflight.size() < kMaxInflightPerWorker) {
+          const std::optional<std::size_t> picked = PickShard(state, worker);
           if (!picked) break;
           const std::size_t shard = *picked;
           state.shard_state[shard] = ShardState::kInflight;
-          worker->inflight.insert(shard);
-          worker->sent.emplace(shard, Clock::now());
-          const std::string command = "run " + std::to_string(shard) + "\n";
-          const int fd = worker->stdin_fd;
-          lock.unlock();
-          const bool sent_ok = WriteAll(fd, command);
-          lock.lock();
-          if (!sent_ok) {
-            // Usually EPIPE from a worker that died: its reader's EOF reaps
-            // it as died, never as killed.
-            worker->unwritable = true;
+          worker.inflight.insert(shard);
+          worker.sent.emplace(shard, Clock::now());
+          if (!WriteAll(worker.stdin_fd,
+                        "run " + std::to_string(shard) + "\n")) {
+            // Usually EPIPE from a worker that died: its EOF reaps it as
+            // died, never as killed.
+            worker.unwritable = true;
             break;
           }
         }
       }
 
-      state.cv.wait_for(lock, std::chrono::milliseconds(10));
+      // Wait for output; EINTR just starts the next pass.
+      polled.clear();
+      for (const WorkerProc& worker : state.workers) {
+        polled.push_back(pollfd{worker.stdout_fd, POLLIN, 0});
+      }
+      if (::poll(polled.data(), polled.size(), kPollTimeoutMs) < 0) {
+        SHEP_CHECK(errno == EINTR, "coordinator cannot poll its workers");
+        continue;
+      }
+      for (std::size_t i = 0; i < polled.size(); ++i) {
+        if (polled[i].revents != 0) ReadWorker(state, state.workers[i]);
+      }
     }
-    lock.unlock();
     shutdown();
   } catch (...) {
     shutdown();

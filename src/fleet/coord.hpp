@@ -22,12 +22,18 @@
 //
 // Control plane vs data plane (the caldera heartbeat/transport split):
 // workers emit a heartbeat line between frames from a dedicated thread,
-// and the coordinator's per-worker reader threads timestamp every byte.
-// A deadline loop turns silence into death (SIGKILL + reap), a per-shard
-// deadline turns a hung-but-heartbeating worker into a straggler (same
-// treatment), and either way the victim's uncovered shards go back to
-// their groups, which become unclaimed for the survivors — safe by
-// construction, because shards are dispatched one per frame and
+// and the coordinator, one single-threaded event loop, timestamps every
+// byte it reads.  Each pass of the loop checks the deadlines, reaps and
+// replaces dead or condemned workers, dispatches, and then poll(2)s the
+// workers' stdout for at most 10 ms.  A readable worker gets one read()
+// into its inbox; every complete message there is handled at once, and an
+// unfinished tail waits for the next read, so an inbox never holds more
+// than max(64 KiB line cap, frame header + largest honest payload +
+// trailer).  Silence past the liveness deadline means death (SIGKILL +
+// reap), a per-shard deadline turns a hung-but-heartbeating worker into a
+// straggler (same treatment), and either way the victim's uncovered shards
+// go back to their groups, which become unclaimed for the survivors — safe
+// by construction, because shards are dispatched one per frame and
 // MergeFleetPartials rejects duplicate coverage, so the merge is over
 // exactly one accepted frame per shard.
 // First valid frame wins; late duplicates from a killed straggler are

@@ -10,14 +10,6 @@ double Reference(const PredictionPoint& point, ErrorTarget target) {
   return target == ErrorTarget::kSlotMean ? point.mean : point.boundary;
 }
 
-double AbsolutePercentageError(const PredictionPoint& point,
-                               ErrorTarget target) {
-  const double ref = Reference(point, target);
-  SHEP_REQUIRE(ref > 0.0,
-               "percentage error undefined for non-positive reference");
-  return std::fabs(ref - point.predicted) / ref;
-}
-
 ErrorStats EvaluateErrors(std::span<const PredictionPoint> points,
                           ErrorTarget target, double peak,
                           const RoiFilter& filter) {

@@ -73,12 +73,6 @@ ErrorStats EvaluateErrors(std::span<const PredictionPoint> points,
                           ErrorTarget target, double peak,
                           const RoiFilter& filter = {});
 
-/// Absolute percentage error of a single point against the chosen
-/// reference; helper for the clairvoyant dynamic-parameter study
-/// (Sec. IV-C), which minimizes per-point error before averaging.
-double AbsolutePercentageError(const PredictionPoint& point,
-                               ErrorTarget target);
-
 /// Reference value of a point for the chosen target.
 double Reference(const PredictionPoint& point, ErrorTarget target);
 

@@ -113,14 +113,4 @@ void ClearClearSkyMemo() {
   memo.misses = 0;
 }
 
-double DaylightHours(double latitude_deg, int day_of_year) {
-  const double lat = DegToRad(latitude_deg);
-  const double decl = SolarDeclinationRad(day_of_year);
-  const double cos_h0 = -std::tan(lat) * std::tan(decl);
-  if (cos_h0 <= -1.0) return 24.0;  // polar day
-  if (cos_h0 >= 1.0) return 0.0;    // polar night
-  const double h0 = std::acos(cos_h0);
-  return 2.0 * RadToDeg(h0) / 15.0;
-}
-
 }  // namespace shep

@@ -18,9 +18,6 @@ namespace shep {
 /// Degrees-to-radians.
 constexpr double DegToRad(double deg) { return deg * 0.017453292519943295; }
 
-/// Radians-to-degrees.
-constexpr double RadToDeg(double rad) { return rad * 57.29577951308232; }
-
 /// Solar declination (radians) for a 1-based day of year (Cooper, 1969):
 /// delta = 23.45 deg * sin(2*pi*(284+n)/365).
 double SolarDeclinationRad(int day_of_year);
@@ -74,10 +71,5 @@ ClearSkyMemoStats GetClearSkyMemoStats();
 /// Drops every memoized profile (shared_ptrs held by callers stay alive)
 /// and resets the counters; used by tests to start from a cold memo.
 void ClearClearSkyMemo();
-
-/// Daylight duration in hours for the given latitude/day (sunrise-to-sunset
-/// from the hour-angle at zero elevation); used by tests to check seasonal
-/// behaviour.
-double DaylightHours(double latitude_deg, int day_of_year);
 
 }  // namespace shep

@@ -33,11 +33,6 @@ struct SiteProfile {
   double panel_efficiency; ///< end-to-end conversion efficiency.
   std::uint64_t seed;      ///< deterministic per-site stream seed.
   WeatherParams weather;   ///< stochastic climate of the site.
-
-  /// Peak electrical power at 1000 W/m^2 (for scale in reports).
-  double PanelPeakW() const {
-    return 1000.0 * panel_area_m2 * panel_efficiency;
-  }
 };
 
 /// The six paper sites, in Table I order (SPMD, ECSU, ORNL, HSU, NPCS,

@@ -9,18 +9,6 @@
 
 namespace shep {
 
-const char* WeatherStateName(WeatherState s) {
-  switch (s) {
-    case WeatherState::kClear:
-      return "clear";
-    case WeatherState::kPartly:
-      return "partly";
-    case WeatherState::kOvercast:
-      return "overcast";
-  }
-  return "?";
-}
-
 void WeatherParams::Validate() const {
   for (const auto& row : transition) {
     double sum = 0.0;
@@ -86,16 +74,6 @@ std::array<double, 3> WeatherModel::StationaryDistribution() const {
     pi = next;
   }
   return pi;
-}
-
-std::vector<double> WeatherModel::DayTransmittance(WeatherState state,
-                                                   int resolution_s,
-                                                   double& drift,
-                                                   Rng& rng) const {
-  std::vector<double> tau;
-  DayScratch scratch;
-  DayTransmittanceInto(state, resolution_s, drift, rng, tau, scratch);
-  return tau;
 }
 
 void WeatherModel::DayTransmittanceInto(WeatherState state, int resolution_s,

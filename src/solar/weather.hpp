@@ -33,9 +33,6 @@ enum class WeatherState : int { kClear = 0, kPartly = 1, kOvercast = 2 };
 
 inline constexpr int kWeatherStateCount = 3;
 
-/// Returns a short display name ("clear", "partly", "overcast").
-const char* WeatherStateName(WeatherState s);
-
 /// Parameters of the weather process (see file comment for the roles).
 struct WeatherParams {
   /// Markov transition matrix: transition[from][to], rows must sum to 1.
@@ -113,16 +110,10 @@ class WeatherModel {
   /// reports/tests to characterise a site's climate.
   std::array<double, 3> StationaryDistribution() const;
 
-  /// Generates one day of transmittance values, one per `resolution_s`
-  /// seconds.  The AR(1) drift state is carried in/out through `drift` so
-  /// consecutive days join smoothly.
-  std::vector<double> DayTransmittance(WeatherState state, int resolution_s,
-                                       double& drift, Rng& rng) const;
-
-  /// Allocation-free form: writes the day into `tau` (resized to one
-  /// sample per resolution_s) reusing `scratch`'s buffers.  Bit-identical
-  /// to DayTransmittance for the same RNG stream — only where the values
-  /// land changes.
+  /// Generates one day of transmittance values into `tau`, one per
+  /// `resolution_s` seconds, reusing `scratch`'s buffers.  The AR(1) drift
+  /// state is carried in/out through `drift` so consecutive days join
+  /// smoothly.
   void DayTransmittanceInto(WeatherState state, int resolution_s,
                             double& drift, Rng& rng, std::vector<double>& tau,
                             DayScratch& scratch) const;

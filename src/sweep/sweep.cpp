@@ -19,12 +19,11 @@ namespace {
 
 template <typename Metric>
 const SweepPoint* BestWhere(const SweepResult& r, Metric metric,
-                            int require_k, int require_d) {
+                            int require_k) {
   const SweepPoint* best = nullptr;
   double best_value = std::numeric_limits<double>::infinity();
   for (const auto& p : r.points) {
     if (require_k >= 0 && p.slots_k != require_k) continue;
-    if (require_d >= 0 && p.days_d != require_d) continue;
     const double v = metric(p);
     if (v < best_value) {
       best_value = v;
@@ -40,23 +39,19 @@ double MapePrimeOf(const SweepPoint& p) { return p.boundary_stats.mape; }
 }  // namespace
 
 const SweepPoint& SweepResult::BestByMape() const {
-  const auto* best = BestWhere(*this, MapeOf, -1, -1);
+  const auto* best = BestWhere(*this, MapeOf, -1);
   SHEP_CHECK(best != nullptr, "sweep produced no points");
   return *best;
 }
 
 const SweepPoint& SweepResult::BestByMapePrime() const {
-  const auto* best = BestWhere(*this, MapePrimeOf, -1, -1);
+  const auto* best = BestWhere(*this, MapePrimeOf, -1);
   SHEP_CHECK(best != nullptr, "sweep produced no points");
   return *best;
 }
 
 const SweepPoint* SweepResult::BestByMapeWithK(int k) const {
-  return BestWhere(*this, MapeOf, k, -1);
-}
-
-const SweepPoint* SweepResult::BestByMapeWithD(int d) const {
-  return BestWhere(*this, MapeOf, -1, d);
+  return BestWhere(*this, MapeOf, k);
 }
 
 const SweepPoint* SweepResult::Find(double alpha, int days_d,

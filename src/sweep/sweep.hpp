@@ -51,9 +51,6 @@ struct SweepResult {
   /// Best MAPE subject to K = k; null when k is not in the grid.
   const SweepPoint* BestByMapeWithK(int k) const;
 
-  /// Best MAPE subject to D = d.
-  const SweepPoint* BestByMapeWithD(int d) const;
-
   /// Exact lookup; null when the triple is not on the grid.
   const SweepPoint* Find(double alpha, int days_d, int slots_k) const;
 };

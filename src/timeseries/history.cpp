@@ -50,14 +50,4 @@ void HistoryMatrix::Clear() {
   next_row_ = 0;
 }
 
-std::vector<double> HistoryMatrix::ColumnSums() const {
-  std::vector<double> sums(slots_, 0.0);
-  for (std::size_t age = 0; age < stored_; ++age) {
-    for (std::size_t slot = 0; slot < slots_; ++slot) {
-      sums[slot] += at_age(age, slot);
-    }
-  }
-  return sums;
-}
-
 }  // namespace shep

@@ -64,14 +64,6 @@ class HistoryMatrix {
   /// Reset() never reallocates the matrix.
   void Clear();
 
-  /// Per-slot running sums over all stored days (used by tests).
-  std::vector<double> ColumnSums() const;
-
-  /// Memory footprint of the sample storage in 16-bit words — the quantity
-  /// the paper's parameter guideline targets ("conserving samples storage
-  /// memory requirement").
-  std::size_t FootprintWords() const { return capacity_ * slots_; }
-
  private:
   std::size_t capacity_;
   std::size_t slots_;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/ewma.hpp"
@@ -123,6 +125,44 @@ TEST(ArPredictor, CompetitiveHierarchyOnSolarData) {
   const double wcma_mape = ScorePredictor(wcma, series).mape;
   EXPECT_LT(ar_mape, ewma_mape);
   EXPECT_LT(wcma_mape, ar_mape + 0.02);  // WCMA at least matches AR
+}
+
+TEST(ArPredictor, EveryRlsUpdateShrinksTheCovarianceItStartsFrom) {
+  // On SPMD at N = 48 with λ = 0.995, rounding makes P indefinite after
+  // about 6 000 updates, and the RLS denominator λ + xᵀPx then turns
+  // non-positive.  The safeguard restarts P from δI whenever it does, so
+  // every update subtracts the rank-one term (Px)(Px)ᵀ/denom >= 0 before the
+  // 1/λ forgetting: on the diagonal, λ·P_after never exceeds the P the
+  // update started from — the previous P, or δI after a reset.
+  SynthOptions opt;
+  opt.days = 1100;
+  const SlotSeries series(SynthesizeTrace(SiteByCode("SPMD"), opt), 48);
+  ArParams p;
+  p.order = 3;
+  p.lambda = 0.995;
+  ArPredictor ar(p, 48);
+  const std::size_t dim = 4;
+  std::vector<double> before = ar.covariance();
+  std::size_t resets = 0;
+  for (std::size_t g = 0; g < series.size(); ++g) {
+    const std::uint64_t updates = ar.updates();
+    ar.Observe(series.boundary(g));
+    if (ar.updates() == updates) continue;
+    const std::vector<double>& after = ar.covariance();
+    bool from_previous = true;
+    bool from_prior = true;
+    for (std::size_t i = 0; i < dim; ++i) {
+      const double start = before[i * dim + i];
+      const double shrunk = p.lambda * after[i * dim + i];
+      from_previous = from_previous && shrunk <= start + 1e-9 * std::abs(start);
+      from_prior = from_prior && shrunk <= p.delta * (1.0 + 1e-9);
+    }
+    ASSERT_TRUE(from_previous || from_prior) << "update " << ar.updates();
+    if (!from_previous) ++resets;
+    before = after;
+  }
+  EXPECT_GE(ar.updates(), 20000u);
+  EXPECT_GE(resets, 1u) << "the trace must reach the indefinite covariance";
 }
 
 TEST(ArPredictor, NameDescribesModel) {

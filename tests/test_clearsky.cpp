@@ -17,10 +17,10 @@ namespace {
 
 TEST(Declination, SeasonalExtremes) {
   // Summer solstice (~day 172): +23.45 deg; winter (~day 355): -23.45 deg.
-  EXPECT_NEAR(RadToDeg(SolarDeclinationRad(172)), 23.45, 0.1);
-  EXPECT_NEAR(RadToDeg(SolarDeclinationRad(355)), -23.45, 0.1);
+  EXPECT_NEAR(SolarDeclinationRad(172), DegToRad(23.45), DegToRad(0.1));
+  EXPECT_NEAR(SolarDeclinationRad(355), DegToRad(-23.45), DegToRad(0.1));
   // Equinoxes near zero.
-  EXPECT_NEAR(RadToDeg(SolarDeclinationRad(81)), 0.0, 1.0);
+  EXPECT_NEAR(SolarDeclinationRad(81), 0.0, DegToRad(1.0));
 }
 
 TEST(Declination, ValidatesDayOfYear) {
@@ -80,6 +80,14 @@ TEST(ClearSkyDayGhi, SummerBrighterThanWinter) {
 TEST(ClearSkyDayGhi, ValidatesResolution) {
   EXPECT_THROW(ClearSkyDayGhi(40.0, 100, 7), std::invalid_argument);
   EXPECT_THROW(ClearSkyDayGhi(40.0, 100, 0), std::invalid_argument);
+}
+
+/// Hours of the day the clear-sky profile is lit, at 1-minute resolution.
+double DaylightHours(double latitude_deg, int day_of_year) {
+  const std::vector<double> ghi = ClearSkyDayGhi(latitude_deg, day_of_year, 60);
+  return static_cast<double>(std::count_if(
+             ghi.begin(), ghi.end(), [](double w) { return w > 0.0; })) /
+         60.0;
 }
 
 TEST(DaylightHours, SeasonalAsymmetry) {

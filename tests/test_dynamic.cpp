@@ -9,6 +9,19 @@
 namespace shep {
 namespace {
 
+/// Best MAPE among the sweep's points with D = d; null when d is off the
+/// grid.
+const SweepPoint* BestByMapeWithD(const SweepResult& sweep, int d) {
+  const SweepPoint* best = nullptr;
+  for (const SweepPoint& p : sweep.points) {
+    if (p.days_d == d &&
+        (best == nullptr || p.mean_stats.mape < best->mean_stats.mape)) {
+      best = &p;
+    }
+  }
+  return best;
+}
+
 const SweepContext& SpmdContext() {
   static const SweepContext* ctx = [] {
     SynthOptions opt;
@@ -43,7 +56,7 @@ TEST(EvaluateDynamic, StaticMatchesSweepAtSameD) {
   const auto grid = ParamGrid::Paper();
   const auto out = EvaluateDynamic(SpmdContext(), 10, grid);
   const auto sweep = SweepWcma(SpmdContext(), grid);
-  const auto* best_at_d = sweep.BestByMapeWithD(10);
+  const auto* best_at_d = BestByMapeWithD(sweep, 10);
   ASSERT_NE(best_at_d, nullptr);
   EXPECT_NEAR(out.static_mape, best_at_d->mean_stats.mape, 1e-9);
   EXPECT_DOUBLE_EQ(out.static_alpha, best_at_d->alpha);
@@ -64,7 +77,7 @@ TEST(EvaluateDynamic, KOnlyOracleFavoursLowerAlpha) {
   const auto grid = ParamGrid::Paper();
   const auto out = EvaluateDynamic(SpmdContext(), 10, grid);
   const auto sweep = SweepWcma(SpmdContext(), grid);
-  const auto* best_static = sweep.BestByMapeWithD(10);
+  const auto* best_static = BestByMapeWithD(sweep, 10);
   ASSERT_NE(best_static, nullptr);
   EXPECT_LT(out.k_only_alpha, best_static->alpha);
 }

@@ -32,19 +32,6 @@ TEST(Reference, SelectsTarget) {
   EXPECT_DOUBLE_EQ(Reference(p, ErrorTarget::kSlotMean), 3.0);
 }
 
-TEST(AbsolutePercentageError, Computes) {
-  const auto p = Point(0, 8.0, 10.0, 16.0);
-  EXPECT_DOUBLE_EQ(AbsolutePercentageError(p, ErrorTarget::kBoundarySample),
-                   0.2);
-  EXPECT_DOUBLE_EQ(AbsolutePercentageError(p, ErrorTarget::kSlotMean), 0.5);
-}
-
-TEST(AbsolutePercentageError, RejectsZeroReference) {
-  const auto p = Point(0, 1.0, 0.0, 0.0);
-  EXPECT_THROW(AbsolutePercentageError(p, ErrorTarget::kSlotMean),
-               std::invalid_argument);
-}
-
 TEST(EvaluateErrors, MapeOfPerfectPredictionIsZero) {
   std::vector<PredictionPoint> pts{Point(0, 5.0, 5.0, 5.0),
                                    Point(0, 3.0, 3.0, 3.0)};

@@ -4,7 +4,8 @@
 // shep_fleet_worker binary — the acceptance pins: a 4-worker campaign
 // merges bit-identical to single-process RunFleet, and stays bit-identical
 // when workers are SIGKILLed, die mid-campaign, stream corrupt frames, or
-// hang while heartbeating (every fault path ends in reassignment).
+// hang while heartbeating (every fault path ends in reassignment), and when
+// every frame arrives over several pipe reads.
 #include "fleet/coord.hpp"
 
 #include <gtest/gtest.h>
@@ -400,6 +401,28 @@ TEST(RunFleetCoordinated, CondemnsAWorkerStreamingAnEndlessLine) {
             std::chrono::seconds(20));
 }
 
+TEST(RunFleetCoordinated, ReapsASilentWorkerAtTheLivenessDeadline) {
+  FleetCoordOptions options = BaseOptions();
+  // A "worker" that never writes a byte, while the shard deadline stays at
+  // its 120 s default: only the liveness deadline can condemn it.
+  options.worker_path = "/bin/sh";
+  options.worker_args = {"-c", "exec sleep 60"};
+  options.workers = 1;
+  options.max_respawns = 2;
+  options.liveness_timeout_ms = 250;
+  auto spawns = std::make_shared<std::size_t>(0);
+  options.on_spawn = [spawns](std::size_t, long) { ++*spawns; };
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(RunFleetCoordinated(CoordSpec(), options),
+               std::runtime_error);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  // The first spawn and both replacements each stay silent past the
+  // deadline before they are reaped.
+  EXPECT_EQ(*spawns, 3u);
+  EXPECT_GE(elapsed, 3 * std::chrono::milliseconds(250));
+  EXPECT_LT(elapsed, std::chrono::seconds(20));
+}
+
 TEST(RunFleetCoordinated, ThrowsWhenEveryWorkerIsUnusable) {
   SHEP_SKIP_WITHOUT_WORKER();
   FleetCoordOptions options = BaseOptions();
@@ -554,6 +577,57 @@ TEST(RunFleetCoordinated, ShardsStraddlingCellsMergeBitIdentically) {
       // it as died, and it is replaced.
       EXPECT_GE(stats.workers_died, 1u);
       EXPECT_GE(stats.respawns, 1u);
+    }
+  }
+}
+
+/// Every paper site x 4 predictors x 15 tiers, one node per cell: 360
+/// cells in 3 shards of 120, so every shard touches 120 cells and its frame
+/// outgrows one 64 KiB pipe buffer.
+ScenarioSpec WideSpec() {
+  ScenarioSpec spec = CoordSpec();
+  spec.name = "wide";
+  spec.sites = {"SPMD", "ECSU", "ORNL", "HSU", "NPCS", "PFCI"};
+  PredictorSpec ewma;
+  ewma.kind = PredictorKind::kEwma;
+  spec.predictors.push_back(ewma);
+  spec.storage_tiers_j.clear();
+  for (int tier = 1; tier <= 15; ++tier) {
+    spec.storage_tiers_j.push_back(500.0 * tier);
+  }
+  spec.nodes_per_cell = 1;
+  return spec;
+}
+
+constexpr std::size_t kWideShardSize = 120;
+
+TEST(RunFleetCoordinated, FramesSpanningSeveralReadsMergeBitIdentically) {
+  SHEP_SKIP_WITHOUT_WORKER();
+  const ScenarioSpec spec = WideSpec();
+  const ShardPlan plan = BuildShardPlan(spec, kWideShardSize);
+  FleetRunOptions run_options;
+  run_options.shard_size = kWideShardSize;
+  const std::size_t frame_bytes =
+      RunFleetShards(plan, {0}, run_options).Serialize().size();
+  ASSERT_GT(frame_bytes, std::size_t{1} << 16)
+      << "the frame must span more than one pipe buffer";
+
+  const FleetSummary mono = MonolithicOf(spec, kWideShardSize);
+  for (const bool kill_one : {false, true}) {
+    FleetCoordOptions options = BaseOptions();
+    options.shard_size = kWideShardSize;
+    if (kill_one) {
+      options.on_spawn = [](std::size_t spawn, long pid) {
+        if (spawn == 0) kill(static_cast<pid_t>(pid), SIGKILL);
+      };
+    }
+    FleetCoordStats stats;
+    const FleetSummary summary = RunFleetCoordinated(spec, options, &stats);
+    ExpectSummaryBitIdentical(summary, mono);
+    EXPECT_EQ(stats.frames_accepted, plan.shards.size()) << kill_one;
+    EXPECT_EQ(stats.corrupt_frames, 0u) << kill_one;
+    if (kill_one) {
+      EXPECT_GE(stats.workers_died, 1u);
     }
   }
 }

@@ -92,22 +92,6 @@ TEST(HistoryMatrix, PushValidatesWidth) {
   EXPECT_THROW(h.PushDay(DayOf(1.0, 2)), std::invalid_argument);
 }
 
-TEST(HistoryMatrix, ColumnSumsMatchManualSum) {
-  HistoryMatrix h(3, 2);
-  h.PushDay({1.0, 10.0});
-  h.PushDay({2.0, 20.0});
-  const auto sums = h.ColumnSums();
-  ASSERT_EQ(sums.size(), 2u);
-  EXPECT_DOUBLE_EQ(sums[0], 3.0);
-  EXPECT_DOUBLE_EQ(sums[1], 30.0);
-}
-
-TEST(HistoryMatrix, FootprintWordsIsDtimesN) {
-  // The paper's memory guideline: the matrix costs D*N words.
-  HistoryMatrix h(20, 48);
-  EXPECT_EQ(h.FootprintWords(), 960u);
-}
-
 TEST(HistoryMatrix, RejectsZeroDimensions) {
   EXPECT_THROW(HistoryMatrix(0, 4), std::invalid_argument);
   EXPECT_THROW(HistoryMatrix(4, 0), std::invalid_argument);

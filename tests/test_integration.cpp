@@ -17,6 +17,19 @@
 namespace shep {
 namespace {
 
+/// Best MAPE among the sweep's points with D = d; null when d is off the
+/// grid.
+const SweepPoint* BestByMapeWithD(const SweepResult& sweep, int d) {
+  const SweepPoint* best = nullptr;
+  for (const SweepPoint& p : sweep.points) {
+    if (p.days_d == d &&
+        (best == nullptr || p.mean_stats.mape < best->mean_stats.mape)) {
+      best = &p;
+    }
+  }
+  return best;
+}
+
 // Shared fixture: a 100-day ORNL-like trace (1-minute, volatile) and an
 // 100-day PFCI-like trace (1-minute, sunny).
 class PaperTrendsTest : public ::testing::Test {
@@ -101,7 +114,7 @@ TEST_F(PaperTrendsTest, DiminishingReturnsInD) {
   ParamGrid g = MidGrid();
   const auto sweep = SweepWcma(ctx, g);
   const auto mape_at_d = [&](int d) {
-    const auto* p = sweep.BestByMapeWithD(d);
+    const auto* p = BestByMapeWithD(sweep, d);
     EXPECT_NE(p, nullptr);
     return p->mean_stats.mape;
   };

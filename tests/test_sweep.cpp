@@ -91,10 +91,6 @@ TEST(SweepWcma, BestWithConstraintRespectsConstraint) {
   EXPECT_EQ(with_k->slots_k, 2);
   EXPECT_GE(with_k->mean_stats.mape, result.BestByMape().mean_stats.mape);
   EXPECT_EQ(result.BestByMapeWithK(99), nullptr);
-
-  const auto* with_d = result.BestByMapeWithD(10);
-  ASSERT_NE(with_d, nullptr);
-  EXPECT_EQ(with_d->days_d, 10);
 }
 
 TEST(SweepWcma, FindLocatesExactTriples) {

@@ -37,7 +37,9 @@ TEST(PaperSites, AllWeatherParamsValid) {
     EXPECT_NO_THROW(s.weather.Validate()) << s.code;
     EXPECT_GT(s.latitude_deg, 30.0) << s.code;
     EXPECT_LT(s.latitude_deg, 42.0) << s.code;
-    EXPECT_NEAR(s.PanelPeakW(), 1.5, 1e-9) << s.code;
+    // Peak electrical power at 1000 W/m^2.
+    EXPECT_NEAR(1000.0 * s.panel_area_m2 * s.panel_efficiency, 1.5, 1e-9)
+        << s.code;
   }
 }
 
