@@ -31,7 +31,6 @@
 
 #include "core/predictor.hpp"
 #include "core/wcma.hpp"
-#include "timeseries/history.hpp"
 
 namespace shep {
 
@@ -81,25 +80,12 @@ class AdaptiveWcma final : public Predictor {
   }
 
  private:
-  struct RecentSlot {
-    double sample;
-    double mu;
-  };
-
   /// Candidate predictions for the upcoming slot, refreshed on Observe.
   void RefreshCandidatePredictions();
 
   AdaptiveWcmaParams params_;
-  int slots_per_day_;
+  WcmaWindow window_;  ///< last <= max(ks) elapsed slots.
 
-  HistoryMatrix history_;
-  std::vector<double> current_day_;
-  std::size_t next_slot_ = 0;
-  double last_sample_ = 0.0;
-  bool has_sample_ = false;
-  RecentWindow<RecentSlot> recent_;  ///< last <= max(ks) elapsed slots.
-
-  std::vector<double> phi_by_k_;         ///< Φ per candidate K, this slot.
   std::vector<double> candidate_pred_;   ///< ê_c for the upcoming slot.
   std::vector<double> candidate_loss_;   ///< discounted APE per candidate.
   std::vector<std::uint64_t> selection_counts_;

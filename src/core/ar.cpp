@@ -26,13 +26,10 @@ void ArParams::Validate() const {
 
 ArPredictor::ArPredictor(const ArParams& params, int slots_per_day)
     : params_(params),
-      slots_per_day_(slots_per_day),
-      history_(static_cast<std::size_t>(std::max(params.days, 1)),
-               static_cast<std::size_t>(std::max(slots_per_day, 1))),
+      history_(params.days, slots_per_day),
       ratio_lags_(static_cast<std::size_t>(std::max(params.order, 1))) {
   params_.Validate();
-  SHEP_REQUIRE(slots_per_day_ >= 2, "need at least two slots per day");
-  current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
+  SHEP_REQUIRE(slots_per_day >= 2, "need at least two slots per day");
   const auto dim = static_cast<std::size_t>(params_.order + 1);
   theta_.assign(dim, 0.0);
   theta_[0] = 0.0;
@@ -103,7 +100,7 @@ void ArPredictor::Observe(double boundary_sample) {
   // De-seasonalise: ratio against the slot's historical average, when both
   // are daylight values.
   double mu = -1.0;
-  if (history_.stored_days() > 0) mu = history_.Mu(next_slot_);
+  if (history_.stored_days() > 0) mu = history_.Mu(history_.next_slot());
   const bool lit = mu > kNightEpsilonW && boundary_sample > kNightEpsilonW;
   if (lit) {
     const double ratio = Clamp(boundary_sample / mu, 0.0, kMaxRatio);
@@ -117,24 +114,17 @@ void ArPredictor::Observe(double boundary_sample) {
     // describe the next morning.
     ratio_lags_.Clear();
   }
-
-  current_day_[next_slot_] = boundary_sample;
-  last_sample_ = boundary_sample;
-  has_sample_ = true;
-  ++next_slot_;
-  if (next_slot_ == static_cast<std::size_t>(slots_per_day_)) {
-    history_.PushDay(current_day_);
-    next_slot_ = 0;
-  }
+  history_.Observe(boundary_sample);
 }
 
 double ArPredictor::PredictNext() const {
-  SHEP_REQUIRE(has_sample_, "PredictNext before any Observe");
+  SHEP_REQUIRE(history_.has_sample(), "PredictNext before any Observe");
+  const double last = history_.last_sample();
   if (history_.stored_days() == 0 || ratio_lags_.empty()) {
-    return last_sample_;  // persistence fallback
+    return last;  // persistence fallback
   }
-  const double mu_next = history_.Mu(next_slot_);
-  if (mu_next <= kNightEpsilonW) return last_sample_;
+  const double mu_next = history_.Mu(history_.next_slot());
+  if (mu_next <= kNightEpsilonW) return last;
   double ratio_hat = 0.0;
   for (std::size_t i = 0; i < theta_.size(); ++i) {
     ratio_hat += theta_[i] * Feature(i);
@@ -150,10 +140,6 @@ bool ArPredictor::Ready() const {
 
 void ArPredictor::Reset() {
   history_.Clear();
-  current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
-  next_slot_ = 0;
-  last_sample_ = 0.0;
-  has_sample_ = false;
   ratio_lags_.Clear();
   const auto dim = static_cast<std::size_t>(params_.order + 1);
   theta_.assign(dim, 0.0);

@@ -67,14 +67,7 @@ class ArPredictor final : public Predictor {
   void ResetCovariance();
 
   ArParams params_;
-  int slots_per_day_;
-
   HistoryMatrix history_;
-  std::vector<double> current_day_;
-  std::size_t next_slot_ = 0;
-  double last_sample_ = 0.0;
-  bool has_sample_ = false;
-
   RecentWindow<double> ratio_lags_;  ///< newest at back.
   std::vector<double> theta_;      ///< order+1 coefficients (bias first).
   std::vector<double> cov_;        ///< P matrix, (order+1)^2 row-major.

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "core/predictor.hpp"
 #include "timeseries/history.hpp"
@@ -48,13 +47,7 @@ class SlotMovingAverage final : public Predictor {
   std::string Name() const override;
 
  private:
-  int days_;
-  int slots_per_day_;
   HistoryMatrix history_;
-  std::vector<double> current_day_;
-  std::size_t next_slot_ = 0;
-  double last_sample_ = 0.0;
-  bool has_sample_ = false;
 };
 
 /// ê(n+1) = e(yesterday, n+1).
@@ -69,12 +62,7 @@ class PreviousDay final : public Predictor {
   std::string Name() const override { return "PreviousDay"; }
 
  private:
-  int slots_per_day_;
-  HistoryMatrix history_;
-  std::vector<double> current_day_;
-  std::size_t next_slot_ = 0;
-  double last_sample_ = 0.0;
-  bool has_sample_ = false;
+  HistoryMatrix history_;  ///< yesterday only (D = 1).
 };
 
 }  // namespace shep

@@ -14,55 +14,37 @@ void WcmaParams::Validate() const {
   SHEP_REQUIRE(slots_k >= 1, "K must be >= 1");
 }
 
-Wcma::Wcma(const WcmaParams& params, int slots_per_day,
-           WcmaWeighting weighting)
-    : params_(params),
-      slots_per_day_(slots_per_day),
-      weighting_(weighting),
-      history_(static_cast<std::size_t>(params.days),
-               static_cast<std::size_t>(slots_per_day)),
-      recent_(static_cast<std::size_t>(std::max(params.slots_k, 1))) {
-  params_.Validate();
-  SHEP_REQUIRE(slots_per_day_ >= 2, "need at least two slots per day");
-  SHEP_REQUIRE(params_.slots_k < slots_per_day_,
-               "K must be smaller than the number of slots per day");
-  current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
+namespace {
+
+/// The window length, checked against the day before anything is sized
+/// from it.
+std::size_t CheckedWindow(int window_slots, int slots_per_day) {
+  SHEP_REQUIRE(slots_per_day >= 2, "need at least two slots per day");
+  SHEP_REQUIRE(window_slots >= 1 && window_slots < slots_per_day,
+               "K must be >= 1 and smaller than the number of slots per day");
+  return static_cast<std::size_t>(window_slots);
 }
 
-void Wcma::Observe(double boundary_sample) {
-  SHEP_REQUIRE(boundary_sample >= 0.0, "power sample must be non-negative");
-  // Record the historical average the conditioning factor should compare
-  // this sample against *as seen now* (before today is pushed into the
-  // matrix); this also makes day-boundary wrap-around of the K window
-  // automatic.
-  double mu = boundary_sample;  // neutral when no history yet (η = 1)
-  if (history_.stored_days() > 0) mu = history_.Mu(next_slot_);
-  recent_.Push(RecentSlot{boundary_sample, mu});
+}  // namespace
 
-  current_day_[next_slot_] = boundary_sample;
-  last_sample_ = boundary_sample;
-  has_sample_ = true;
+WcmaWindow::WcmaWindow(int days, int slots_per_day, int window_slots)
+    : history_(days, slots_per_day),
+      recent_(CheckedWindow(window_slots, slots_per_day)) {}
 
-  ++next_slot_;
-  if (next_slot_ == static_cast<std::size_t>(slots_per_day_)) {
-    history_.PushDay(current_day_);
-    next_slot_ = 0;
-  }
-}
-
-double Wcma::CurrentPhi() const {
-  if (recent_.empty()) return 1.0;
-  const auto k_avail = recent_.size();
+double WcmaWindow::Phi(std::size_t k, WcmaWeighting weighting) const {
+  const std::size_t k_avail = std::min(k, recent_.size());
+  if (k_avail == 0) return 1.0;
+  const std::size_t first = recent_.size() - k_avail;
   double num = 0.0;
   double den = 0.0;
   for (std::size_t i = 0; i < k_avail; ++i) {
-    // i = 0 is the oldest retained slot; the paper's index k runs 1..K with
+    // i = 0 is the oldest slot used; the paper's index k runs 1..K with
     // k = K at the most recent slot, θ(k) = k/K.
     const double theta =
-        weighting_ == WcmaWeighting::kRamp
+        weighting == WcmaWeighting::kRamp
             ? static_cast<double>(i + 1) / static_cast<double>(k_avail)
             : 1.0;
-    const auto& r = recent_[i];
+    const auto& r = recent_[first + i];
     const double eta =
         r.mu > kNightEpsilonW ? r.sample / r.mu : 1.0;
     num += theta * eta;
@@ -72,39 +54,46 @@ double Wcma::CurrentPhi() const {
   return num / den;
 }
 
+Wcma::Wcma(const WcmaParams& params, int slots_per_day,
+           WcmaWeighting weighting)
+    : params_(params),
+      weighting_(weighting),
+      window_(params.days, slots_per_day, params.slots_k) {
+  params_.Validate();
+}
+
+void Wcma::Observe(double boundary_sample) {
+  SHEP_REQUIRE(boundary_sample >= 0.0, "power sample must be non-negative");
+  window_.Observe(boundary_sample);
+}
+
+double Wcma::CurrentPhi() const {
+  return window_.Phi(static_cast<std::size_t>(params_.slots_k), weighting_);
+}
+
 double Wcma::CurrentMu(std::size_t slot) const {
-  SHEP_REQUIRE(slot < static_cast<std::size_t>(slots_per_day_),
-               "slot index out of range");
-  SHEP_REQUIRE(history_.stored_days() > 0, "no history stored yet");
-  return history_.Mu(slot);
+  return window_.history().Mu(slot);
 }
 
 double Wcma::PredictNext() const {
-  SHEP_REQUIRE(has_sample_, "PredictNext before any Observe");
-  // The slot to predict is the one the next Observe() will fill.
-  const std::size_t predicted_slot = next_slot_;
-
+  const HistoryMatrix& history = window_.history();
+  SHEP_REQUIRE(history.has_sample(), "PredictNext before any Observe");
+  const double last = history.last_sample();
   double conditioned;
-  if (history_.stored_days() == 0) {
+  if (history.stored_days() == 0) {
     // No past days at all: the conditioned-average term degenerates to
     // persistence.
-    conditioned = last_sample_;
+    conditioned = last;
   } else {
-    conditioned = history_.Mu(predicted_slot) * CurrentPhi();
+    // The slot to predict is the one the next Observe() will fill.
+    conditioned = history.Mu(history.next_slot()) * CurrentPhi();
   }
-  return params_.alpha * last_sample_ + (1.0 - params_.alpha) * conditioned;
+  return params_.alpha * last + (1.0 - params_.alpha) * conditioned;
 }
 
-bool Wcma::Ready() const { return history_.full(); }
+bool Wcma::Ready() const { return window_.history().full(); }
 
-void Wcma::Reset() {
-  history_.Clear();
-  current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
-  next_slot_ = 0;
-  last_sample_ = 0.0;
-  has_sample_ = false;
-  recent_.Clear();
-}
+void Wcma::Reset() { window_.Clear(); }
 
 std::string Wcma::Name() const {
   std::ostringstream os;

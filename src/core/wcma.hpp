@@ -51,6 +51,52 @@ enum class WcmaWeighting {
   kUniform,  ///< θ(k) = 1.
 };
 
+/// One elapsed slot of the current day, as Φ uses it: the measured sample
+/// and the μ_D that was current when it was measured.
+struct WcmaSlot {
+  double sample;
+  double mu;
+};
+
+/// WCMA's observation window: the day history E_{D×N} with its cursor, and
+/// the newest `window_slots` elapsed slots as (sample, μ_D when observed).
+/// Wcma, AdaptiveWcma and VmWcmaPredictor each hold one.
+class WcmaWindow {
+ public:
+  /// Requires D >= 1, N >= 2 and 1 <= window_slots < N.  D and N are
+  /// checked before the matrix is sized, window_slots before the window is.
+  WcmaWindow(int days, int slots_per_day, int window_slots);
+
+  /// Records the sample with the μ_D its slot has *as seen now*, before
+  /// today enters the matrix (so the window wraps across the day boundary
+  /// by itself), then steps the history cursor.  With no history yet the
+  /// sample stands in for μ, which makes its η neutral.
+  void Observe(double sample) {
+    double mu = sample;
+    if (history_.stored_days() > 0) mu = history_.Mu(history_.next_slot());
+    recent_.Push(WcmaSlot{sample, mu});
+    history_.Observe(sample);
+  }
+
+  /// Φ_K over the newest min(k, size) elapsed slots (Eqs. 3–5); 1 before
+  /// any slot has elapsed.
+  double Phi(std::size_t k, WcmaWeighting weighting) const;
+
+  const HistoryMatrix& history() const { return history_; }
+
+  /// The elapsed slots, oldest first.
+  const RecentWindow<WcmaSlot>& recent() const { return recent_; }
+
+  void Clear() {
+    history_.Clear();
+    recent_.Clear();
+  }
+
+ private:
+  HistoryMatrix history_;
+  RecentWindow<WcmaSlot> recent_;
+};
+
 /// Streaming implementation of the predictor.
 class Wcma final : public Predictor {
  public:
@@ -75,23 +121,9 @@ class Wcma final : public Predictor {
   double CurrentMu(std::size_t slot) const;
 
  private:
-  /// One elapsed slot of the current day, as used by Φ: the measured sample
-  /// and the historical average that was current when it was measured.
-  struct RecentSlot {
-    double sample;
-    double mu;
-  };
-
   WcmaParams params_;
-  int slots_per_day_;
   WcmaWeighting weighting_;
-
-  HistoryMatrix history_;
-  std::vector<double> current_day_;  ///< boundary samples observed today.
-  std::size_t next_slot_ = 0;        ///< slot-of-day the next Observe fills.
-  double last_sample_ = 0.0;
-  bool has_sample_ = false;
-  RecentWindow<RecentSlot> recent_;  ///< last <= K elapsed slots.
+  WcmaWindow window_;  ///< D days and the last <= K elapsed slots.
 };
 
 }  // namespace shep

@@ -5,8 +5,8 @@
 // streaming Predictor contract, but every steady-state PredictNext()
 // actually EXECUTES the compiled WCMA routine on the cycle-counted MicroVm
 // instead of evaluating Eq. 1 in C++.  The host side plays the part of the
-// firmware around the routine — it maintains the D×N history matrix and the
-// K-slot recent window (exactly as core/Wcma does), pokes the routine's
+// firmware around the routine — it keeps the same WcmaWindow as core/Wcma
+// (D×N history matrix and K-slot recent window), pokes the routine's
 // inputs into VM data memory each wake-up, and reads the prediction back —
 // while the arithmetic that the paper's Table IV prices runs instruction by
 // instruction on the VM, accumulating exact cycle and operation counts.
@@ -16,7 +16,7 @@
 // float reference to within FMA-contraction noise (ulps);
 // tests/test_backend_parity.cpp pins that bound.
 //
-// Warm-up corners mirror core/wcma.cpp: with fewer than K elapsed slots the
+// Warm-up corners follow core/wcma.cpp: with fewer than K elapsed slots the
 // routine compiled for the available window size runs (θ ramps over
 // k_avail), and before any full day exists the prediction degenerates to
 // persistence on the host with zero cycles charged — the VM models the
@@ -32,7 +32,6 @@
 #include "core/wcma_fixed.hpp"
 #include "hw/mcu_spec.hpp"
 #include "hw/vm.hpp"
-#include "timeseries/history.hpp"
 
 namespace shep {
 
@@ -65,23 +64,9 @@ class VmWcmaPredictor final : public Predictor, public ComputeCostReporter {
   const WcmaParams& params() const { return params_; }
 
  private:
-  /// One elapsed slot of the current day: the measured sample and the μ_D
-  /// that was current when it was measured (same bookkeeping as core/Wcma).
-  struct RecentSlot {
-    double sample;
-    double mu;
-  };
-
   WcmaParams params_;
-  int slots_per_day_;
   CycleCosts costs_;
-
-  HistoryMatrix history_;
-  std::vector<double> current_day_;
-  std::size_t next_slot_ = 0;
-  double last_sample_ = 0.0;
-  bool has_sample_ = false;
-  RecentWindow<RecentSlot> recent_;
+  WcmaWindow window_;
 
   /// Routine compiled once per available window size (index k_avail - 1);
   /// warm-up runs the shorter-window builds, steady state programs_[K-1].

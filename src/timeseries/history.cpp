@@ -6,31 +6,20 @@
 
 namespace shep {
 
-HistoryMatrix::HistoryMatrix(std::size_t capacity_days,
-                             std::size_t slots_per_day)
-    : capacity_(capacity_days), slots_(slots_per_day) {
-  SHEP_REQUIRE(capacity_ >= 1, "history capacity must be at least one day");
-  SHEP_REQUIRE(slots_ >= 1, "history needs at least one slot per day");
-  data_.assign(capacity_ * slots_, 0.0);
-}
-
-void HistoryMatrix::PushDay(std::span<const double> day_samples) {
-  SHEP_REQUIRE(day_samples.size() == slots_,
-               "day must contain exactly N slot samples");
-  std::copy(day_samples.begin(), day_samples.end(),
-            data_.begin() + static_cast<std::ptrdiff_t>(next_row_ * slots_));
-  next_row_ = (next_row_ + 1) % capacity_;
-  stored_ = std::min(stored_ + 1, capacity_);
+HistoryMatrix::HistoryMatrix(int capacity_days, int slots_per_day) {
+  SHEP_REQUIRE(capacity_days >= 1, "history capacity must be at least one day");
+  SHEP_REQUIRE(slots_per_day >= 1, "history needs at least one slot per day");
+  capacity_ = static_cast<std::size_t>(capacity_days);
+  slots_ = static_cast<std::size_t>(slots_per_day);
+  data_.assign((capacity_ + 1) * slots_, 0.0);
 }
 
 double HistoryMatrix::at_age(std::size_t age, std::size_t slot) const {
   SHEP_REQUIRE(age < stored_, "history age out of range");
   SHEP_REQUIRE(slot < slots_, "slot index out of range");
-  // next_row_ points at the oldest row once full (and at the next free row
-  // before that); the most recent row is one behind it.
-  const std::size_t newest =
-      (next_row_ + capacity_ - 1) % capacity_;
-  const std::size_t row = (newest + capacity_ - age) % capacity_;
+  // The capacity + 1 rows form a ring; yesterday sits one row behind today.
+  const std::size_t rows = capacity_ + 1;
+  const std::size_t row = (today_row_ + rows - 1 - age) % rows;
   return data_[row * slots_ + slot];
 }
 
@@ -45,9 +34,11 @@ double HistoryMatrix::Mu(std::size_t slot, std::size_t window_days) const {
 }
 
 void HistoryMatrix::Clear() {
-  std::fill(data_.begin(), data_.end(), 0.0);
   stored_ = 0;
-  next_row_ = 0;
+  today_row_ = 0;
+  next_slot_ = 0;
+  last_sample_ = 0.0;
+  has_sample_ = false;
 }
 
 }  // namespace shep

@@ -4,52 +4,68 @@
 // D×N matrix and uses the per-slot column averages μ_D(j) (Eq. 2).  On the
 // target microcontroller this matrix is the predictor's dominant memory cost
 // (D*N 16-bit words), which is why the paper's guideline "D ≈ 10–11 suffices"
-// matters.  HistoryMatrix is a day-granular ring buffer: pushing day D+1
-// evicts the oldest day in O(N).  RecentWindow is its slot-granular
-// sibling: the last K values of today (WCMA's conditioning window, AR's
-// ratio lags).  Both are sized once at construction, so the per-slot step
-// of every predictor built on them never allocates.
+// matters.  HistoryMatrix is a day-granular ring buffer fed one slot at a
+// time: it carries the cursor of the day in progress (next slot, last
+// sample), and the N-th sample of a day moves that day into the ring,
+// evicting day D+1.  Every double-precision predictor with a day history
+// steps it through Observe().  RecentWindow is its slot-granular sibling:
+// the last K values of today (WCMA's conditioning window, AR's ratio lags).
+// Both are sized once at construction, so the per-slot step of every
+// predictor built on them never allocates.
 #pragma once
 
 #include <cstddef>
-#include <initializer_list>
-#include <span>
 #include <vector>
 
 #include "common/check.hpp"
 
 namespace shep {
 
-/// Ring buffer of the last `capacity_days` days of per-slot samples.
+/// Ring buffer of the last `capacity_days` completed days of per-slot
+/// samples, plus the cursor of the day in progress.
 class HistoryMatrix {
  public:
   /// \param capacity_days  D: how many past days are retained (>= 1).
   /// \param slots_per_day  N: slots per day (>= 1).
-  HistoryMatrix(std::size_t capacity_days, std::size_t slots_per_day);
+  /// Both are checked before anything is allocated.
+  HistoryMatrix(int capacity_days, int slots_per_day);
 
   std::size_t capacity_days() const { return capacity_; }
   std::size_t slots_per_day() const { return slots_; }
 
-  /// Number of days currently stored (saturates at capacity).
+  /// Number of completed days currently stored (saturates at capacity).
   std::size_t stored_days() const { return stored_; }
 
-  /// True once `capacity_days` days have been pushed; μ over the full window
-  /// is only meaningful then (the paper starts evaluation at day 21 so that
-  /// the matrix is full for D = 20).
+  /// True once `capacity_days` days have been completed; μ over the full
+  /// window is only meaningful then (the paper starts evaluation at day 21
+  /// so that the matrix is full for D = 20).
   bool full() const { return stored_ == capacity_; }
 
-  /// Appends a completed day's slot samples (size must equal N), evicting
-  /// the oldest day when at capacity.
-  void PushDay(std::span<const double> day_samples);
-
-  /// Convenience overload for literal days (tests, small examples).
-  void PushDay(std::initializer_list<double> day_samples) {
-    PushDay(std::span<const double>(day_samples.begin(),
-                                    day_samples.size()));
+  /// Records `sample` in slot next_slot() of today.  The N-th sample
+  /// completes the day: it enters the ring (evicting the oldest day when at
+  /// capacity) and the cursor restarts at slot 0.  Today's unfinished day
+  /// is never visible to at_age() or Mu().
+  void Observe(double sample) {
+    data_[today_row_ * slots_ + next_slot_] = sample;
+    last_sample_ = sample;
+    has_sample_ = true;
+    if (++next_slot_ == slots_) {
+      next_slot_ = 0;
+      today_row_ = today_row_ == capacity_ ? 0 : today_row_ + 1;
+      if (stored_ < capacity_) ++stored_;
+    }
   }
 
-  /// Sample of slot `slot` on the `age`-th most recent day (age 0 = the most
-  /// recently pushed day).  Requires age < stored_days().
+  /// Slot-of-day the next Observe() fills, i.e. the slot a predictor
+  /// predicts.
+  std::size_t next_slot() const { return next_slot_; }
+
+  /// The most recently observed sample (0 before any).
+  double last_sample() const { return last_sample_; }
+  bool has_sample() const { return has_sample_; }
+
+  /// Sample of slot `slot` on the `age`-th most recent completed day (age 0
+  /// = yesterday).  Requires age < stored_days().
   double at_age(std::size_t age, std::size_t slot) const;
 
   /// μ_D(slot): average of the slot's samples over the most recent
@@ -60,16 +76,21 @@ class HistoryMatrix {
   /// μ over the full capacity window (the common case in the predictor).
   double Mu(std::size_t slot) const { return Mu(slot, capacity_); }
 
-  /// Forgets every stored day but keeps the storage, so a predictor's
-  /// Reset() never reallocates the matrix.
+  /// Forgets every day and the cursor but keeps the storage, so a
+  /// predictor's Reset() never reallocates the matrix.
   void Clear();
 
  private:
   std::size_t capacity_;
   std::size_t slots_;
   std::size_t stored_ = 0;
-  std::size_t next_row_ = 0;          // ring-buffer write position
-  std::vector<double> data_;          // capacity x slots, row-major
+  std::size_t today_row_ = 0;    ///< row of the day in progress.
+  std::size_t next_slot_ = 0;
+  double last_sample_ = 0.0;
+  bool has_sample_ = false;
+  /// (capacity + 1) x slots, row-major: today's row, and the completed
+  /// days in the rows behind it (wrapping), newest first.
+  std::vector<double> data_;
 };
 
 /// The last `capacity` values pushed, oldest first, in a ring sized at

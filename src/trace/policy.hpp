@@ -23,8 +23,8 @@
 namespace shep {
 
 /// Tuning knobs for what counts as "interesting".  The defaults suit the
-/// day-scale scenarios of the demos and tests; real deployments tune them
-/// via FleetRunOptions' sink options.
+/// day-scale scenarios of the demos and tests.  Only direct callers of
+/// ApplyTracePolicy can set them: TraceSink always applies the defaults.
 struct TracePolicyConfig {
   /// Full-resolution slots kept on EACH side of a trigger slot.
   std::uint32_t window_slots = 6;

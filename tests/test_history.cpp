@@ -3,13 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <vector>
 
 namespace shep {
 namespace {
 
-std::vector<double> DayOf(double value, std::size_t n) {
-  return std::vector<double>(n, value);
+// Feeds one whole day, slot by slot, through the cursor.
+void ObserveDay(HistoryMatrix& h, std::initializer_list<double> day) {
+  ASSERT_EQ(h.next_slot(), 0u) << "a day must start at slot 0";
+  ASSERT_EQ(day.size(), h.slots_per_day());
+  for (double sample : day) h.Observe(sample);
 }
 
 TEST(HistoryMatrix, StartsEmpty) {
@@ -22,20 +26,20 @@ TEST(HistoryMatrix, StartsEmpty) {
 
 TEST(HistoryMatrix, FillsToCapacity) {
   HistoryMatrix h(2, 4);
-  h.PushDay(DayOf(1.0, 4));
+  ObserveDay(h, {1.0, 1.0, 1.0, 1.0});
   EXPECT_EQ(h.stored_days(), 1u);
   EXPECT_FALSE(h.full());
-  h.PushDay(DayOf(2.0, 4));
+  ObserveDay(h, {2.0, 2.0, 2.0, 2.0});
   EXPECT_TRUE(h.full());
-  h.PushDay(DayOf(3.0, 4));
+  ObserveDay(h, {3.0, 3.0, 3.0, 3.0});
   EXPECT_EQ(h.stored_days(), 2u);  // saturates
 }
 
 TEST(HistoryMatrix, AtAgeOrdersNewestFirst) {
   HistoryMatrix h(3, 2);
-  h.PushDay({1.0, 10.0});
-  h.PushDay({2.0, 20.0});
-  h.PushDay({3.0, 30.0});
+  ObserveDay(h, {1.0, 10.0});
+  ObserveDay(h, {2.0, 20.0});
+  ObserveDay(h, {3.0, 30.0});
   EXPECT_DOUBLE_EQ(h.at_age(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(h.at_age(1, 0), 2.0);
   EXPECT_DOUBLE_EQ(h.at_age(2, 1), 10.0);
@@ -43,9 +47,9 @@ TEST(HistoryMatrix, AtAgeOrdersNewestFirst) {
 
 TEST(HistoryMatrix, EvictsOldestWhenFull) {
   HistoryMatrix h(2, 1);
-  h.PushDay({1.0});
-  h.PushDay({2.0});
-  h.PushDay({3.0});  // evicts 1.0
+  ObserveDay(h, {1.0});
+  ObserveDay(h, {2.0});
+  ObserveDay(h, {3.0});  // evicts 1.0
   EXPECT_DOUBLE_EQ(h.at_age(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(h.at_age(1, 0), 2.0);
   EXPECT_THROW(h.at_age(2, 0), std::invalid_argument);
@@ -54,18 +58,18 @@ TEST(HistoryMatrix, EvictsOldestWhenFull) {
 TEST(HistoryMatrix, MuIsColumnAverage) {
   // Eq. 2: μ_D(j) = Σ e(i,j) / D.
   HistoryMatrix h(3, 2);
-  h.PushDay({1.0, 4.0});
-  h.PushDay({2.0, 5.0});
-  h.PushDay({3.0, 6.0});
+  ObserveDay(h, {1.0, 4.0});
+  ObserveDay(h, {2.0, 5.0});
+  ObserveDay(h, {3.0, 6.0});
   EXPECT_DOUBLE_EQ(h.Mu(0), 2.0);
   EXPECT_DOUBLE_EQ(h.Mu(1), 5.0);
 }
 
 TEST(HistoryMatrix, MuWithSmallerWindowUsesNewestDays) {
   HistoryMatrix h(3, 1);
-  h.PushDay({1.0});
-  h.PushDay({2.0});
-  h.PushDay({9.0});
+  ObserveDay(h, {1.0});
+  ObserveDay(h, {2.0});
+  ObserveDay(h, {9.0});
   EXPECT_DOUBLE_EQ(h.Mu(0, 1), 9.0);
   EXPECT_DOUBLE_EQ(h.Mu(0, 2), 5.5);
   EXPECT_DOUBLE_EQ(h.Mu(0, 3), 4.0);
@@ -73,37 +77,82 @@ TEST(HistoryMatrix, MuWithSmallerWindowUsesNewestDays) {
 
 TEST(HistoryMatrix, MuBeforeFullUsesStoredDaysOnly) {
   HistoryMatrix h(5, 1);
-  h.PushDay({4.0});
-  h.PushDay({8.0});
+  ObserveDay(h, {4.0});
+  ObserveDay(h, {8.0});
   EXPECT_DOUBLE_EQ(h.Mu(0, 5), 6.0);  // window capped at stored days
 }
 
 TEST(HistoryMatrix, MuValidation) {
   HistoryMatrix h(2, 2);
   EXPECT_THROW(h.Mu(0), std::invalid_argument);  // empty
-  h.PushDay({1.0, 2.0});
+  ObserveDay(h, {1.0, 2.0});
   EXPECT_THROW(h.Mu(2), std::invalid_argument);     // bad slot
   EXPECT_THROW(h.Mu(0, 0), std::invalid_argument);  // zero window
   EXPECT_THROW(h.Mu(0, 3), std::invalid_argument);  // beyond capacity
 }
 
-TEST(HistoryMatrix, PushValidatesWidth) {
-  HistoryMatrix h(2, 3);
-  EXPECT_THROW(h.PushDay(DayOf(1.0, 2)), std::invalid_argument);
-}
-
-TEST(HistoryMatrix, RejectsZeroDimensions) {
+TEST(HistoryMatrix, RejectsNonPositiveDimensions) {
   EXPECT_THROW(HistoryMatrix(0, 4), std::invalid_argument);
   EXPECT_THROW(HistoryMatrix(4, 0), std::invalid_argument);
+  // Checked before the matrix is sized: a negative count must not reach
+  // the allocator as a huge unsigned one.
+  EXPECT_THROW(HistoryMatrix(-1, 4), std::invalid_argument);
+  EXPECT_THROW(HistoryMatrix(4, -1), std::invalid_argument);
 }
 
-TEST(HistoryMatrix, ClearForgetsEveryDay) {
+TEST(HistoryMatrix, ObserveRollsTheDayOverAtSlotN) {
+  HistoryMatrix h(2, 3);
+  EXPECT_FALSE(h.has_sample());
+  EXPECT_EQ(h.next_slot(), 0u);
+  h.Observe(1.0);
+  h.Observe(2.0);
+  EXPECT_TRUE(h.has_sample());
+  EXPECT_EQ(h.last_sample(), 2.0);
+  EXPECT_EQ(h.next_slot(), 2u);
+  EXPECT_EQ(h.stored_days(), 0u);
+  h.Observe(3.0);  // slot N-1 completes the day
+  EXPECT_EQ(h.next_slot(), 0u);
+  EXPECT_EQ(h.stored_days(), 1u);
+  EXPECT_EQ(h.last_sample(), 3.0);
+  EXPECT_EQ(h.at_age(0, 0), 1.0);
+  EXPECT_EQ(h.at_age(0, 2), 3.0);
+}
+
+TEST(HistoryMatrix, MuNeverIncludesTodaysUnfinishedDay) {
+  HistoryMatrix h(3, 2);
+  ObserveDay(h, {1.0, 4.0});
+  ObserveDay(h, {3.0, 8.0});
+  // Fill today's slot 0 with an outlier: μ and at_age must not see it,
+  // for this slot or for the one not yet reached.
+  h.Observe(100.0);
+  EXPECT_EQ(h.stored_days(), 2u);
+  EXPECT_EQ(h.Mu(0), 2.0);
+  EXPECT_EQ(h.Mu(1), 6.0);
+  EXPECT_EQ(h.at_age(0, 0), 3.0);
+  EXPECT_THROW(h.at_age(2, 0), std::invalid_argument);
+  // Once the ring is full, today's row still never overwrites a stored day
+  // before the day completes.
+  h.Observe(200.0);
+  ObserveDay(h, {5.0, 9.0});
+  h.Observe(100.0);
+  EXPECT_TRUE(h.full());
+  EXPECT_EQ(h.Mu(0), 36.0);  // (3 + 100 + 5) / 3
+  EXPECT_EQ(h.at_age(2, 0), 3.0);
+}
+
+TEST(HistoryMatrix, ClearForgetsEveryDayAndTheCursor) {
   HistoryMatrix h(2, 2);
-  h.PushDay({1.0, 2.0});
-  h.PushDay({3.0, 4.0});
+  ObserveDay(h, {1.0, 2.0});
+  ObserveDay(h, {3.0, 4.0});
+  h.Observe(7.0);  // mid-day
   h.Clear();
   EXPECT_EQ(h.stored_days(), 0u);
-  h.PushDay({5.0, 6.0});
+  EXPECT_EQ(h.next_slot(), 0u);
+  EXPECT_FALSE(h.has_sample());
+  EXPECT_EQ(h.last_sample(), 0.0);
+  EXPECT_EQ(h.capacity_days(), 2u);
+  EXPECT_EQ(h.slots_per_day(), 2u);
+  ObserveDay(h, {5.0, 6.0});
   EXPECT_EQ(h.stored_days(), 1u);
   EXPECT_DOUBLE_EQ(h.Mu(1), 6.0);
 }
@@ -124,18 +173,18 @@ TEST(RecentWindow, KeepsTheNewestValuesOldestFirst) {
   EXPECT_THROW(RecentWindow<int>(0), std::invalid_argument);
 }
 
-// Property: after pushing many days into a D-capacity ring, Mu over window
-// w equals the arithmetic mean of the last w pushed values, for any w <= D.
+// Property: after completing many days in a D-capacity ring, Mu over window
+// w equals the arithmetic mean of the last w completed values, for any
+// w <= D.
 class HistoryWindowTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(HistoryWindowTest, MuMatchesDirectAverage) {
   const std::size_t window = GetParam();
-  const std::size_t capacity = 8;
-  HistoryMatrix h(capacity, 1);
+  HistoryMatrix h(8, 1);
   std::vector<double> pushed;
   for (int day = 0; day < 30; ++day) {
     const double v = 0.5 * day + (day % 3);
-    h.PushDay({v});
+    ObserveDay(h, {v});
     pushed.push_back(v);
     const std::size_t w = std::min(window, pushed.size());
     double acc = 0.0;
