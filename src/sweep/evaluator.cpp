@@ -76,84 +76,121 @@ std::vector<double> SweepContext::BuildQ(const DSeries& d, int slots_k,
   const std::size_t total = points();
   SHEP_CHECK(d.eta.size() == total, "DSeries does not match context");
   std::vector<double> q(total);
+  // θ_i and Σθ once per call, not per slot.  The Φ window is always full:
+  // μ is the persistence sentinel for g < N−1, and K < N.
+  const auto k = static_cast<std::size_t>(slots_k);
+  std::vector<double> theta(k);
+  double den = 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    theta[i] = weighting == WcmaWeighting::kRamp
+                   ? static_cast<double>(i + 1) / static_cast<double>(k)
+                   : 1.0;
+    den += theta[i];
+  }
   for (std::size_t g = 0; g < total; ++g) {
     if (d.mu_pred[g] < 0.0) {
       q[g] = series_.boundary(g);  // persistence fallback on day 0
       continue;
     }
-    // Φ over the last K (or as many as exist) η values ending at g.
-    const std::size_t k_avail =
-        std::min<std::size_t>(static_cast<std::size_t>(slots_k), g + 1);
+    SHEP_CHECK(g + 1 >= k, "Phi window must be full");
+    // Φ over the K η values ending at g.
+    const double* eta = d.eta.data() + (g + 1 - k);
     double num = 0.0;
-    double den = 0.0;
-    for (std::size_t i = 0; i < k_avail; ++i) {
-      const double theta =
-          weighting == WcmaWeighting::kRamp
-              ? static_cast<double>(i + 1) / static_cast<double>(k_avail)
-              : 1.0;
-      num += theta * d.eta[g - k_avail + 1 + i];
-      den += theta;
-    }
+    for (std::size_t i = 0; i < k; ++i) num += theta[i] * eta[i];
     q[g] = d.mu_pred[g] * (num / den);
   }
   return q;
 }
 
-SweepContext::ConfigScore SweepContext::Score(const std::vector<double>& q,
-                                              double alpha,
-                                              const RoiFilter& filter) const {
-  SHEP_REQUIRE(alpha >= 0.0 && alpha <= 1.0, "alpha must be in [0,1]");
+std::vector<SweepContext::ConfigScore> SweepContext::ScoreAlphas(
+    const std::vector<double>& q, std::span<const double> alphas,
+    const RoiFilter& filter) const {
+  for (const double alpha : alphas) {
+    SHEP_REQUIRE(alpha >= 0.0 && alpha <= 1.0, "alpha must be in [0,1]");
+  }
   const std::size_t total = points();
   SHEP_CHECK(q.size() == total, "Q series does not match context");
   const std::size_t n = series_.slots_per_day();
+  const std::size_t n_a = alphas.size();
 
-  double m_ape = 0.0, m_abs = 0.0, m_sq = 0.0, m_err = 0.0;
+  // α in pairs, side by side, so each pair's update is one SIMD lane
+  // pair; an odd count leaves a padding lane that is computed and dropped.
+  // Every α's sums grow in ascending g, exactly as in a one-α pass.
+  struct AlphaPair {
+    double alpha[2] = {};
+    double one_minus[2] = {};  ///< 1 − α
+    double mean[4][2] = {};    ///< APE, |e|, e², e against the slot mean
+    double bnd[4][2] = {};     ///< the same against the next boundary
+  };
+  std::vector<AlphaPair> pairs((n_a + 1) / 2);
+  for (std::size_t a = 0; a < n_a; ++a) {
+    pairs[a / 2].alpha[a % 2] = alphas[a];
+    pairs[a / 2].one_minus[a % 2] = 1.0 - alphas[a];
+  }
+  const auto accumulate = [](double ref, const double (&pred)[2],
+                             double (&sums)[4][2]) {
+    for (int j = 0; j < 2; ++j) {
+      const double err = ref - pred[j];
+      sums[0][j] += std::fabs(err) / ref;
+      sums[1][j] += std::fabs(err);
+      sums[2][j] += err * err;
+      sums[3][j] += err;
+    }
+  };
+
+  // The counts do not depend on α, so they are kept once.
   std::size_t m_count = 0;
-  double b_ape = 0.0, b_abs = 0.0, b_sq = 0.0, b_err = 0.0;
   std::size_t b_count = 0;
-
-  for (std::size_t g = 0; g < total; ++g) {
-    const std::size_t day = g / n;
-    const double pred = alpha * series_.boundary(g) + (1.0 - alpha) * q[g];
-
-    const double ref_mean = series_.mean(g);
-    if (filter.Includes(day, ref_mean, peak_mean_) && ref_mean > 0.0) {
-      const double err = ref_mean - pred;
-      m_ape += std::fabs(err) / ref_mean;
-      m_abs += std::fabs(err);
-      m_sq += err * err;
-      m_err += err;
-      ++m_count;
+  for (std::size_t day = 0, g = 0; g < total; ++day) {
+    for (const std::size_t day_end = std::min(total, g + n); g < day_end;
+         ++g) {
+      const double ref_mean = series_.mean(g);
+      const double ref_bnd = series_.boundary(g + 1);
+      const bool in_mean =
+          filter.Includes(day, ref_mean, peak_mean_) && ref_mean > 0.0;
+      const bool in_bnd =
+          filter.Includes(day, ref_bnd, peak_boundary_) && ref_bnd > 0.0;
+      if (!in_mean && !in_bnd) continue;
+      m_count += in_mean ? 1 : 0;
+      b_count += in_bnd ? 1 : 0;
+      const double p = series_.boundary(g);
+      for (AlphaPair& pair : pairs) {
+        double pred[2];
+        for (int j = 0; j < 2; ++j) {
+          pred[j] = pair.alpha[j] * p + pair.one_minus[j] * q[g];
+        }
+        if (in_mean) accumulate(ref_mean, pred, pair.mean);
+        if (in_bnd) accumulate(ref_bnd, pred, pair.bnd);
+      }
     }
-    const double ref_bnd = series_.boundary(g + 1);
-    if (filter.Includes(day, ref_bnd, peak_boundary_) && ref_bnd > 0.0) {
-      const double err = ref_bnd - pred;
-      b_ape += std::fabs(err) / ref_bnd;
-      b_abs += std::fabs(err);
-      b_sq += err * err;
-      b_err += err;
-      ++b_count;
-    }
   }
 
-  ConfigScore score;
-  if (m_count > 0) {
-    const double c = static_cast<double>(m_count);
-    score.mean.mape = m_ape / c;
-    score.mean.mae = m_abs / c;
-    score.mean.rmse = std::sqrt(m_sq / c);
-    score.mean.mbe = m_err / c;
-    score.mean.count = m_count;
+  const auto finish = [](const double (&sums)[4][2], std::size_t count,
+                         std::size_t j) {
+    ErrorStats stats;
+    if (count > 0) {
+      const double c = static_cast<double>(count);
+      stats.mape = sums[0][j] / c;
+      stats.mae = sums[1][j] / c;
+      stats.rmse = std::sqrt(sums[2][j] / c);
+      stats.mbe = sums[3][j] / c;
+      stats.count = count;
+    }
+    return stats;
+  };
+  std::vector<ConfigScore> scores(n_a);
+  for (std::size_t a = 0; a < n_a; ++a) {
+    const AlphaPair& pair = pairs[a / 2];
+    scores[a].mean = finish(pair.mean, m_count, a % 2);
+    scores[a].boundary = finish(pair.bnd, b_count, a % 2);
   }
-  if (b_count > 0) {
-    const double c = static_cast<double>(b_count);
-    score.boundary.mape = b_ape / c;
-    score.boundary.mae = b_abs / c;
-    score.boundary.rmse = std::sqrt(b_sq / c);
-    score.boundary.mbe = b_err / c;
-    score.boundary.count = b_count;
-  }
-  return score;
+  return scores;
+}
+
+SweepContext::ConfigScore SweepContext::Score(const std::vector<double>& q,
+                                              double alpha,
+                                              const RoiFilter& filter) const {
+  return ScoreAlphas(q, std::span<const double>(&alpha, 1), filter).front();
 }
 
 SweepContext::ConfigScore SweepContext::EvaluateConfig(

@@ -12,11 +12,17 @@
 //   * the slot series (boundary samples + interval means),
 //   * per-slot prefix sums across days, making any μ_D an O(1) lookup.
 // BuildD then materialises the η ratio series for one D, BuildQ folds a K
-// window over it, and Score sweeps α as pure arithmetic.  The result is
-// numerically identical (modulo FP association) to running core/wcma.hpp
-// slot by slot — tests/test_evaluator.cpp asserts exactly that equivalence.
+// window over it, and ScoreAlphas scores every α of one (D, K) in a single
+// pass over the slots: per slot it evaluates the ROI filter, both
+// references and P once, then updates each α's own sums.  Each α keeps the
+// expression α·P + (1−α)·Q and sums in ascending slot order, so its
+// statistics are the same bits as scoring that α alone (Score is the
+// one-α call).  The result is numerically identical (modulo FP
+// association) to running core/wcma.hpp slot by slot —
+// tests/test_evaluator.cpp asserts exactly that equivalence.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,6 +79,14 @@ class SweepContext {
     ErrorStats mean;      ///< vs slot mean (MAPE, Eq. 7/8)
     ErrorStats boundary;  ///< vs next boundary sample (MAPE′, Eq. 6)
   };
+  /// Scores every α in `alphas` against `q` in one pass over the slots;
+  /// element i is the score of alphas[i].  Throws std::invalid_argument
+  /// when any α lies outside [0, 1].
+  std::vector<ConfigScore> ScoreAlphas(const std::vector<double>& q,
+                                       std::span<const double> alphas,
+                                       const RoiFilter& filter = {}) const;
+
+  /// ScoreAlphas for one α.
   ConfigScore Score(const std::vector<double>& q, double alpha,
                     const RoiFilter& filter = {}) const;
 

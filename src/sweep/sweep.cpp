@@ -17,41 +17,50 @@ const SweepPoint& SweepResult::At(std::size_t i_d, std::size_t i_k,
 
 namespace {
 
-template <typename Metric>
-const SweepPoint* BestWhere(const SweepResult& r, Metric metric,
+const ErrorStats& MeanStats(const SweepPoint& p) { return p.mean_stats; }
+const ErrorStats& BoundaryStats(const SweepPoint& p) {
+  return p.boundary_stats;
+}
+
+// An unscored point (count 0) carries MAPE 0, which is no optimum.  The
+// ROI depends only on the slot, never on (α, D, K), so a sweep scores
+// either every point or none.
+template <typename Stats>
+const SweepPoint* BestWhere(const SweepResult& r, Stats stats,
                             int require_k) {
   const SweepPoint* best = nullptr;
+  bool scored = false;
   double best_value = std::numeric_limits<double>::infinity();
   for (const auto& p : r.points) {
+    if (!stats(p).valid()) continue;
+    scored = true;
     if (require_k >= 0 && p.slots_k != require_k) continue;
-    const double v = metric(p);
+    const double v = stats(p).mape;
     if (v < best_value) {
       best_value = v;
       best = &p;
     }
   }
+  SHEP_REQUIRE(scored, "sweep scored no slot: the ROI excludes every one");
   return best;
 }
-
-double MapeOf(const SweepPoint& p) { return p.mean_stats.mape; }
-double MapePrimeOf(const SweepPoint& p) { return p.boundary_stats.mape; }
 
 }  // namespace
 
 const SweepPoint& SweepResult::BestByMape() const {
-  const auto* best = BestWhere(*this, MapeOf, -1);
-  SHEP_CHECK(best != nullptr, "sweep produced no points");
+  const auto* best = BestWhere(*this, MeanStats, -1);
+  SHEP_CHECK(best != nullptr, "no scored point has a finite MAPE");
   return *best;
 }
 
 const SweepPoint& SweepResult::BestByMapePrime() const {
-  const auto* best = BestWhere(*this, MapePrimeOf, -1);
-  SHEP_CHECK(best != nullptr, "sweep produced no points");
+  const auto* best = BestWhere(*this, BoundaryStats, -1);
+  SHEP_CHECK(best != nullptr, "no scored point has a finite MAPE'");
   return *best;
 }
 
 const SweepPoint* SweepResult::BestByMapeWithK(int k) const {
-  return BestWhere(*this, MapeOf, k);
+  return BestWhere(*this, MeanStats, k);
 }
 
 const SweepPoint* SweepResult::Find(double alpha, int days_d,
@@ -88,15 +97,14 @@ SweepResult SweepWcma(const SweepContext& context, const ParamGrid& grid,
     for (std::size_t i_k = 0; i_k < n_k; ++i_k) {
       const int slots_k = grid.ks[i_k];
       const auto q = context.BuildQ(d_series, slots_k, weighting);
+      const auto scores = context.ScoreAlphas(q, grid.alphas, filter);
       for (std::size_t i_a = 0; i_a < n_a; ++i_a) {
-        const double alpha = grid.alphas[i_a];
-        const auto score = context.Score(q, alpha, filter);
         SweepPoint& p = result.points[(i_d * n_k + i_k) * n_a + i_a];
-        p.alpha = alpha;
+        p.alpha = grid.alphas[i_a];
         p.days_d = days_d;
         p.slots_k = slots_k;
-        p.mean_stats = score.mean;
-        p.boundary_stats = score.boundary;
+        p.mean_stats = scores[i_a].mean;
+        p.boundary_stats = scores[i_a].boundary;
       }
     }
   });

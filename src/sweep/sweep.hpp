@@ -41,7 +41,9 @@ struct SweepResult {
   const SweepPoint& At(std::size_t i_d, std::size_t i_k,
                        std::size_t i_a) const;
 
-  /// Configuration minimizing MAPE (slot-mean reference).
+  /// Configuration minimizing MAPE (slot-mean reference).  The three Best*
+  /// queries throw std::invalid_argument when the sweep scored no slot
+  /// (the ROI filter excluded every one).
   const SweepPoint& BestByMape() const;
 
   /// Configuration minimizing MAPE′ (boundary reference) — what prior work

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "core/predictor.hpp"
 #include "core/wcma.hpp"
@@ -124,6 +127,58 @@ TEST(SweepContext, ValidatesArguments) {
   EXPECT_THROW(ctx.BuildQ(d, 24), std::invalid_argument);
   const auto q = ctx.BuildQ(d, 2);
   EXPECT_THROW(ctx.Score(q, 1.5), std::invalid_argument);
+  // One α outside [0, 1] anywhere in the list rejects the whole call.
+  EXPECT_THROW(ctx.ScoreAlphas(q, std::vector<double>{0.0, 0.5, 1.5}),
+               std::invalid_argument);
+  EXPECT_THROW(ctx.ScoreAlphas(q, std::vector<double>{-0.1, 1.0}),
+               std::invalid_argument);
+}
+
+// BuildQ as it was written with its weights recomputed for every slot; the
+// reference the once-per-call weight table must match bit for bit.
+std::vector<double> PerSlotWeightsBuildQ(const SweepContext& ctx,
+                                         const SweepContext::DSeries& d,
+                                         int slots_k,
+                                         WcmaWeighting weighting) {
+  const std::size_t total = ctx.points();
+  std::vector<double> q(total);
+  for (std::size_t g = 0; g < total; ++g) {
+    if (d.mu_pred[g] < 0.0) {
+      q[g] = ctx.series().boundary(g);
+      continue;
+    }
+    const std::size_t k_avail =
+        std::min<std::size_t>(static_cast<std::size_t>(slots_k), g + 1);
+    double num = 0.0;
+    double den = 0.0;
+    for (std::size_t i = 0; i < k_avail; ++i) {
+      const double theta =
+          weighting == WcmaWeighting::kRamp
+              ? static_cast<double>(i + 1) / static_cast<double>(k_avail)
+              : 1.0;
+      num += theta * d.eta[g - k_avail + 1 + i];
+      den += theta;
+    }
+    q[g] = d.mu_pred[g] * (num / den);
+  }
+  return q;
+}
+
+TEST(SweepContext, BuildQWeightTableIsBitIdenticalToPerSlotWeights) {
+  const auto trace = MakeTrace("ORNL", 12);
+  const SweepContext ctx(trace, 48);
+  const auto d = ctx.BuildD(5);
+  for (const auto weighting : {WcmaWeighting::kRamp, WcmaWeighting::kUniform}) {
+    for (int k = 1; k <= 6; ++k) {
+      const auto q = ctx.BuildQ(d, k, weighting);
+      const auto expected = PerSlotWeightsBuildQ(ctx, d, k, weighting);
+      ASSERT_EQ(q.size(), expected.size());
+      EXPECT_EQ(std::memcmp(q.data(), expected.data(),
+                            q.size() * sizeof(double)),
+                0)
+          << "K=" << k;
+    }
+  }
 }
 
 TEST(SweepContext, EtaIsNeutralAtNightAndOnDayZero) {

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "solar/synth.hpp"
 
@@ -24,6 +27,85 @@ RoiFilter ShortFilter() {
   RoiFilter f;
   f.first_day = 20;
   return f;
+}
+
+// Every field equal bit for bit (EXPECT_DOUBLE_EQ would allow 4 ULP).
+void ExpectSameStats(const ErrorStats& a, const ErrorStats& b) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mape),
+            std::bit_cast<std::uint64_t>(b.mape));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mae),
+            std::bit_cast<std::uint64_t>(b.mae));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.rmse),
+            std::bit_cast<std::uint64_t>(b.rmse));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mbe),
+            std::bit_cast<std::uint64_t>(b.mbe));
+  EXPECT_EQ(a.count, b.count);
+}
+
+// One α scored in its own pass, as a plain serial loop: the reference for
+// the expression α·P + (1−α)·Q, the unreciprocated APE divide and the
+// ascending-g order of every sum.
+SweepContext::ConfigScore SerialScore(const SweepContext& context,
+                                      const std::vector<double>& q,
+                                      double alpha, const RoiFilter& filter) {
+  const auto& series = context.series();
+  const std::size_t n = series.slots_per_day();
+  double sums[2][4] = {};
+  std::size_t counts[2] = {0, 0};
+  for (std::size_t g = 0; g < context.points(); ++g) {
+    const double pred = alpha * series.boundary(g) + (1.0 - alpha) * q[g];
+    const double refs[2] = {series.mean(g), series.boundary(g + 1)};
+    const double peaks[2] = {context.peak_mean(), context.peak_boundary()};
+    for (int r = 0; r < 2; ++r) {
+      if (!filter.Includes(g / n, refs[r], peaks[r]) || refs[r] <= 0.0) {
+        continue;
+      }
+      const double err = refs[r] - pred;
+      sums[r][0] += std::fabs(err) / refs[r];
+      sums[r][1] += std::fabs(err);
+      sums[r][2] += err * err;
+      sums[r][3] += err;
+      ++counts[r];
+    }
+  }
+  ErrorStats stats[2];
+  for (int r = 0; r < 2; ++r) {
+    if (counts[r] == 0) continue;
+    const double c = static_cast<double>(counts[r]);
+    stats[r] = {sums[r][0] / c, sums[r][1] / c, std::sqrt(sums[r][2] / c),
+                sums[r][3] / c, counts[r]};
+  }
+  return {stats[0], stats[1]};
+}
+
+// Every point of the one-pass sweep equals Score for its α alone, and both
+// equal the serial reference.
+void ExpectSweepMatchesPerAlphaScore(const SweepContext& context,
+                                     const RoiFilter& filter) {
+  ParamGrid grid = ParamGrid::Paper();  // α = 0, 0.1, ..., 1
+  grid.days = {2, 7, 20};
+  grid.ks = {1, 3, 6};
+  const auto result = SweepWcma(context, grid, filter);
+  for (std::size_t i_d = 0; i_d < grid.days.size(); ++i_d) {
+    const auto d = context.BuildD(grid.days[i_d]);
+    for (std::size_t i_k = 0; i_k < grid.ks.size(); ++i_k) {
+      const auto q = context.BuildQ(d, grid.ks[i_k]);
+      for (std::size_t i_a = 0; i_a < grid.alphas.size(); ++i_a) {
+        SCOPED_TRACE(testing::Message() << "D=" << grid.days[i_d]
+                                        << " K=" << grid.ks[i_k]
+                                        << " alpha=" << grid.alphas[i_a]);
+        const auto score = context.Score(q, grid.alphas[i_a], filter);
+        const auto serial =
+            SerialScore(context, q, grid.alphas[i_a], filter);
+        const auto& p = result.At(i_d, i_k, i_a);
+        ASSERT_TRUE(p.mean_stats.valid());
+        ExpectSameStats(p.mean_stats, score.mean);
+        ExpectSameStats(p.boundary_stats, score.boundary);
+        ExpectSameStats(score.mean, serial.mean);
+        ExpectSameStats(score.boundary, serial.boundary);
+      }
+    }
+  }
 }
 
 TEST(SweepWcma, ProducesOnePointPerGridEntry) {
@@ -63,11 +145,44 @@ TEST(SweepWcma, ParallelAndSerialResultsAreIdentical) {
   const auto parallel = SweepWcma(EcsuContext(), grid, ShortFilter(), &pool);
   ASSERT_EQ(serial.points.size(), parallel.points.size());
   for (std::size_t i = 0; i < serial.points.size(); ++i) {
-    EXPECT_DOUBLE_EQ(serial.points[i].mean_stats.mape,
-                     parallel.points[i].mean_stats.mape);
-    EXPECT_DOUBLE_EQ(serial.points[i].boundary_stats.mape,
-                     parallel.points[i].boundary_stats.mape);
+    ExpectSameStats(serial.points[i].mean_stats,
+                    parallel.points[i].mean_stats);
+    ExpectSameStats(serial.points[i].boundary_stats,
+                    parallel.points[i].boundary_stats);
   }
+}
+
+TEST(SweepWcma, EveryPointEqualsPerAlphaScoreWithBoundedRoi) {
+  RoiFilter filter;
+  filter.first_day = 20;
+  filter.end_day = 40;
+  filter.threshold_fraction = 0.3;
+  ExpectSweepMatchesPerAlphaScore(EcsuContext(), filter);
+}
+
+TEST(SweepWcma, EveryPointEqualsPerAlphaScoreOnDegenerateGrid) {
+  // N = 288 on a 5-minute site: mean == boundary, so α = 1 scores 0.
+  SynthOptions opt;
+  opt.days = 25;
+  const SweepContext context(SynthesizeTrace(SiteByCode("SPMD"), opt), 288);
+  ASSERT_TRUE(context.series().grid().degenerate());
+  ExpectSweepMatchesPerAlphaScore(context, RoiFilter{});
+}
+
+TEST(SweepWcma, UnscoredSweepHasNoBestDesign) {
+  // 15 days and the paper's ROI (day 21 on): no slot is scored, so every
+  // point keeps MAPE 0 with count 0 and must not be reported as optimal.
+  SynthOptions opt;
+  opt.days = 15;
+  const SweepContext context(SynthesizeTrace(SiteByCode("ECSU"), opt), 24);
+  const auto result = SweepWcma(context, ParamGrid::Coarse(), RoiFilter{});
+  for (const auto& p : result.points) {
+    ASSERT_FALSE(p.mean_stats.valid());
+    ASSERT_FALSE(p.boundary_stats.valid());
+  }
+  EXPECT_THROW(result.BestByMape(), std::invalid_argument);
+  EXPECT_THROW(result.BestByMapePrime(), std::invalid_argument);
+  EXPECT_THROW(result.BestByMapeWithK(2), std::invalid_argument);
 }
 
 TEST(SweepWcma, BestByMapeIsActuallyMinimal) {
