@@ -25,8 +25,8 @@
 //                     archive it and the next PR's trajectory continues
 //                     even when the gate trips.  Comparison goes to stderr.
 //   --threshold PCT   regression tolerance for --compare, in percent.
-#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -180,36 +180,14 @@ int main(int argc, char** argv) {
   }
 
   // Telemetry overhead, priced honestly: the same parallel run with a
-  // TraceSink attached in stats-only mode (empty directory — full probe,
-  // ring, and drain cost, no disk noise).  Advisory JSON fields only; the
+  // TraceSink attached in stats-only mode (empty directory — full probe
+  // and policy cost, no disk noise).  Advisory JSON fields only; the
   // regression gate below still reads the untraced nodes_per_second, so
   // tracing cost shows up in the trajectory without ever tripping the
   // build.
   FleetRunOptions traced_options;
   traced_options.pool = &pool;
-  // Size the rings to hold the largest shard outright, exactly like
-  // shep_fleet_worker: the default 16 Ki-event ring silently dropped tens
-  // of thousands of events on this workload, so the measured drain cost
-  // (and the trace_events count below) covered only part of the run.
-  // Unlike the worker, RunFleet runs a worker's shards back to back with
-  // no flush between them, so sizing alone cannot make the run drop-free
-  // when the single drain lags sixteen hot producers — block_on_full
-  // turns that lag into measured backpressure instead of lost events.
-  TraceSinkOptions sink_options;  // directory stays empty: stats-only.
-  sink_options.block_on_full = true;
-  {
-    const ShardPlan sized = BuildShardPlan(spec, traced_options.shard_size);
-    std::size_t max_shard_nodes = 0;
-    for (const ShardRange& range : sized.shards) {
-      max_shard_nodes = std::max(max_shard_nodes, range.node_count());
-    }
-    sink_options.ring_capacity = std::max<std::size_t>(
-        sink_options.ring_capacity,
-        max_shard_nodes * spec.days *
-                static_cast<std::size_t>(spec.slots_per_day) +
-            2);
-  }
-  TraceSink trace_sink(sink_options);
+  TraceSink trace_sink;  // directory stays empty: stats-only.
   traced_options.trace_sink = &trace_sink;
   FleetRunStats traced_info;
   const FleetSummary traced = RunFleet(spec, traced_options, &traced_info);
@@ -217,9 +195,14 @@ int main(int argc, char** argv) {
     std::cerr << "FATAL: traced summary diverges from untraced\n";
     return 1;
   }
-  if (traced_info.trace_dropped != 0) {
-    std::cerr << "FATAL: traced run dropped " << traced_info.trace_dropped
-              << " events despite block_on_full\n";
+  // The kernel offers days × slots_per_day − 1 slots per node to the
+  // probe; the priced run must have kept every one.
+  const std::uint64_t traced_slots =
+      static_cast<std::uint64_t>(serial.node_count) *
+      (static_cast<std::uint64_t>(spec.days) * spec.slots_per_day - 1);
+  if (traced_info.trace_events != traced_slots) {
+    std::cerr << "FATAL: traced run kept " << traced_info.trace_events
+              << " of " << traced_slots << " slot events\n";
     return 1;
   }
 

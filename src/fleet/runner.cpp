@@ -33,11 +33,11 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 /// paths share one definition.  WithPredictor hands the kernel the
 /// stack-built concrete predictor, so every kind dispatches statically.
 /// With NoSlotProbe the probe call sites vanish and this IS the untraced
-/// hot path; with NodeTraceProbe each slot is offered to the worker's
-/// ring.  Likewise NoFaultModel compiles the fault branches away entirely,
-/// while FaultModel (built from a precomputed per-node schedule) injects
-/// outages, dropouts, and degradation.  Neither hook feeds back into the
-/// healthy simulation, so the healthy instantiations all produce
+/// hot path; with NodeTraceProbe each slot is appended to the worker's
+/// trace buffer.  Likewise NoFaultModel compiles the fault branches away
+/// entirely, while FaultModel (built from a precomputed per-node schedule)
+/// injects outages, dropouts, and degradation.  Neither hook feeds back
+/// into the healthy simulation, so the healthy instantiations all produce
 /// bit-identical results.
 template <class Probe, class Faults>
 NodeSimResult SimulateSpecNodeImpl(const PredictorSpec& spec,
@@ -143,11 +143,13 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
   partial.plan_fingerprint = plan.fingerprint;
   partial.shards.resize(subset.size());
 
-  // Opt-in telemetry: announce the run to the sink and make sure every
-  // batch worker has a ring before the first probe fires.  Stats are
-  // snapshotted so a shared sink reports per-run deltas.
+  // Opt-in telemetry: announce the run to the sink and give every batch
+  // worker a shard writer — shards sharing a worker run serialized, so
+  // each writer's buffers are reused race-free.  Stats are snapshotted so
+  // a shared sink reports per-run deltas.
   TraceSink* const sink = options.trace_sink;
   TraceSinkStats sink_before;
+  std::vector<TraceSink::ShardWriter> trace_writers;
   if (sink != nullptr) {
     TraceRunContext context;
     context.scenario_name = s.name;
@@ -161,7 +163,7 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
                                cell.storage_j});
     }
     sink->BeginRun(context);
-    sink->EnsureWorkers(ParallelWorkerCount(options.pool, subset.size()));
+    trace_writers.resize(ParallelWorkerCount(options.pool, subset.size()));
     sink_before = sink->stats();
   }
 
@@ -177,17 +179,19 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
       faulted ? ParallelWorkerCount(options.pool, subset.size()) : 0);
 
   t0 = std::chrono::steady_clock::now();
-  // Worker-indexed so a traced run can push onto a per-worker ring: each
+  // Worker-indexed so a traced run can use its worker's shard writer: each
   // shard runs whole on one worker (the ParallelForWorker contract), which
-  // keeps every ring single-producer and every shard's event stream
-  // contiguous.  Untraced runs take the identical schedule (ParallelFor is
-  // ParallelForWorker minus the id), so the summary cannot depend on it.
+  // traces and writes it there.  Untraced runs take the identical schedule
+  // (ParallelFor is ParallelForWorker minus the id), so the summary cannot
+  // depend on it.
   ParallelForWorker(options.pool, subset.size(),
                     [&](std::size_t worker, std::size_t n) {
     const ShardRange& range = plan.shards[subset[n]];
     ShardCells& local = partial.shards[n];
     local.shard = range.index;
-    std::uint64_t trace_dropped = 0;
+    TraceSink::ShardWriter* const trace =
+        sink != nullptr ? &trace_writers[worker] : nullptr;
+    if (trace != nullptr) trace->BeginShard(*sink, range.index);
     for (std::size_t i = range.begin_node; i < range.end_node; ++i) {
       const FleetNodeConfig& node = matrix.nodes[i];
       const ScenarioCell& cell = matrix.cells[node.cell];
@@ -207,17 +211,12 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
                                     probe, fault_model);
       };
       NodeSimResult result;
-      if (sink != nullptr) {
-        NodeTraceProbe probe;
-        probe.ring = &sink->ring(worker);
-        probe.shard = range.index;
-        probe.node = node.index;
-        probe.cell = node.cell;
-        probe.dropped = &trace_dropped;
-        probe.block_on_full = sink->options().block_on_full;
+      if (trace != nullptr) {
+        const NodeTraceProbe probe = trace->Probe(node.index, node.cell);
         result = faulted
                      ? simulate(probe, FaultModel(fault_scratch[worker]))
                      : simulate(probe, NoFaultModel{});
+        trace->EndNode();
       } else {
         result = faulted
                      ? simulate(NoSlotProbe{},
@@ -230,13 +229,9 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
       }
       local.cells.back().second.Add(result);
     }
-    if (sink != nullptr) sink->EndShard(worker, range.index, trace_dropped);
+    if (trace != nullptr) trace->EndShard();
   });
   const double sim_seconds = SecondsSince(t0);
-  // Drain everything before reporting so trace files and counters cover
-  // the whole run; deliberately outside the sim_seconds window (the
-  // in-loop cost of tracing is what bench_fleet prices).
-  if (sink != nullptr) sink->Flush();
 
   partial.nodes_simulated = 0;
   for (std::size_t shard : subset) {

@@ -52,11 +52,11 @@ struct FleetRunOptions {
   /// scenarios synthesize each lane once.  Results are bit-identical with
   /// and without it; only phase-1 wall time changes.
   TraceCache* trace_cache = nullptr;
-  /// Opt-in streaming telemetry: when set, every simulated slot is offered
-  /// to the sink's per-worker rings and each shard produces one trace file
-  /// (trace/sink.hpp).  Strictly observational — the summary is
-  /// byte-identical with and without it (pinned by
-  /// tests/test_trace_sink.cpp); only wall time changes.
+  /// Opt-in telemetry: when set, the worker running a shard records every
+  /// simulated slot, distills each node through the selective-persistence
+  /// policy and writes the shard's trace file (trace/sink.hpp).  Strictly
+  /// observational — the summary is byte-identical with and without it
+  /// (pinned by tests/test_trace_sink.cpp); only wall time changes.
   TraceSink* trace_sink = nullptr;
 };
 
@@ -67,8 +67,9 @@ struct FleetRunStats {
   std::size_t shards = 0;         ///< shards executed by this run.
   std::size_t unique_traces = 0;  ///< lanes this run's shards read.
   double synth_seconds = 0.0;     ///< phase 1 wall time.
-  double sim_seconds = 0.0;       ///< phase 2 wall time (merge excluded —
-                                  ///< stage 3 may run in another process).
+  double sim_seconds = 0.0;       ///< phase 2 wall time, tracing included
+                                  ///< (merge excluded — stage 3 may run in
+                                  ///< another process).
   double merge_seconds = 0.0;     ///< stage 3 wall time (RunFleet only;
                                   ///< stays 0 for bare RunFleetShards).
   /// TraceCache counter deltas of this run (0 when no cache was given).
@@ -80,9 +81,8 @@ struct FleetRunStats {
   std::uint64_t clearsky_hits = 0;
   std::uint64_t clearsky_misses = 0;
   /// Telemetry deltas of this run (all 0 when no trace sink was given).
-  /// events + dropped is exactly the slot count the probes observed.
-  std::uint64_t trace_events = 0;        ///< slot events drained.
-  std::uint64_t trace_dropped = 0;       ///< slot events refused (ring full).
+  std::uint64_t trace_events = 0;        ///< slot events observed.
+  std::uint64_t trace_dropped = 0;       ///< always 0: every event is kept.
   std::uint64_t trace_slot_records = 0;  ///< full-resolution records kept.
   std::uint64_t trace_day_records = 0;   ///< coarse day summaries kept.
   std::uint64_t trace_shard_files = 0;   ///< trace files finalized.

@@ -39,8 +39,6 @@ void ApplyTracePolicy(const std::vector<TraceEvent>& events,
   std::uint32_t trailing_violations = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& e = events[i];
-    SHEP_REQUIRE(e.kind == TraceEvent::Kind::kSlot,
-                 "trace policy fed a non-slot event");
     SHEP_REQUIRE(i == 0 || events[i - 1].slot < e.slot,
                  "trace policy events must be ascending by slot");
 

@@ -8,7 +8,7 @@
 // outside every window collapse into per-day TraceDayRecords, so the
 // timeline stays gap-free at coarse resolution.
 //
-// ApplyPolicy is a pure function of (events, config): no clocks, no
+// ApplyTracePolicy is a pure function of (events, config): no clocks, no
 // randomness, no global state.  The same node sequence always yields the
 // same records, which is what makes per-shard trace files reproducible
 // across thread counts and process boundaries.
@@ -18,9 +18,27 @@
 #include <vector>
 
 #include "trace/record.hpp"
-#include "trace/ring_buffer.hpp"
 
 namespace shep {
+
+/// One simulated slot of one node, as NodeTraceProbe (trace/probe.hpp)
+/// buffers it for the policy.
+struct TraceEvent {
+  enum class Kind : std::uint8_t {
+    kSlot,  ///< one simulated slot of `node` (the only kind).
+  };
+
+  Kind kind = Kind::kSlot;
+  bool violated = false;
+  bool outage = false;  ///< the node was dark this slot (fault injection).
+  std::uint32_t slot = 0;
+  std::uint64_t node = 0;
+  std::uint64_t cell = 0;
+  double soc = 0.0;
+  double predicted_w = 0.0;
+  double actual_w = 0.0;
+  double duty = 0.0;
+};
 
 /// Tuning knobs for what counts as "interesting".  The defaults suit the
 /// day-scale scenarios of the demos and tests.  Only direct callers of
@@ -42,9 +60,8 @@ struct TracePolicyConfig {
 
 /// Distills one node's in-order slot events into full-resolution records
 /// (inside trigger windows) plus per-day summaries (everywhere else),
-/// appending to `records` / `day_records`.  `events` must all be kSlot
-/// events of a single node, ascending by slot; `slots_per_day` buckets the
-/// summaries.
+/// appending to `records` / `day_records`.  `events` must all belong to a
+/// single node, ascending by slot; `slots_per_day` buckets the summaries.
 void ApplyTracePolicy(const std::vector<TraceEvent>& events,
                       std::uint32_t slots_per_day,
                       const TracePolicyConfig& config,

@@ -1,7 +1,9 @@
 #include "trace/trace_file.hpp"
 
+#include <algorithm>
 #include <iomanip>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -54,6 +56,13 @@ TraceShardFile TraceShardFile::Parse(std::istream& is) {
   file.slots_per_day = serdes::ReadU32(is);
   serdes::ExpectToken(is, "days");
   file.days = serdes::ReadU32(is);
+  // Every record below is bounded by this horizon, so a reader's 32-bit
+  // slot arithmetic (day × slots_per_day + slots_per_day) cannot wrap.
+  const std::uint64_t horizon =
+      std::uint64_t{file.days} * file.slots_per_day;
+  SHEP_REQUIRE(horizon <= std::numeric_limits<std::uint32_t>::max(),
+               "trace file horizon (days x slots_per_day) does not fit 32 "
+               "bits: " + std::to_string(horizon));
   serdes::ExpectToken(is, "cells");
   const std::uint64_t cell_count = serdes::ReadU64(is);
   for (std::uint64_t c = 0; c < cell_count; ++c) {
@@ -67,15 +76,39 @@ TraceShardFile TraceShardFile::Parse(std::istream& is) {
     cell.storage_j = serdes::ReadDouble(is);
     file.cells.push_back(std::move(cell));
   }
+  // Cells are ascending by id (checked above), so a lookup is a search.
+  auto require_declared = [&file](std::uint64_t cell) {
+    const auto it = std::lower_bound(
+        file.cells.begin(), file.cells.end(), cell,
+        [](const TraceCellInfo& info, std::uint64_t id) {
+          return info.cell < id;
+        });
+    SHEP_REQUIRE(it != file.cells.end() && it->cell == cell,
+                 "trace record references a cell the file does not "
+                 "declare: " + std::to_string(cell));
+  };
   serdes::ExpectToken(is, "records");
   const std::uint64_t record_count = serdes::ReadU64(is);
   for (std::uint64_t r = 0; r < record_count; ++r) {
-    file.records.push_back(TraceRecord::Deserialize(is));
+    const TraceRecord record = TraceRecord::Deserialize(is);
+    SHEP_REQUIRE(record.slot < horizon,
+                 "trace slot record past the file's horizon: slot " +
+                     std::to_string(record.slot));
+    require_declared(record.cell);
+    file.records.push_back(record);
   }
   serdes::ExpectToken(is, "day_records");
   const std::uint64_t day_count = serdes::ReadU64(is);
   for (std::uint64_t r = 0; r < day_count; ++r) {
-    file.day_records.push_back(TraceDayRecord::Deserialize(is));
+    const TraceDayRecord record = TraceDayRecord::Deserialize(is);
+    SHEP_REQUIRE(record.day < file.days,
+                 "trace day record past the file's days: day " +
+                     std::to_string(record.day));
+    SHEP_REQUIRE(record.slots <= file.slots_per_day,
+                 "trace day record summarizes more slots than a day has: " +
+                     std::to_string(record.slots));
+    require_declared(record.cell);
+    file.day_records.push_back(record);
   }
   serdes::ExpectToken(is, "dropped");
   file.dropped_events = serdes::ReadU64(is);

@@ -43,12 +43,15 @@ struct TraceShardFile {
   std::vector<TraceRecord> records;
   /// Coarse summaries for the slots the policy did not keep.
   std::vector<TraceDayRecord> day_records;
-  /// Events the worker's ring refused while this shard ran.  Persisted so
-  /// a lossy trace says so forever, not just in one process's stats.
+  /// The v1 footer's drop count.  The sink keeps every event and writes
+  /// 0; the field stays so the format, and every file, is unchanged.
   std::uint64_t dropped_events = 0;
 
   /// Exact text form ("shep-trace v1 ..." through "end").
   void Serialize(std::ostream& os) const;
+  /// Throws std::invalid_argument on malformed text, and on a file whose
+  /// days × slots_per_day exceeds 32 bits or whose records fall outside
+  /// that horizon, a day, or the declared cells.
   [[nodiscard]] static TraceShardFile Parse(std::istream& is);
 
   /// Canonical file name: trace-<fingerprint:016x>-shard<index>.shtr —

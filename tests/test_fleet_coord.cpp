@@ -641,11 +641,9 @@ TEST(RunFleetCoordinated, TracedRunLeavesTheSingleProcessFileSet) {
   const fs::path mono_dir = root / "mono";
   const fs::path coord_dir = root / "coord";
 
-  // Single-process traced reference, run shard-at-a-time with a flush
-  // between shards — the workers' exact cadence, and the shape in which
-  // trace files are deterministic (the ring can hold any one shard, so
-  // nothing ever drops; a whole-campaign push could overflow the ring at
-  // scheduling whim and drops change file bytes).
+  // Single-process traced reference, run shard-at-a-time — the workers'
+  // exact cadence.  A trace file is a pure function of its shard, so the
+  // coordinated files must match it byte for byte.
   const ScenarioSpec spec = CoordSpec();
   const ShardPlan plan = BuildShardPlan(spec, kShardSize);
   TraceSinkOptions sink_options;

@@ -26,7 +26,6 @@
 #include "solar/synth.hpp"
 #include "timeseries/slotting.hpp"
 #include "trace/probe.hpp"
-#include "trace/ring_buffer.hpp"
 
 namespace {
 
@@ -126,12 +125,11 @@ KernelRun RunKernel(PredictorKind kind, Mode mode, const SlotSeries& series) {
   const NodeSimConfig config = Config();
   FaultSchedule schedule;
   BuildFaultSchedule(Outages(), 7, series.days(), kSlotsPerDay, schedule);
-  // Nothing drains the ring, so most events are dropped; that is fine.
-  TraceRing ring(1024);
-  std::uint64_t dropped = 0;
-  NodeTraceProbe probe;
-  probe.ring = &ring;
-  probe.dropped = &dropped;
+  // Reserved to the series length, as the fleet's shard writer reserves
+  // its node buffer, so no slot's append may allocate.
+  std::vector<TraceEvent> events;
+  events.reserve(series.size());
+  const NodeTraceProbe probe{&events, 0, 0};
 
   KernelRun run;
   const std::size_t before = t_allocations;

@@ -4,8 +4,8 @@
 // do, so their records must round-trip doubles BIT-identically — including
 // the representation's edge cases (signed zero, subnormals, infinities,
 // NaN), mirroring tests/test_serdes.cpp for the shared hexfloat helpers.
-// The suite also pins the ring buffer's loss accounting: a full ring DROPS
-// and COUNTS, it never blocks and never lies.
+// The suite also pins the shard file's bounds: a parsed file's records
+// stay inside its declared horizon, days and cells.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "trace/record.hpp"
-#include "trace/ring_buffer.hpp"
 #include "trace/trace_file.hpp"
 
 namespace shep {
@@ -224,8 +223,12 @@ TEST(TraceFileSerde, ParseRejectsOutOfRangeShapeAndHugeCounts) {
   file.slots_per_day = 48;
   file.days = 30;
   file.cells.push_back({4, "HSU", "WCMA", 1500.0});
-  file.records.push_back(TraceRecord{});
-  file.day_records.push_back(TraceDayRecord{});
+  TraceRecord record;
+  record.cell = 4;
+  file.records.push_back(record);
+  TraceDayRecord day;
+  day.cell = 4;
+  file.day_records.push_back(day);
   std::ostringstream os;
   file.Serialize(os);
   const std::string text = os.str();
@@ -252,44 +255,74 @@ TEST(TraceFileSerde, ParseRejectsOutOfRangeShapeAndHugeCounts) {
   }
 }
 
-TEST(TraceRing, OverflowDropsAndCountsExactly) {
-  TraceRing ring(8);  // rounds to capacity 8.
-  ASSERT_EQ(ring.capacity(), 8u);
-  TraceEvent e;
-  std::size_t accepted = 0;
-  for (std::uint32_t i = 0; i < 20; ++i) {
-    e.slot = i;
-    if (ring.TryPush(e)) ++accepted;
-  }
-  // Exactly capacity events fit; every refusal is counted, never silent.
-  EXPECT_EQ(accepted, 8u);
-  EXPECT_EQ(ring.dropped(), 12u);
-
-  std::vector<TraceEvent> out;
-  EXPECT_EQ(ring.PopBatch(out, 100), 8u);
-  ASSERT_EQ(out.size(), 8u);
-  // FIFO order, and the survivors are the FIRST pushes (drops are the
-  // latecomers, so a full ring preserves the oldest context).
-  for (std::uint32_t i = 0; i < 8; ++i) EXPECT_EQ(out[i].slot, i);
-  EXPECT_TRUE(ring.empty());
-
-  // Space freed by the pop is reusable and the drop counter is monotonic.
-  EXPECT_TRUE(ring.TryPush(e));
-  EXPECT_EQ(ring.dropped(), 12u);
+/// A well-formed one-cell file the rejection tests below break one field
+/// of.
+TraceShardFile BoundedFile() {
+  TraceShardFile file;
+  file.scenario_name = "bounded";
+  file.slots_per_day = 48;
+  file.days = 30;
+  file.cells.push_back({4, "HSU", "WCMA", 1500.0});
+  TraceRecord record;
+  record.cell = 4;
+  record.slot = 30 * 48 - 1;  // the horizon's last slot.
+  file.records.push_back(record);
+  TraceDayRecord day;
+  day.cell = 4;
+  day.day = 29;  // the last day, fully summarized.
+  day.slots = 48;
+  file.day_records.push_back(day);
+  return file;
 }
 
-TEST(TraceRing, PopBatchHonorsMax) {
-  TraceRing ring(8);
-  TraceEvent e;
-  for (std::uint32_t i = 0; i < 6; ++i) {
-    e.slot = i;
-    ASSERT_TRUE(ring.TryPush(e));
-  }
-  std::vector<TraceEvent> out;
-  EXPECT_EQ(ring.PopBatch(out, 4), 4u);
-  EXPECT_EQ(ring.PopBatch(out, 4), 2u);
-  ASSERT_EQ(out.size(), 6u);
-  for (std::uint32_t i = 0; i < 6; ++i) EXPECT_EQ(out[i].slot, i);
+TraceShardFile ReparseBounded(const TraceShardFile& file) {
+  std::stringstream ss;
+  file.Serialize(ss);
+  return TraceShardFile::Parse(ss);
+}
+
+TEST(TraceFileBounds, AcceptsRecordsAtTheEdges) {
+  const TraceShardFile back = ReparseBounded(BoundedFile());
+  EXPECT_EQ(back.records.size(), 1u);
+  EXPECT_EQ(back.day_records.size(), 1u);
+}
+
+// 2^30 slots a day over 4 days: a reader's uint32 day window
+// (day × slots_per_day + slots_per_day) would wrap to 0 on day 3.  Every
+// record is otherwise in range, so only the horizon can reject the file.
+TEST(TraceFileBounds, RejectsAHorizonBeyond32Bits) {
+  TraceShardFile file = BoundedFile();
+  file.slots_per_day = 1u << 30;
+  file.days = 4;
+  file.day_records[0].day = 3;
+  EXPECT_THROW((void)ReparseBounded(file), std::invalid_argument);
+}
+
+TEST(TraceFileBounds, RejectsASlotRecordAtTheHorizon) {
+  TraceShardFile file = BoundedFile();
+  file.records[0].slot = 30 * 48;
+  EXPECT_THROW((void)ReparseBounded(file), std::invalid_argument);
+}
+
+TEST(TraceFileBounds, RejectsADayRecordPastTheLastDay) {
+  TraceShardFile file = BoundedFile();
+  file.day_records[0].day = 30;
+  EXPECT_THROW((void)ReparseBounded(file), std::invalid_argument);
+}
+
+TEST(TraceFileBounds, RejectsADayRecordWithMoreSlotsThanADay) {
+  TraceShardFile file = BoundedFile();
+  file.day_records[0].slots = 49;
+  EXPECT_THROW((void)ReparseBounded(file), std::invalid_argument);
+}
+
+TEST(TraceFileBounds, RejectsRecordsOfUndeclaredCells) {
+  TraceShardFile slot_file = BoundedFile();
+  slot_file.records[0].cell = 5;
+  EXPECT_THROW((void)ReparseBounded(slot_file), std::invalid_argument);
+  TraceShardFile day_file = BoundedFile();
+  day_file.day_records[0].cell = 3;
+  EXPECT_THROW((void)ReparseBounded(day_file), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,18 +1,19 @@
 // Streaming telemetry end-to-end: the sink's two load-bearing promises.
 //
 // 1. OBSERVATIONAL ONLY — a fleet run with tracing on produces a summary
-//    BYTE-identical to the same run with tracing off (serial and pooled,
-//    even when the ring overflows and drops events).  Telemetry that can
-//    change results is not telemetry.
-// 2. EXACT ACCOUNTING — every slot the probes observe is either drained
-//    (events) or counted as dropped, per shard and per run; trace files
-//    are deterministic (serial == pooled, byte for byte) and a query over
-//    the joined per-shard files equals the same query per shard,
-//    concatenated — the distributed-merge property, restated for traces.
+//    BYTE-identical to the same run with tracing off (serial and pooled).
+//    Telemetry that can change results is not telemetry.
+// 2. COMPLETE AND DETERMINISTIC — every slot the probes observe is
+//    persisted, as a full-resolution record or inside a day summary; trace
+//    files are the same bytes at any thread count or shard grouping; and a
+//    query over the joined per-shard files equals the same query per
+//    shard, concatenated — the distributed-merge property, restated for
+//    traces.
 //
 // Plus unit coverage of the selective-persistence policy's three triggers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -94,7 +95,6 @@ TraceEvent SlotEvent(std::uint32_t slot, double soc, double predicted_w,
                      double actual_w, bool violated = false,
                      double duty = 0.25) {
   TraceEvent e;
-  e.kind = TraceEvent::Kind::kSlot;
   e.slot = slot;
   e.node = 11;
   e.cell = 2;
@@ -243,10 +243,13 @@ TEST(TraceSinkFleet, SummaryByteIdenticalWithTracingOnAndOff) {
   }
 }
 
-TEST(TraceSinkFleet, EveryObservedSlotIsDrainedOrCountedDropped) {
-  const ScenarioSpec spec = TracedSpec();
+TEST(TraceSinkFleet, DefaultOptionsPersistEverySlot) {
+  // Long enough that one 8-node shard observes more events than the
+  // default TraceSinkOptions::ring_capacity (16 Ki), which has no effect.
+  ScenarioSpec spec = TracedSpec();
+  spec.days = 45;
   TraceSinkOptions options;
-  options.directory = UniqueDir("accounting");
+  options.directory = UniqueDir("complete");
   TraceSink sink(options);
   FleetRunOptions run;
   run.trace_sink = &sink;
@@ -257,141 +260,76 @@ TEST(TraceSinkFleet, EveryObservedSlotIsDrainedOrCountedDropped) {
   // slots per node, warm-up included, and offers every one to the probe.
   const std::uint64_t slots_per_node =
       static_cast<std::uint64_t>(spec.days) * spec.slots_per_day - 1;
-  const std::uint64_t expected = spec.node_count() * slots_per_node;
-  EXPECT_EQ(stats.trace_events + stats.trace_dropped, expected);
-  EXPECT_EQ(stats.trace_shard_files,
-            BuildShardPlan(spec, run.shard_size).shards.size());
-
-  // Persistence is complete: every drained slot is either a
-  // full-resolution record or summarized in exactly one day record.
   const ShardPlan plan = BuildShardPlan(spec, run.shard_size);
+  std::size_t max_shard_nodes = 0;
+  for (const ShardRange& range : plan.shards) {
+    max_shard_nodes = std::max(max_shard_nodes, range.node_count());
+  }
+  ASSERT_GT(max_shard_nodes * slots_per_node, options.ring_capacity);
+
+  EXPECT_EQ(stats.trace_dropped, 0u);
+  EXPECT_EQ(stats.trace_events, spec.node_count() * slots_per_node);
+  EXPECT_EQ(stats.trace_shard_files, plan.shards.size());
+
+  // Persistence is complete: every observed slot is either a
+  // full-resolution record or summarized in exactly one day record.
   const auto files = LoadTraceFiles(TraceFilePaths(plan, options.directory));
-  std::uint64_t slot_records = 0, summarized = 0, dropped = 0;
+  std::uint64_t slot_records = 0, summarized = 0;
   for (const TraceShardFile& file : files) {
+    EXPECT_EQ(file.dropped_events, 0u);
     slot_records += file.records.size();
-    dropped += file.dropped_events;
     for (const TraceDayRecord& day : file.day_records) summarized += day.slots;
   }
   EXPECT_EQ(slot_records, stats.trace_slot_records);
-  EXPECT_EQ(dropped, stats.trace_dropped);
   EXPECT_EQ(slot_records + summarized, stats.trace_events);
 }
 
 TEST(TraceSinkFleet, TraceFilesAreSchedulingInvariant) {
   const ScenarioSpec spec = TracedSpec();
-  TraceSinkOptions serial_options;
-  serial_options.directory = UniqueDir("sched_serial");
-  TraceSinkOptions pooled_options;
-  pooled_options.directory = UniqueDir("sched_pool");
+  const ShardPlan plan = BuildShardPlan(spec, FleetRunOptions{}.shard_size);
+  auto traced_options = [](const std::string& dir) {
+    TraceSinkOptions options;
+    options.directory = dir;
+    return options;
+  };
+  const std::string serial_dir = UniqueDir("sched_serial");
+  const std::string pooled_dir = UniqueDir("sched_pool");
+  const std::string sharded_dir = UniqueDir("sched_sharded");
 
-  FleetRunStats serial_stats;
   {
-    TraceSink sink(serial_options);
+    TraceSink sink(traced_options(serial_dir));
     FleetRunOptions run;
     run.trace_sink = &sink;
-    RunFleet(spec, run, &serial_stats);
+    RunFleet(spec, run);
   }
-  FleetRunStats pooled_stats;
-  ThreadPool pool(4);
   {
-    TraceSink sink(pooled_options);
+    ThreadPool pool(4);
+    TraceSink sink(traced_options(pooled_dir));
     FleetRunOptions run;
     run.pool = &pool;
     run.trace_sink = &sink;
-    RunFleet(spec, run, &pooled_stats);
+    RunFleet(spec, run);
   }
-  // The default ring (16 Ki events) never fills on this scenario, so the
-  // byte-compare below is a determinism claim, not luck.
-  ASSERT_EQ(serial_stats.trace_dropped, 0u);
-  ASSERT_EQ(pooled_stats.trace_dropped, 0u);
+  {
+    // One RunFleetShards call per shard: the shape of a coordinated
+    // worker, which serves one shard per frame.
+    TraceSink sink(traced_options(sharded_dir));
+    FleetRunOptions run;
+    run.trace_sink = &sink;
+    for (std::size_t shard = 0; shard < plan.shards.size(); ++shard) {
+      (void)RunFleetShards(plan, {shard}, run);
+    }
+  }
 
-  const ShardPlan plan = BuildShardPlan(spec, FleetRunOptions{}.shard_size);
-  const auto serial_paths = TraceFilePaths(plan, serial_options.directory);
-  const auto pooled_paths = TraceFilePaths(plan, pooled_options.directory);
+  const auto serial_paths = TraceFilePaths(plan, serial_dir);
+  const auto pooled_paths = TraceFilePaths(plan, pooled_dir);
+  const auto sharded_paths = TraceFilePaths(plan, sharded_dir);
   for (std::size_t i = 0; i < serial_paths.size(); ++i) {
-    EXPECT_EQ(FileBytes(serial_paths[i]), FileBytes(pooled_paths[i]))
-        << "shard " << i;
+    const std::string serial = FileBytes(serial_paths[i]);
+    EXPECT_FALSE(serial.empty()) << "shard " << i;
+    EXPECT_EQ(serial, FileBytes(pooled_paths[i])) << "shard " << i;
+    EXPECT_EQ(serial, FileBytes(sharded_paths[i])) << "shard " << i;
   }
-}
-
-TEST(TraceSinkFleet, OverflowingRingDropsLoudlyAndChangesNothing) {
-  const ScenarioSpec spec = TracedSpec();
-  const std::string untraced = SummaryBytes(RunFleet(spec));
-
-  TraceSinkOptions options;
-  options.directory = UniqueDir("overflow");
-  options.ring_capacity = 16;  // absurdly small: guaranteed overflow.
-  // A sleepy drain makes the overflow deterministic-ish; correctness must
-  // not depend on how MUCH is dropped, only that it is accounted.
-  options.drain_idle_micros = 2000;
-  TraceSink sink(options);
-  FleetRunOptions run;
-  run.trace_sink = &sink;
-  FleetRunStats stats;
-  const FleetSummary summary = RunFleet(spec, run, &stats);
-
-  EXPECT_GT(stats.trace_dropped, 0u);  // the ring did overflow...
-  EXPECT_EQ(SummaryBytes(summary), untraced);  // ...and nothing changed.
-  const std::uint64_t slots_per_node =
-      static_cast<std::uint64_t>(spec.days) * spec.slots_per_day - 1;
-  EXPECT_EQ(stats.trace_events + stats.trace_dropped,
-            spec.node_count() * slots_per_node);
-
-  // The loss is persisted per shard, not just reported in-process.
-  const ShardPlan plan = BuildShardPlan(spec, run.shard_size);
-  const auto files = LoadTraceFiles(TraceFilePaths(plan, options.directory));
-  std::uint64_t dropped = 0;
-  for (const TraceShardFile& file : files) dropped += file.dropped_events;
-  EXPECT_EQ(dropped, stats.trace_dropped);
-}
-
-TEST(TraceSinkFleet, BlockOnFullTradesDropsForBackpressure) {
-  // Same starved configuration as the overflow test — a 16-slot ring and a
-  // sleepy drain — but with backpressure on: the probes wait for the drain
-  // instead of dropping, so the event stream is complete and the summary
-  // still matches the untraced bytes (the mode bench_fleet prices).
-  const ScenarioSpec spec = TracedSpec();
-  const std::string untraced = SummaryBytes(RunFleet(spec));
-
-  TraceSinkOptions options;
-  options.ring_capacity = 16;
-  options.drain_idle_micros = 2000;
-  options.block_on_full = true;
-  TraceSink sink(options);
-  FleetRunOptions run;
-  run.trace_sink = &sink;
-  FleetRunStats stats;
-  const FleetSummary summary = RunFleet(spec, run, &stats);
-
-  EXPECT_EQ(stats.trace_dropped, 0u);
-  EXPECT_EQ(SummaryBytes(summary), untraced);
-  const std::uint64_t slots_per_node =
-      static_cast<std::uint64_t>(spec.days) * spec.slots_per_day - 1;
-  EXPECT_EQ(stats.trace_events, spec.node_count() * slots_per_node);
-}
-
-// Regression: EndShard used to spin forever whenever no drain thread
-// would ever make room — a sink whose drain never started (no BeginRun)
-// or was already stopping left the caller retrying a full ring for good.
-// A coordinated worker torn down mid-shard hit exactly this and hung
-// instead of exiting.  The marker's drops must still be accounted, and
-// the shard recorded as lost rather than silently missing its file.
-TEST(TraceSinkFleet, EndShardGivesUpWhenTheDrainWillNeverRun) {
-  TraceSinkOptions options;
-  options.ring_capacity = 4;
-  TraceSink sink(options);  // no BeginRun: the drain thread never starts.
-  sink.EnsureWorkers(1);
-
-  TraceEvent filler;  // jam the ring so the marker cannot land.
-  while (sink.ring(0).TryPush(filler)) {
-  }
-
-  sink.EndShard(0, /*shard=*/3, /*dropped=*/7);  // pre-fix: infinite spin.
-
-  const TraceSinkStats stats = sink.stats();
-  EXPECT_EQ(stats.lost_shards, 1u);
-  EXPECT_EQ(stats.dropped, 7u);
-  EXPECT_EQ(stats.shard_files, 0u);
 }
 
 TEST(TraceSinkFleet, DistributedPartialsQueryIdenticallyPerShardAndJoined) {

@@ -24,7 +24,6 @@
 //                          exists for).
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -164,20 +163,6 @@ int main(int argc, char** argv) {
   if (!job.trace_dir.empty()) {
     shep::TraceSinkOptions sink_options;
     sink_options.directory = job.trace_dir;
-    // Size the ring to hold the largest shard outright: the worker runs
-    // one shard per frame and flushes between frames, so a ring this big
-    // can never overflow — trace files become a pure function of the
-    // shard, byte-identical no matter which worker (or retry) wrote them.
-    std::size_t max_shard_nodes = 0;
-    for (const shep::ShardRange& range : plan.shards) {
-      max_shard_nodes = std::max(max_shard_nodes, range.node_count());
-    }
-    sink_options.ring_capacity =
-        std::max<std::size_t>(sink_options.ring_capacity,
-                              max_shard_nodes * job.spec.days *
-                                      static_cast<std::size_t>(
-                                          job.spec.slots_per_day) +
-                                  2);
     sink = std::make_unique<shep::TraceSink>(sink_options);
   }
   shep::FleetRunOptions run_options;

@@ -41,9 +41,7 @@
 //                           something; this rule is itself unsuppressable.
 //
 // Contracts a line pattern cannot prove are checked at runtime instead:
-// the kernel's no-allocation contract by tests/test_hot_path_alloc.cpp,
-// the trace ring's lock freedom by a static_assert in
-// src/trace/ring_buffer.hpp.
+// the kernel's no-allocation contract by tests/test_hot_path_alloc.cpp.
 //
 // Any rule except `suppression` is waived on a line carrying
 // `// shep-lint: allow(<rule>) <justification>`.
