@@ -163,14 +163,15 @@ struct WorkerProc {
   /// max_frame_bytes + trailer).
   std::string inbox;
   bool ended = false;   ///< stdout closed or said bye/error: reap as died.
-  bool faulty = false;  ///< lied or missed a deadline: reap as killed.
+  bool faulty = false;  ///< lied or went silent owing a shard: killed.
   /// A write to its stdin failed: dispatch nothing more.  Usually the
   /// worker is dead and its EOF reaps it as died; a live one still answers
-  /// to the deadlines for the shards it owes.
+  /// to the liveness deadline for the shards it owes.
   bool unwritable = false;
-  Clock::time_point last_activity;  ///< last byte read from it.
-  std::set<std::size_t> inflight;                 ///< dispatched shards.
-  std::map<std::size_t, Clock::time_point> sent;  ///< dispatch times.
+  /// Last byte read from it, or its last dispatch from idle.  The liveness
+  /// deadline runs from here only while the worker owes a shard.
+  Clock::time_point last_activity;
+  std::set<std::size_t> inflight;  ///< dispatched shards.
   std::vector<std::size_t> groups;  ///< shard groups it serves.
   std::set<std::size_t> lanes;      ///< distinct lanes of those groups.
 };
@@ -212,7 +213,6 @@ bool AcceptFrame(CoordState& state, WorkerProc& worker, std::size_t shard,
     return false;
   }
   worker.inflight.erase(shard);
-  worker.sent.erase(shard);
   if (state.shard_state[shard] == ShardState::kDone) {
     ++state.stats.duplicate_frames;  // a reassigned shard finished twice.
     return true;
@@ -343,7 +343,6 @@ void SpawnWorker(CoordState& state, const FleetCoordOptions& options,
   worker.pid = pid;
   worker.stdin_fd = to_child[1];
   worker.stdout_fd = from_child[0];
-  worker.last_activity = Clock::now();
   // The job header is far smaller than the pipe buffer, so this never
   // blocks even against a worker that dies before reading it.
   if (!WriteAll(worker.stdin_fd, job_text)) worker.unwritable = true;
@@ -584,7 +583,7 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
     state.workers.clear();
   };
 
-  // One thread runs the whole fleet.  Each pass checks the deadlines, reaps
+  // One thread runs the whole fleet.  Each pass checks liveness, reaps
   // and replaces dead or condemned workers, dispatches, then waits at most
   // kPollTimeoutMs for worker output and reads each ready worker once.
   try {
@@ -592,28 +591,19 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
 
     const auto liveness =
         std::chrono::milliseconds(options.liveness_timeout_ms);
-    const auto shard_deadline =
-        std::chrono::milliseconds(options.shard_timeout_ms);
     std::vector<pollfd> polled;
     while (state.done < plan.shards.size()) {
       const Clock::time_point now = Clock::now();
 
-      // Deadlines: silence => dead, an unanswered shard => straggler.
-      // Both become "faulty" so one reap path below handles everything.
+      // Liveness: a worker silent past the deadline while it owes a shard
+      // is condemned ("faulty"), so one reap path below handles it.  An
+      // idle worker sends nothing and is never condemned for that; an
+      // unwritable one owing no shard can never be given work, though.
       for (WorkerProc& worker : state.workers) {
         if (worker.ended || worker.faulty) continue;
-        // An unwritable worker owing no shard has no deadline left to
-        // miss, yet can never be given work.
-        if (now - worker.last_activity > liveness ||
-            (worker.unwritable && worker.inflight.empty())) {
+        if (worker.inflight.empty() ? worker.unwritable
+                                    : now - worker.last_activity > liveness) {
           worker.faulty = true;
-          continue;
-        }
-        for (const auto& [shard, sent_at] : worker.sent) {
-          if (now - sent_at > shard_deadline) {
-            worker.faulty = true;
-            break;
-          }
         }
       }
 
@@ -646,8 +636,9 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
           if (!picked) break;
           const std::size_t shard = *picked;
           state.shard_state[shard] = ShardState::kInflight;
+          // An idle worker's silence was not owed; its clock starts now.
+          if (worker.inflight.empty()) worker.last_activity = Clock::now();
           worker.inflight.insert(shard);
-          worker.sent.emplace(shard, Clock::now());
           if (!WriteAll(worker.stdin_fd,
                         "run " + std::to_string(shard) + "\n")) {
             // Usually EPIPE from a worker that died: its EOF reaps it as

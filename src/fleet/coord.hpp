@@ -20,24 +20,25 @@
 // pays for the lanes it re-synthesizes.  Each lane is thus synthesized by
 // about one worker instead of by every worker.
 //
-// Control plane vs data plane (the caldera heartbeat/transport split):
-// workers emit a heartbeat line between frames from a dedicated thread,
-// and the coordinator, one single-threaded event loop, timestamps every
-// byte it reads.  Each pass of the loop checks the deadlines, reaps and
-// replaces dead or condemned workers, dispatches, and then poll(2)s the
-// workers' stdout for at most 10 ms.  A readable worker gets one read()
-// into its inbox; every complete message there is handled at once, and an
-// unfinished tail waits for the next read, so an inbox never holds more
-// than max(64 KiB line cap, frame header + largest honest payload +
-// trailer).  Silence past the liveness deadline means death (SIGKILL +
-// reap), a per-shard deadline turns a hung-but-heartbeating worker into a
-// straggler (same treatment), and either way the victim's uncovered shards
-// go back to their groups, which become unclaimed for the survivors — safe
-// by construction, because shards are dispatched one per frame and
-// MergeFleetPartials rejects duplicate coverage, so the merge is over
-// exactly one accepted frame per shard.
-// First valid frame wins; late duplicates from a killed straggler are
-// counted and discarded.
+// Control plane vs data plane (the caldera heartbeat/transport split, kept
+// on the wire, not in threads): a worker runs on one thread and sends a
+// heartbeat line at its progress points, after each weather lane and each
+// node, whenever it has written nothing for heartbeat_ms.  A worker stuck
+// inside a lane or a node therefore goes silent.  The coordinator, one
+// single-threaded event loop, timestamps every byte it reads.  Each pass
+// of the loop checks liveness, reaps and replaces dead or condemned
+// workers, dispatches, and then poll(2)s the workers' stdout for at most
+// 10 ms.  A readable worker gets one read() into its inbox; every complete
+// message there is handled at once, and an unfinished tail waits for the
+// next read, so an inbox never holds more than max(64 KiB line cap, frame
+// header + largest honest payload + trailer).  Silence past the liveness
+// deadline while a worker owes a shard (the clock restarts when an idle
+// worker is dispatched) means dead or hung: SIGKILL + reap.  The victim's
+// uncovered shards go back to their groups, which become unclaimed for the
+// survivors — safe by construction, because shards are dispatched one per
+// frame and MergeFleetPartials rejects duplicate coverage, so the merge is
+// over exactly one accepted frame per shard.  First valid frame wins; late
+// duplicates are counted and discarded.
 //
 // The merged summary is bit-identical to single-process RunFleet at any
 // worker count and any kill/reassignment schedule (pinned by
@@ -65,8 +66,10 @@ namespace shep {
 struct FleetWorkerJob {
   ScenarioSpec spec;
   std::size_t shard_size = 8;
-  /// Worker heartbeat period; the coordinator's liveness deadline should
-  /// be a comfortable multiple of this.
+  /// Least time between heartbeats, which go out only at progress points
+  /// (after each lane and each node).  The liveness deadline must exceed
+  /// this plus the longest gap between progress points: one lane or one
+  /// node, each ~35 ms at 365 days x 288 slots on a 4-vCPU x86 host.
   std::uint32_t heartbeat_ms = 100;
   /// Expected plan fingerprint.  The worker rebuilds the plan from (spec,
   /// shard_size) and refuses the job when its fingerprint disagrees —
@@ -105,11 +108,9 @@ struct FleetCoordOptions {
   std::size_t workers = 4;
   std::size_t shard_size = 8;
   std::uint32_t heartbeat_ms = 100;
-  /// No bytes at all from a worker for this long => dead.
+  /// No bytes at all for this long from a worker that owes a shard =>
+  /// it is killed.  The clock restarts when an idle worker is dispatched.
   std::uint32_t liveness_timeout_ms = 5000;
-  /// A dispatched shard unanswered for this long => the worker is a
-  /// straggler (possibly hung but still heartbeating) and is killed.
-  std::uint32_t shard_timeout_ms = 120000;
   /// Replacement workers the run may spawn after deaths; when the budget
   /// is exhausted and no live worker remains, the run throws.  0 picks
   /// 2 * workers.

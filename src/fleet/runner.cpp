@@ -121,14 +121,15 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
           &scratch[worker]);
       (hit ? cache_hits : cache_misses).fetch_add(1,
                                                   std::memory_order_relaxed);
-      return;
+    } else {
+      SynthOptions synth;
+      synth.days = s.days;
+      synth.seed_offset = lane.trace_seed;
+      series[lane.lane] = std::make_shared<const SlotSeries>(
+          SynthesizeTrace(SiteByCode(lane.site_code), synth, scratch[worker]),
+          s.slots_per_day);
     }
-    SynthOptions synth;
-    synth.days = s.days;
-    synth.seed_offset = lane.trace_seed;
-    series[lane.lane] = std::make_shared<const SlotSeries>(
-        SynthesizeTrace(SiteByCode(lane.site_code), synth, scratch[worker]),
-        s.slots_per_day);
+    if (options.on_progress) options.on_progress();
   });
   const double synth_seconds = SecondsSince(t0);
 
@@ -228,6 +229,7 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
         local.cells.emplace_back(node.cell, CellAccumulator{});
       }
       local.cells.back().second.Add(result);
+      if (options.on_progress) options.on_progress();
     }
     if (trace != nullptr) trace->EndShard();
   });

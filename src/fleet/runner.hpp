@@ -27,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/threadpool.hpp"
@@ -58,6 +59,13 @@ struct FleetRunOptions {
   /// observational — the summary is byte-identical with and without it
   /// (pinned by tests/test_trace_sink.cpp); only wall time changes.
   TraceSink* trace_sink = nullptr;
+  /// Optional progress hook, called once per weather lane the subset reads
+  /// (after it is synthesized or fetched from the cache) and once per node
+  /// simulated, on the thread that did that work — so concurrently from
+  /// the pool's workers when a pool is set.  Observational like the sink:
+  /// the partial is identical with and without it.  shep_fleet_worker
+  /// heartbeats from it.
+  std::function<void()> on_progress;
 };
 
 /// Runtime metadata of one run; kept out of FleetSummary so summaries stay

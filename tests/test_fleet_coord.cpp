@@ -4,7 +4,7 @@
 // shep_fleet_worker binary — the acceptance pins: a 4-worker campaign
 // merges bit-identical to single-process RunFleet, and stays bit-identical
 // when workers are SIGKILLed, die mid-campaign, stream corrupt frames, or
-// hang while heartbeating (every fault path ends in reassignment), and when
+// spin inside a shard (every fault path ends in reassignment), and when
 // every frame arrives over several pipe reads.
 #include "fleet/coord.hpp"
 
@@ -350,15 +350,15 @@ TEST(RunFleetCoordinated, RejectsCorruptFramesAndReassigns) {
   }
 }
 
-TEST(RunFleetCoordinated, KillsHeartbeatingStragglersOnShardDeadline) {
+TEST(RunFleetCoordinated, ReapsAWorkerSpinningInsideAShardOnLiveness) {
   SHEP_SKIP_WITHOUT_WORKER();
   FleetCoordOptions options = BaseOptions();
-  // Workers hang after one frame but KEEP heartbeating, so only the
-  // per-shard deadline can unstick the run.
-  options.worker_args = {"--hang-after-frames", "1"};
+  // Every spawn busy-loops inside its second shard and writes nothing, so
+  // its heartbeats stop with its progress.  No shard deadline exists: the
+  // liveness deadline alone must unstick the run.
+  options.worker_args = {"--spin-in-shard", "2"};
   options.heartbeat_ms = 25;
   options.liveness_timeout_ms = 250;
-  options.shard_timeout_ms = 1000;
   using Clock = std::chrono::steady_clock;
   auto spawned_at = std::make_shared<std::vector<Clock::time_point>>();
   options.on_spawn = [spawned_at](std::size_t, long) {
@@ -368,14 +368,17 @@ TEST(RunFleetCoordinated, KillsHeartbeatingStragglersOnShardDeadline) {
   const FleetSummary summary =
       RunFleetCoordinated(CoordSpec(), options, &stats);
   ExpectSummaryBitIdentical(summary, Monolithic());
+  // Condemned on liveness, so counted as killed, like a silent worker.
   EXPECT_GE(stats.workers_killed, 1u);
   EXPECT_GE(stats.shards_reassigned, 1u);
-  // The hung workers die as stragglers, at the shard deadline.  Had their
-  // heartbeat thread parked behind the hung data plane, the liveness
-  // deadline would have reaped them after about 250 ms instead.
+  // The first replacement follows the liveness deadline, far inside the
+  // 120 s that a per-shard deadline defaulted to.
   ASSERT_GT(spawned_at->size(), options.workers);
-  EXPECT_GE((*spawned_at)[options.workers] - spawned_at->front(),
-            std::chrono::milliseconds(options.shard_timeout_ms));
+  const auto first_replacement =
+      (*spawned_at)[options.workers] - spawned_at->front();
+  EXPECT_GE(first_replacement,
+            std::chrono::milliseconds(options.liveness_timeout_ms));
+  EXPECT_LT(first_replacement, std::chrono::seconds(20));
 }
 
 TEST(RunFleetCoordinated, ThrowsWhenTheWorkerBinaryIsMissing) {
@@ -403,8 +406,8 @@ TEST(RunFleetCoordinated, CondemnsAWorkerStreamingAnEndlessLine) {
 
 TEST(RunFleetCoordinated, ReapsASilentWorkerAtTheLivenessDeadline) {
   FleetCoordOptions options = BaseOptions();
-  // A "worker" that never writes a byte, while the shard deadline stays at
-  // its 120 s default: only the liveness deadline can condemn it.
+  // A "worker" that never writes a byte: the liveness deadline, running
+  // from its first dispatch, condemns it.
   options.worker_path = "/bin/sh";
   options.worker_args = {"-c", "exec sleep 60"};
   options.workers = 1;
@@ -421,6 +424,48 @@ TEST(RunFleetCoordinated, ReapsASilentWorkerAtTheLivenessDeadline) {
   EXPECT_EQ(*spawns, 3u);
   EXPECT_GE(elapsed, 3 * std::chrono::milliseconds(250));
   EXPECT_LT(elapsed, std::chrono::seconds(20));
+}
+
+/// One shard of 512 WCMA nodes, each on its own 4-day weather lane: one
+/// worker runs the whole campaign while three owe nothing.  A lane or a
+/// node takes under a millisecond (about 12 ms in a TSan build), so the
+/// busy worker's heartbeats stay well inside a 100 ms liveness deadline,
+/// while the shard as a whole outlasts that deadline in any build.
+ScenarioSpec OneShardSpec() {
+  ScenarioSpec spec;
+  spec.name = "one_shard";
+  spec.sites = {"HSU"};
+  PredictorSpec wcma;
+  wcma.kind = PredictorKind::kWcma;
+  wcma.wcma.days = 2;
+  spec.predictors = {wcma};
+  spec.storage_tiers_j = {3000.0};
+  spec.nodes_per_cell = 512;
+  spec.days = 4;
+  spec.slots_per_day = 288;
+  spec.seed = 17;
+  spec.node.warmup_days = 2;
+  return spec;
+}
+
+TEST(RunFleetCoordinated, NeverReapsAnIdleWorkerForSilence) {
+  SHEP_SKIP_WITHOUT_WORKER();
+  const ScenarioSpec spec = OneShardSpec();
+  FleetCoordOptions options = BaseOptions();
+  options.shard_size = spec.nodes_per_cell;
+  options.heartbeat_ms = 25;
+  options.liveness_timeout_ms = 100;
+  FleetCoordStats stats;
+  const FleetSummary summary = RunFleetCoordinated(spec, options, &stats);
+  FleetRunOptions mono_options;
+  mono_options.shard_size = options.shard_size;
+  ExpectSummaryBitIdentical(summary, RunFleet(spec, mono_options));
+  EXPECT_EQ(stats.workers_spawned, options.workers);
+  EXPECT_EQ(stats.workers_killed, 0u);
+  EXPECT_EQ(stats.respawns, 0u);
+  // The idle workers stayed silent for longer than the deadline.
+  EXPECT_GT(stats.worker_synth_seconds + stats.worker_sim_seconds,
+            options.liveness_timeout_ms / 1000.0);
 }
 
 TEST(RunFleetCoordinated, ThrowsWhenEveryWorkerIsUnusable) {
@@ -472,7 +517,9 @@ TEST(FleetProtocol, JobRejectsAnOutOfRangeOrZeroHeartbeat) {
   const std::string text = EncodeFleetJob(job);
   std::istringstream wrapped(WrapTokenAfter(text, "\nheartbeat-ms", 1));
   EXPECT_THROW(ParseFleetJob(wrapped), std::invalid_argument);
-  // A zero period would spin the worker's heartbeat loop.
+  // The period comes from outside the process, so zero is refused like any
+  // other out-of-range field, though it would only mean "heartbeat at
+  // every progress point".
   std::string zero = text;
   zero.replace(zero.find("heartbeat-ms 100"), 16, "heartbeat-ms 0");
   std::istringstream zero_in(zero);

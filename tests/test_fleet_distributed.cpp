@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -197,6 +198,36 @@ TEST(FleetPartial, SerializeParseRoundTripIsBitIdentical) {
   EXPECT_EQ(parsed.Serialize(), original.Serialize());
 
   EXPECT_THROW(FleetPartial::Parse("garbage"), std::invalid_argument);
+
+  // The progress hook fires once per lane the subset reads, synthesized or
+  // cached, and once per node simulated; the partial's text is the same
+  // with and without it, once the wall times are zeroed.
+  const std::vector<std::size_t> some = {0, 2};
+  std::set<std::size_t> lanes;
+  std::size_t nodes = 0;
+  for (std::size_t shard : some) {
+    const ShardRange& range = plan.shards[shard];
+    for (std::size_t i = range.begin_node; i < range.end_node; ++i) {
+      lanes.insert(plan.matrix.trace_lane(plan.matrix.nodes[i]));
+      ++nodes;
+    }
+  }
+  const auto untimed = [](FleetPartial partial) {
+    partial.synth_seconds = 0.0;
+    partial.sim_seconds = 0.0;
+    return partial.Serialize();
+  };
+  const std::string unhooked = untimed(RunFleetShards(plan, some));
+  TraceCache cache;
+  std::size_t progress = 0;
+  FleetRunOptions hooked;
+  hooked.trace_cache = &cache;
+  hooked.on_progress = [&progress] { ++progress; };
+  for (const char* run : {"cold cache", "warm cache"}) {
+    progress = 0;
+    EXPECT_EQ(untimed(RunFleetShards(plan, some, hooked)), unhooked) << run;
+    EXPECT_EQ(progress, lanes.size() + nodes) << run;
+  }
 }
 
 // A count in the wire text sizes nothing: a shard or cell count no input

@@ -5,9 +5,12 @@
 // text + shard size), rebuilds the shard plan and proves identity by
 // checking its fingerprint against the job's, then serves "run <shard>"
 // commands: each shard runs through the ordinary RunFleetShards and goes
-// back as one checksummed frame of FleetPartial::Serialize() text.  A
-// heartbeat thread keeps a line flowing so the coordinator can tell a
-// busy worker from a dead one.
+// back as one checksummed frame of FleetPartial::Serialize() text.  The
+// worker has one thread.  RunFleetShards' progress hook fires after every
+// weather lane and every node, and there the worker sends "hb" if it has
+// written nothing for a heartbeat period.  So a worker busy on a shard
+// keeps talking, and one stuck inside a lane or a node goes silent; the
+// coordinator's liveness deadline then reaps it.
 //
 // Fault-injection flags (used by tests/test_fleet_coord.cpp and the
 // chaos mode of fleet_distributed_demo to exercise the coordinator's
@@ -19,12 +22,12 @@
 //                          (framing honest — FleetPartial::Parse fails).
 //   --garble-header N      Nth frame: header announces an absurd byte count
 //                          (the frame lies before its payload is read).
-//   --hang-after-frames N  after N frames, heartbeat forever but answer
-//                          nothing (the straggler the shard deadline
-//                          exists for).
+//   --spin-in-shard N      Nth shard: busy-loop forever at its first
+//                          progress point and write nothing (a data plane
+//                          stuck mid-shard; only the liveness deadline
+//                          ends it).
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -33,11 +36,9 @@
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/strings.hpp"
@@ -50,15 +51,13 @@
 
 namespace {
 
-std::mutex g_out_mutex;
+using Clock = std::chrono::steady_clock;
 
-/// Full atomic-enough write to stdout: every message goes out in one
-/// locked call so heartbeats never interleave with a frame.
+/// When the worker last wrote to stdout; the heartbeat throttles on it.
+Clock::time_point g_last_write = Clock::now();
+
+/// Writes the whole message to stdout.
 void WriteOut(std::string_view data) {
-  // A bounded critical section (one pipe write, no allocation); a stalled
-  // pipe parks control and data plane alike and is covered by the
-  // coordinator's liveness deadline.
-  std::lock_guard<std::mutex> lock(g_out_mutex);
   while (!data.empty()) {
     const ssize_t wrote = ::write(STDOUT_FILENO, data.data(), data.size());
     if (wrote < 0) {
@@ -67,19 +66,7 @@ void WriteOut(std::string_view data) {
     }
     data.remove_prefix(static_cast<std::size_t>(wrote));
   }
-}
-
-/// Heartbeat thread body: the worker's control plane.  One short line per
-/// period, forever — the coordinator times out on silence, so this loop
-/// must never park behind the data plane (sleep_for is its pacing; the
-/// WriteOut lock is held only for one write).  A worker hung in its data
-/// plane must still die as a straggler, not as silent: pinned by
-/// KillsHeartbeatingStragglersOnShardDeadline in tests/test_fleet_coord.cpp.
-void HeartbeatMain(const std::atomic<bool>& stop, std::uint32_t period_ms) {
-  while (!stop.load(std::memory_order_relaxed)) {
-    WriteOut("hb\n");
-    std::this_thread::sleep_for(std::chrono::milliseconds(period_ms));
-  }
+  g_last_write = Clock::now();
 }
 
 [[noreturn]] void Fail(const std::string& message) {
@@ -97,7 +84,7 @@ struct FaultFlags {
   std::size_t corrupt_frame = 0;      ///< 1-based frame index; 0 = never.
   std::size_t garble_frame = 0;       ///< 1-based frame index; 0 = never.
   std::size_t garble_header = 0;      ///< 1-based frame index; 0 = never.
-  std::size_t hang_after_frames = 0;  ///< 0 = never.
+  std::size_t spin_in_shard = 0;      ///< 1-based shard index; 0 = never.
 };
 
 FaultFlags ParseArgs(int argc, char** argv) {
@@ -123,8 +110,8 @@ FaultFlags ParseArgs(int argc, char** argv) {
       flags.garble_frame = value();
     } else if (arg == "--garble-header") {
       flags.garble_header = value();
-    } else if (arg == "--hang-after-frames") {
-      flags.hang_after_frames = value();
+    } else if (arg == "--spin-in-shard") {
+      flags.spin_in_shard = value();
     } else {
       Fail("unknown worker flag: " + std::string(arg));
     }
@@ -150,12 +137,6 @@ int main(int argc, char** argv) {
          " the campaign (version skew?)");
   }
 
-  // Heartbeat: the control plane.  One short line per period, forever —
-  // cheap enough to never gate, and the coordinator times out on silence.
-  std::atomic<bool> stop_heartbeat{false};
-  std::thread heartbeat(
-      [&] { HeartbeatMain(stop_heartbeat, job.heartbeat_ms); });
-
   // Every shard runs serially on this thread.  The cache only ever sees
   // this plan's lanes, so it holds at most plan.lanes.size() series.
   shep::TraceCache cache;
@@ -169,6 +150,18 @@ int main(int argc, char** argv) {
   run_options.shard_size = job.shard_size;
   run_options.trace_cache = &cache;
   run_options.trace_sink = sink.get();
+  // Each progress point sends "hb" unless something went out within the
+  // last heartbeat period.
+  std::size_t shards_run = 0;  // including the one in progress.
+  const std::chrono::milliseconds period(job.heartbeat_ms);
+  run_options.on_progress = [&] {
+    if (shards_run == flags.spin_in_shard) {
+      volatile bool spinning = true;  // a volatile read per pass: no UB.
+      while (spinning) {
+      }
+    }
+    if (Clock::now() - g_last_write >= period) WriteOut("hb\n");
+  };
 
   std::size_t frames_written = 0;
   std::string line;
@@ -182,6 +175,7 @@ int main(int argc, char** argv) {
     }
 
     std::string payload;
+    ++shards_run;
     try {
       const shep::FleetPartial partial = shep::RunFleetShards(
           plan, {static_cast<std::size_t>(*shard)}, run_options);
@@ -220,16 +214,8 @@ int main(int argc, char** argv) {
         frames_written >= flags.die_after_frames) {
       std::_Exit(9);  // no bye, no flush: an honest crash.
     }
-    if (flags.hang_after_frames != 0 &&
-        frames_written >= flags.hang_after_frames) {
-      while (true) {  // heartbeating zombie; only SIGKILL ends it.
-        std::this_thread::sleep_for(std::chrono::seconds(1));
-      }
-    }
   }
 
-  stop_heartbeat.store(true, std::memory_order_relaxed);
-  heartbeat.join();
   WriteOut("bye\n");
   return 0;
 }
