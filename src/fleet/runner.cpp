@@ -33,8 +33,8 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 /// paths share one definition.  WithPredictor hands the kernel the
 /// stack-built concrete predictor, so every kind dispatches statically.
 /// With NoSlotProbe the probe call sites vanish and this IS the untraced
-/// hot path; with NodeTraceProbe each slot is appended to the worker's
-/// trace buffer.  Likewise NoFaultModel compiles the fault branches away
+/// hot path; with NodeTraceProbe each slot is pushed into the worker's
+/// trace distiller.  Likewise NoFaultModel compiles the fault branches away
 /// entirely, while FaultModel (built from a precomputed per-node schedule)
 /// injects outages, dropouts, and degradation.  Neither hook feeds back
 /// into the healthy simulation, so the healthy instantiations all produce

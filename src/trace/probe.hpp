@@ -5,44 +5,31 @@
 // `if constexpr (Probe::kEnabled)`: with the default NoSlotProbe
 // (mgmt/node_sim_kernel.hpp) the call sites vanish at compile time and the
 // kernel is bit-for-bit the untraced build.  NodeTraceProbe is the enabled
-// flavour the fleet runner instantiates — it packages each slot into a
-// TraceEvent and appends it to the node buffer of the worker running the
-// shard (TraceSink::ShardWriter), which distills the node through the
-// selective-persistence policy once the kernel returns.
+// flavour the fleet runner instantiates — it hands each slot to the
+// TraceDistiller (trace/policy.hpp) of the worker running the shard
+// (TraceSink::ShardWriter), which decides the slot's fate as soon as its
+// persistence window has passed.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "trace/policy.hpp"
 
 namespace shep {
 
-/// Enabled per-slot probe bound to one node.  operator() is the entire
-/// hot-path cost of tracing: build a POD and append it.  The buffer is
-/// reserved to the node's whole series before the run, so the append
-/// never allocates.
+/// Enabled per-slot probe bound to one node (the distiller's BeginNode
+/// names it).  operator() is the entire hot-path cost of tracing: one
+/// Push into the distiller's fixed delay line, which never allocates
+/// beyond the growth of the shard's output vectors.
 struct NodeTraceProbe {
   static constexpr bool kEnabled = true;
 
-  std::vector<TraceEvent>* events = nullptr;
-  std::uint64_t node = 0;
-  std::uint64_t cell = 0;
+  TraceDistiller* distiller = nullptr;
 
   void operator()(std::uint32_t slot, bool violated, double soc,
                   double predicted_w, double actual_w, double duty,
                   bool outage) const {
-    TraceEvent event;
-    event.violated = violated;
-    event.outage = outage;
-    event.slot = slot;
-    event.node = node;
-    event.cell = cell;
-    event.soc = soc;
-    event.predicted_w = predicted_w;
-    event.actual_w = actual_w;
-    event.duty = duty;
-    events->push_back(event);
+    distiller->Push(slot, violated, soc, predicted_w, actual_w, duty, outage);
   }
 };
 

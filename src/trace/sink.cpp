@@ -28,9 +28,6 @@ TraceSinkStats TraceSink::stats() const {
 void TraceSink::ShardWriter::BeginShard(TraceSink& sink, std::uint64_t shard) {
   sink_ = &sink;
   const TraceRunContext& context = sink.context_;
-  events_.clear();
-  events_.reserve(static_cast<std::size_t>(context.days) *
-                  context.slots_per_day);
   shard_events_ = 0;
   file_.scenario_name = context.scenario_name;
   file_.fingerprint = context.fingerprint;
@@ -40,25 +37,23 @@ void TraceSink::ShardWriter::BeginShard(TraceSink& sink, std::uint64_t shard) {
   file_.cells.clear();
   file_.records.clear();
   file_.day_records.clear();
+  distiller_.Open(context.slots_per_day, file_.records, file_.day_records);
 }
 
 NodeTraceProbe TraceSink::ShardWriter::Probe(std::uint64_t node,
                                              std::uint64_t cell) {
   SHEP_REQUIRE(cell < sink_->context_.cells.size(),
                "traced node references a cell outside the run context");
-  return NodeTraceProbe{&events_, node, cell};
-}
-
-void TraceSink::ShardWriter::EndNode() {
-  if (events_.empty()) return;
-  const std::uint64_t cell = events_.front().cell;
   if (file_.cells.empty() || file_.cells.back().cell != cell) {
     file_.cells.push_back(sink_->context_.cells[cell]);
   }
-  ApplyTracePolicy(events_, file_.slots_per_day, TracePolicyConfig{},
-                   file_.records, file_.day_records);
-  shard_events_ += events_.size();
-  events_.clear();
+  distiller_.BeginNode(node, cell);
+  return NodeTraceProbe{&distiller_};
+}
+
+void TraceSink::ShardWriter::EndNode() {
+  distiller_.EndNode();
+  shard_events_ += distiller_.node_slots();
 }
 
 void TraceSink::ShardWriter::EndShard() {

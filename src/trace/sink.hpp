@@ -2,13 +2,15 @@
 // distilled into one selectively-persisted trace file.
 //
 // Tracing runs on the pool worker that simulates the shard.  Each worker
-// owns one TraceSink::ShardWriter.  Its NodeTraceProbe appends every slot
-// of the running node to the writer's buffer; when the node ends, the
-// writer applies the selective-persistence policy (trace/policy.hpp) into
-// the shard's TraceShardFile; when the shard ends, it writes that file and
-// adds its counts to the sink's stats.  No event crosses a thread, so
-// every slot is kept and a trace file is a pure function of its shard:
-// the same bytes at any thread count, shard grouping or process.
+// owns one TraceSink::ShardWriter.  Its NodeTraceProbe pushes every slot
+// of the running node into the writer's TraceDistiller (trace/policy.hpp),
+// whose delay line of a few slots appends each slot to the shard's
+// TraceShardFile as soon as the selective-persistence policy has decided
+// it; when the node ends, the writer flushes the delay line; when the
+// shard ends, it writes that file and adds its counts to the sink's
+// stats.  No slot crosses a thread, so every slot is kept and a trace file
+// is a pure function of its shard: the same bytes at any thread count,
+// shard grouping or process.
 //
 // The sink is strictly observational: the runner's results do not depend
 // on it (pinned by tests/test_trace_sink.cpp).
@@ -70,20 +72,22 @@ struct TraceSinkStats {
 
 class TraceSink {
  public:
-  /// One pool worker's tracing state: the buffer its probes fill with the
-  /// running node's slots, and the file of the shard it is running.  A
+  /// One pool worker's tracing state: the distiller its probes feed with
+  /// the running node's slots, and the file of the shard it is running.  A
   /// worker runs its shards one after another, so a writer per worker is
-  /// race-free and its buffers are reused across every node it traces.
-  class ShardWriter {
+  /// race-free, and its delay line and file vectors are reused across
+  /// every node it traces.  The distiller's state is written on every
+  /// slot, and the runner keeps its writers side by side in one vector,
+  /// so each writer starts on its own cache line.
+  class alignas(64) ShardWriter {
    public:
-    /// Starts shard `shard` of `sink`'s current run (after BeginRun).
-    /// Reserves the node buffer to a whole node series, so no probe call
-    /// ever allocates.
+    /// Starts shard `shard` of `sink`'s current run (after BeginRun), and
+    /// points the distiller at this writer's file: a writer may be moved
+    /// between shards, never inside one.
     void BeginShard(TraceSink& sink, std::uint64_t shard);
-    /// The probe that buffers the slots of node `node` of cell `cell`.
+    /// Starts node `node` of cell `cell`; the probe distills its slots.
     [[nodiscard]] NodeTraceProbe Probe(std::uint64_t node, std::uint64_t cell);
-    /// Distills the buffered node into the shard file and empties the
-    /// buffer.
+    /// Flushes the node's last slots and day into the shard file.
     void EndNode();
     /// Writes the shard file (when the sink has a directory) and adds the
     /// shard's counts to the sink's stats.
@@ -91,7 +95,7 @@ class TraceSink {
 
    private:
     TraceSink* sink_ = nullptr;
-    std::vector<TraceEvent> events_;
+    TraceDistiller distiller_;
     std::uint64_t shard_events_ = 0;
     TraceShardFile file_;
   };

@@ -5,9 +5,10 @@
 // contract: once a predictor is constructed, a kernel run over a longer
 // series must not allocate more than a run over a shorter one — per-node
 // constants (the result's predictor name) are fine, anything per slot,
-// per day, or per Reset() is not.  Likewise trace synthesis with a warm
-// scratch and a warm clear-sky memo allocates exactly the trace it
-// returns, whatever its length.
+// per day, or per Reset() is not, and a traced run's distillation obeys
+// the same rule.  Likewise trace synthesis with a warm scratch and a warm
+// clear-sky memo allocates exactly the trace it returns, whatever its
+// length.
 //
 // Global operator new is replaced by a counting one.  The counter is
 // thread-local, so only allocations made by the measuring thread count.
@@ -25,7 +26,7 @@
 #include "solar/sites.hpp"
 #include "solar/synth.hpp"
 #include "timeseries/slotting.hpp"
-#include "trace/probe.hpp"
+#include "trace/sink.hpp"
 
 namespace {
 
@@ -118,18 +119,34 @@ struct KernelRun {
 };
 
 /// One kernel run of a freshly built `kind` over `series`; only the run
-/// itself is counted, never the construction of its inputs.
+/// itself is counted, never the construction of its inputs.  A traced run
+/// is one whole shard of one node through a real ShardWriter, so the
+/// node's distillation is counted too.  Like a pool worker's writer in
+/// steady state, its file vectors are warm: an identical node already ran
+/// into them, and BeginShard cleared them.  Nothing is reserved.
 KernelRun RunKernel(PredictorKind kind, Mode mode, const SlotSeries& series) {
-  const auto predictor = Spec(kind).Make(kSlotsPerDay);
+  const PredictorSpec spec = Spec(kind);
+  const auto predictor = spec.Make(kSlotsPerDay);
   Predictor& p = *predictor;
   const NodeSimConfig config = Config();
   FaultSchedule schedule;
   BuildFaultSchedule(Outages(), 7, series.days(), kSlotsPerDay, schedule);
-  // Reserved to the series length, as the fleet's shard writer reserves
-  // its node buffer, so no slot's append may allocate.
-  std::vector<TraceEvent> events;
-  events.reserve(series.size());
-  const NodeTraceProbe probe{&events, 0, 0};
+  TraceSink sink;  // no directory: EndShard writes no file.
+  TraceRunContext context;
+  context.slots_per_day = kSlotsPerDay;
+  context.days = static_cast<std::uint32_t>(series.days());
+  context.cells.resize(1);
+  sink.BeginRun(context);
+  TraceSink::ShardWriter writer;
+  auto traced_shard = [&](Predictor& traced) {
+    writer.BeginShard(sink, 0);
+    const NodeTraceProbe probe = writer.Probe(0, 0);
+    NodeSimResult result = SimulateNodeKernel(traced, series, config, probe);
+    writer.EndNode();
+    writer.EndShard();
+    return result;
+  };
+  if (mode == Mode::kTraced) (void)traced_shard(*spec.Make(kSlotsPerDay));
 
   KernelRun run;
   const std::size_t before = t_allocations;
@@ -142,7 +159,7 @@ KernelRun RunKernel(PredictorKind kind, Mode mode, const SlotSeries& series) {
                                       FaultModel(schedule));
       break;
     case Mode::kTraced:
-      run.result = SimulateNodeKernel(p, series, config, probe);
+      run.result = traced_shard(p);
       break;
   }
   run.allocations = t_allocations - before;

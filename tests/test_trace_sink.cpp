@@ -10,18 +10,26 @@
 //    shard, concatenated — the distributed-merge property, restated for
 //    traces.
 //
-// Plus unit coverage of the selective-persistence policy's three triggers.
+// Plus unit coverage of the selective-persistence policy's triggers, and
+// the streaming TraceDistiller checked against the two-pass batch policy
+// it replaced, kept here as the reference oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/constants.hpp"
+#include "common/rng.hpp"
 #include "fleet/runner.hpp"
 #include "trace/policy.hpp"
 #include "trace/query.hpp"
@@ -104,6 +112,177 @@ TraceEvent SlotEvent(std::uint32_t slot, double soc, double predicted_w,
   e.violated = violated;
   e.duty = duty;
   return e;
+}
+
+// ---------------------------------------------------------------------------
+// Reference oracle: the two-pass batch policy, as the library ran it before
+// it streamed.  Pass 1 paints every trigger's window over a whole-node mask
+// vector; pass 2 turns masked slots into records and folds the rest into
+// day summaries.  `painted`, when given, logs each (index, trigger) paint
+// so the equivalence test can prove which cases its streams covered.
+// ---------------------------------------------------------------------------
+
+using PaintLog = std::vector<std::pair<std::size_t, std::uint32_t>>;
+
+void PaintWindow(std::vector<std::uint32_t>& masks, std::size_t center,
+                 std::uint32_t window, std::uint32_t trigger) {
+  const std::size_t lo = center >= window ? center - window : 0;
+  const std::size_t hi = std::min(masks.size() - 1, center + window);
+  for (std::size_t i = lo; i <= hi; ++i) masks[i] |= trigger;
+}
+
+void ReferenceTracePolicy(const std::vector<TraceEvent>& events,
+                          std::uint32_t slots_per_day,
+                          const TracePolicyConfig& config,
+                          std::vector<TraceRecord>& records,
+                          std::vector<TraceDayRecord>& day_records,
+                          PaintLog* painted = nullptr) {
+  if (events.empty()) return;
+
+  std::vector<std::uint32_t> masks(events.size(), 0);
+  auto paint = [&](std::size_t i, std::uint32_t trigger) {
+    if (painted != nullptr) painted->emplace_back(i, trigger);
+    PaintWindow(masks, i, config.window_slots, trigger);
+  };
+  double prev_soc = 1.0;
+  bool prev_outage = false;
+  std::uint32_t trailing_violations = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    if (prev_soc >= config.soc_low_water && e.soc < config.soc_low_water) {
+      paint(i, kTraceTriggerSocLowWater);
+    }
+    prev_soc = e.soc;
+    if (e.outage != prev_outage) paint(i, kTraceTriggerOutage);
+    prev_outage = e.outage;
+    if (!e.outage && e.actual_w > kNightEpsilonW &&
+        std::abs(e.predicted_w - e.actual_w) >
+            config.divergence_mape * e.actual_w) {
+      paint(i, kTraceTriggerDivergence);
+    }
+    if (e.violated) ++trailing_violations;
+    if (i >= config.burst_window_slots &&
+        events[i - config.burst_window_slots].violated) {
+      --trailing_violations;
+    }
+    if (trailing_violations >= config.burst_violations) {
+      paint(i, kTraceTriggerViolationBurst);
+    }
+  }
+
+  TraceDayRecord day;
+  bool day_open = false;
+  auto flush_day = [&] {
+    if (day_open && day.slots > 0) day_records.push_back(day);
+    day_open = false;
+  };
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    if (masks[i] != 0) {
+      TraceRecord r;
+      r.node = e.node;
+      r.cell = e.cell;
+      r.slot = e.slot;
+      r.trigger_mask = masks[i];
+      r.violated = e.violated;
+      r.soc = e.soc;
+      r.predicted_w = e.predicted_w;
+      r.actual_w = e.actual_w;
+      r.duty = e.duty;
+      records.push_back(r);
+      continue;
+    }
+    const std::uint32_t e_day = e.slot / slots_per_day;
+    if (!day_open || day.day != e_day) {
+      flush_day();
+      day = TraceDayRecord{};
+      day.node = e.node;
+      day.cell = e.cell;
+      day.day = e_day;
+      day_open = true;
+    }
+    ++day.slots;
+    if (e.violated) ++day.violations;
+    day.min_soc = std::min(day.min_soc, e.soc);
+    day.mean_duty += (e.duty - day.mean_duty) / day.slots;
+    day.max_abs_error_w =
+        std::max(day.max_abs_error_w, std::abs(e.predicted_w - e.actual_w));
+  }
+  flush_day();
+}
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void ExpectSameRecords(const std::vector<TraceRecord>& got,
+                       const std::vector<TraceRecord>& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const TraceRecord& g = got[i];
+    const TraceRecord& w = want[i];
+    EXPECT_EQ(g.node, w.node) << where << " record " << i;
+    EXPECT_EQ(g.cell, w.cell) << where << " record " << i;
+    EXPECT_EQ(g.slot, w.slot) << where << " record " << i;
+    EXPECT_EQ(g.trigger_mask, w.trigger_mask) << where << " record " << i;
+    EXPECT_EQ(g.violated, w.violated) << where << " record " << i;
+    EXPECT_EQ(Bits(g.soc), Bits(w.soc)) << where << " record " << i;
+    EXPECT_EQ(Bits(g.predicted_w), Bits(w.predicted_w))
+        << where << " record " << i;
+    EXPECT_EQ(Bits(g.actual_w), Bits(w.actual_w)) << where << " record " << i;
+    EXPECT_EQ(Bits(g.duty), Bits(w.duty)) << where << " record " << i;
+  }
+}
+
+void ExpectSameDays(const std::vector<TraceDayRecord>& got,
+                    const std::vector<TraceDayRecord>& want,
+                    const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const TraceDayRecord& g = got[i];
+    const TraceDayRecord& w = want[i];
+    EXPECT_EQ(g.node, w.node) << where << " day " << i;
+    EXPECT_EQ(g.cell, w.cell) << where << " day " << i;
+    EXPECT_EQ(g.day, w.day) << where << " day " << i;
+    EXPECT_EQ(g.slots, w.slots) << where << " day " << i;
+    EXPECT_EQ(g.violations, w.violations) << where << " day " << i;
+    EXPECT_EQ(Bits(g.min_soc), Bits(w.min_soc)) << where << " day " << i;
+    EXPECT_EQ(Bits(g.mean_duty), Bits(w.mean_duty)) << where << " day " << i;
+    EXPECT_EQ(Bits(g.max_abs_error_w), Bits(w.max_abs_error_w))
+        << where << " day " << i;
+  }
+}
+
+/// One node's random slot stream: SoC hovering around the low-water mark,
+/// night slots and large misses, violation runs of random density, outage
+/// runs, and slot numbers with occasional gaps.
+std::vector<TraceEvent> RandomStream(Rng& rng, std::size_t length,
+                                     std::uint64_t node, std::uint64_t cell) {
+  std::vector<TraceEvent> events;
+  const double violation_rate = rng.Uniform(0.0, 0.6);
+  const double outage_flip_rate = rng.Uniform(0.0, 0.2);
+  std::uint32_t slot = static_cast<std::uint32_t>(rng.NextBelow(5));
+  bool outage = false;
+  for (std::size_t i = 0; i < length; ++i) {
+    TraceEvent e;
+    e.node = node;
+    e.cell = cell;
+    e.slot = slot;
+    slot += 1 + (rng.NextBool(0.15) ? static_cast<std::uint32_t>(
+                                          rng.NextBelow(4))
+                                    : 0);
+    if (rng.NextBool(outage_flip_rate)) outage = !outage;
+    e.outage = outage;
+    e.violated = rng.NextBool(violation_rate);
+    // 0.15 exactly is the default low-water mark: the >= / < edge.
+    e.soc = rng.NextBool(0.05) ? 0.15 : rng.Uniform(0.0, 0.45);
+    e.actual_w = rng.NextBool(0.25)   ? 0.0
+                 : rng.NextBool(0.05) ? kNightEpsilonW
+                                      : rng.Uniform(0.0, 2.0);
+    e.predicted_w = outage ? 0.0 : e.actual_w * rng.Uniform(0.0, 2.2);
+    e.duty = rng.Uniform(0.0, 1.0);
+    events.push_back(e);
+  }
+  return events;
 }
 
 // ---------------------------------------------------------------------------
@@ -211,6 +390,120 @@ TEST(TracePolicy, DaySummaryAggregatesExactly) {
   EXPECT_DOUBLE_EQ(days[0].min_soc, 0.7);
   EXPECT_DOUBLE_EQ(days[0].mean_duty, 0.4);
   EXPECT_DOUBLE_EQ(days[0].max_abs_error_w, 0.5);
+}
+
+TEST(TraceDistiller, MatchesTheTwoPassReferenceOnSeededStreams) {
+  // Which edge cases the streams reached, summed over every seed.
+  std::size_t first_window = 0, last_window = 0, overlapping = 0,
+              across_days = 0, outage_entry = 0, outage_exit = 0,
+              zero_window = 0, window_past_stream = 0,
+              burst_past_window = 0, burst_past_stream = 0;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    Rng rng(seed);
+    TracePolicyConfig config;
+    const std::uint32_t windows[] = {0, 1, 2, 6, 40};
+    config.window_slots = windows[rng.NextBelow(5)];
+    config.burst_window_slots = static_cast<std::uint32_t>(rng.NextBelow(50));
+    config.burst_violations = static_cast<std::uint32_t>(1 + rng.NextBelow(4));
+    const std::uint32_t slots_per_day =
+        static_cast<std::uint32_t>(1 + rng.NextBelow(8));
+
+    // One distiller serves every node of the seed, as one serves every
+    // node of a worker's shards.
+    TraceDistiller distiller(config);
+    std::vector<TraceRecord> records, want_records;
+    std::vector<TraceDayRecord> days, want_days;
+    distiller.Open(slots_per_day, records, days);
+    const std::size_t nodes = 1 + rng.NextBelow(3);
+    for (std::size_t n = 0; n < nodes; ++n) {
+      const std::size_t length = 1 + rng.NextBelow(60);
+      const std::vector<TraceEvent> events =
+          RandomStream(rng, length, 100 * seed + n, seed % 7);
+      PaintLog painted;
+      std::vector<TraceRecord> node_records;
+      std::vector<TraceDayRecord> node_days;
+      ReferenceTracePolicy(events, slots_per_day, config, node_records,
+                           node_days, &painted);
+      want_records.insert(want_records.end(), node_records.begin(),
+                          node_records.end());
+      want_days.insert(want_days.end(), node_days.begin(), node_days.end());
+      distiller.BeginNode(events.front().node, events.front().cell);
+      for (const TraceEvent& e : events) {
+        distiller.Push(e.slot, e.violated, e.soc, e.predicted_w, e.actual_w,
+                       e.duty, e.outage);
+      }
+      distiller.EndNode();
+      EXPECT_EQ(distiller.node_slots(), length);
+
+      // The batch wrapper is the same distiller.
+      std::vector<TraceRecord> batch_records;
+      std::vector<TraceDayRecord> batch_days;
+      ApplyTracePolicy(events, slots_per_day, config, batch_records,
+                       batch_days);
+      const std::string where = "seed " + std::to_string(seed) + " node " +
+                                std::to_string(n);
+      ExpectSameRecords(batch_records, node_records, where + " (batch)");
+      ExpectSameDays(batch_days, node_days, where + " (batch)");
+
+      const std::uint32_t w = config.window_slots;
+      for (const auto& [i, trigger] : painted) {
+        if (w > 0 && i < w) ++first_window;
+        if (w > 0 && i + w >= length) ++last_window;
+        const std::size_t lo = i >= w ? i - w : 0;
+        const std::size_t hi = std::min(length - 1, i + std::size_t{w});
+        const std::uint32_t lo_day = events[lo].slot / slots_per_day;
+        if (lo_day != events[hi].slot / slots_per_day) ++across_days;
+        if (trigger == kTraceTriggerOutage) {
+          ++(events[i].outage ? outage_entry : outage_exit);
+        }
+        if (w == 0) ++zero_window;
+        if (w > length) ++window_past_stream;
+        if (trigger == kTraceTriggerViolationBurst) {
+          if (config.burst_window_slots > w) ++burst_past_window;
+          if (config.burst_window_slots > length) ++burst_past_stream;
+        }
+      }
+    }
+    const std::string where = "seed " + std::to_string(seed);
+    ExpectSameRecords(records, want_records, where);
+    ExpectSameDays(days, want_days, where);
+    for (const TraceRecord& r : want_records) {
+      if (std::popcount(r.trigger_mask) > 1) ++overlapping;
+    }
+  }
+  EXPECT_GT(first_window, 0u);
+  EXPECT_GT(last_window, 0u);
+  EXPECT_GT(overlapping, 0u);
+  EXPECT_GT(across_days, 0u);
+  EXPECT_GT(outage_entry, 0u);
+  EXPECT_GT(outage_exit, 0u);
+  EXPECT_GT(zero_window, 0u);
+  EXPECT_GT(window_past_stream, 0u);
+  EXPECT_GT(burst_past_window, 0u);
+  EXPECT_GT(burst_past_stream, 0u);
+}
+
+TEST(TraceDistiller, RejectsAnOutOfOrderPush) {
+  TraceDistiller distiller;
+  std::vector<TraceRecord> records;
+  std::vector<TraceDayRecord> days;
+  distiller.Open(48, records, days);
+  distiller.BeginNode(0, 0);
+  distiller.Push(5, false, 0.5, 1.0, 1.0, 0.5, false);
+  EXPECT_THROW(distiller.Push(5, false, 0.5, 1.0, 1.0, 0.5, false),
+               std::invalid_argument);
+  EXPECT_THROW(distiller.Push(4, false, 0.5, 1.0, 1.0, 0.5, false),
+               std::invalid_argument);
+  distiller.Push(6, false, 0.5, 1.0, 1.0, 0.5, false);
+  distiller.EndNode();
+  EXPECT_EQ(distiller.node_slots(), 2u);
+  // A new node starts its own slot sequence.
+  distiller.BeginNode(1, 0);
+  distiller.Push(0, false, 0.5, 1.0, 1.0, 0.5, false);
+  distiller.EndNode();
+  ASSERT_EQ(days.size(), 2u);
+  EXPECT_EQ(days[0].slots, 2u);
+  EXPECT_EQ(days[1].node, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -392,6 +685,43 @@ TEST(TraceSinkFleet, DistributedPartialsQueryIdenticallyPerShardAndJoined) {
   }
   // The unfiltered query saw actual telemetry, not empty tables.
   EXPECT_FALSE(RunTraceQuery(files, query).days.empty());
+}
+
+TEST(TraceSinkFleet, TraceFilesMatchPinnedDigest) {
+  // Pins the trace bytes across commits: a change to the policy, the
+  // record text or the file layout moves this digest.  Outages make the
+  // outage-edge trigger fire beside the other three.
+  ScenarioSpec spec = TracedSpec();
+  spec.faults.outage_rate_per_day = 0.5;
+  spec.faults.outage_mean_slots = 4.0;
+  spec.faults.dropout_rate_per_day = 0.5;
+  spec.faults.dropout_mean_slots = 3.0;
+  const ShardPlan plan = BuildShardPlan(spec, FleetRunOptions{}.shard_size);
+  TraceSinkOptions options;
+  options.directory = UniqueDir("pinned");
+  {
+    TraceSink sink(options);
+    FleetRunOptions run;
+    run.trace_sink = &sink;
+    RunFleet(spec, run);
+  }
+
+  std::uint32_t fired = 0;
+  for (const TraceShardFile& file :
+       LoadTraceFiles(TraceFilePaths(plan, options.directory))) {
+    for (const TraceRecord& r : file.records) fired |= r.trigger_mask;
+  }
+  EXPECT_EQ(fired, kTraceTriggerViolationBurst | kTraceTriggerSocLowWater |
+                       kTraceTriggerDivergence | kTraceTriggerOutage);
+
+  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a 64 offset basis.
+  for (const std::string& path : TraceFilePaths(plan, options.directory)) {
+    for (unsigned char c : FileBytes(path)) {
+      digest ^= c;
+      digest *= 1099511628211ull;  // FNV-1a 64 prime.
+    }
+  }
+  EXPECT_EQ(digest, 0x7df891eb4d7f23c4ull) << std::hex << "digest 0x" << digest;
 }
 
 TEST(TraceSinkFleet, RejectsJoiningForeignRuns) {
