@@ -11,15 +11,17 @@
 // independent of α.  SweepContext precomputes, once per (trace, N):
 //   * the slot series (boundary samples + interval means),
 //   * per-slot prefix sums across days, making any μ_D an O(1) lookup.
-// BuildD then materialises the η ratio series for one D, BuildQ folds a K
-// window over it, and ScoreAlphas scores every α of one (D, K) in a single
-// pass over the slots: per slot it evaluates the ROI filter, both
-// references and P once, then updates each α's own sums.  Each α keeps the
-// expression α·P + (1−α)·Q and sums in ascending slot order, so its
-// statistics are the same bits as scoring that α alone (Score is the
-// one-α call).  The result is numerically identical (modulo FP
-// association) to running core/wcma.hpp slot by slot —
-// tests/test_evaluator.cpp asserts exactly that equivalence.
+// BuildD then materialises the η ratio series for one D.  GridScorer
+// evaluates the ROI filter once per sweep into the list of slots either
+// reference admits; its ScoreD walks that list once per D and, per slot,
+// computes Q for every K and updates every (K, α) pair's sums.  Score
+// runs the same scoring pass for one α over a Q series from BuildQ, and
+// BuildQ and ScoreD compute Q with one shared expression.  Each pair keeps
+// the expression α·P + (1−α)·Q and sums in ascending slot order, so its
+// statistics are the same bits as Score(BuildQ(BuildD(D), K), α).  The
+// result is numerically identical (modulo FP association) to running
+// core/wcma.hpp slot by slot — tests/test_evaluator.cpp asserts exactly
+// that equivalence.
 #pragma once
 
 #include <span>
@@ -79,16 +81,46 @@ class SweepContext {
     ErrorStats mean;      ///< vs slot mean (MAPE, Eq. 7/8)
     ErrorStats boundary;  ///< vs next boundary sample (MAPE′, Eq. 6)
   };
-  /// Scores every α in `alphas` against `q` in one pass over the slots;
-  /// element i is the score of alphas[i].  Throws std::invalid_argument
-  /// when any α lies outside [0, 1].
-  std::vector<ConfigScore> ScoreAlphas(const std::vector<double>& q,
-                                       std::span<const double> alphas,
-                                       const RoiFilter& filter = {}) const;
 
-  /// ScoreAlphas for one α.
+  /// Scores one α against `q`.  Throws std::invalid_argument when α lies
+  /// outside [0, 1].
   ConfigScore Score(const std::vector<double>& q, double alpha,
                     const RoiFilter& filter = {}) const;
+
+ private:
+  /// A slot g that either reference admits under one RoiFilter.
+  struct RoiSlot {
+    std::size_t g = 0;
+    bool mean = false;      ///< scored against the slot mean
+    bool boundary = false;  ///< scored against the next boundary sample
+  };
+
+ public:
+  /// Scores a K × α grid one D at a time.  The constructor checks every K
+  /// and α, evaluates the ROI filter once and builds each K's θ table, so
+  /// a sweep validates its grid before any D is scored and its D tasks
+  /// share this object read-only.
+  class GridScorer {
+   public:
+    /// Throws std::invalid_argument unless every K lies in [1, N) and
+    /// every α in [0, 1].  Keeps a reference to `context`.
+    GridScorer(const SweepContext& context, std::span<const int> ks,
+               std::span<const double> alphas, const RoiFilter& filter = {},
+               WcmaWeighting weighting = WcmaWeighting::kRamp);
+
+    /// Every (K, α) of one D in one pass over the ROI slots; element
+    /// i_k·|alphas| + i_a scores (ks[i_k], alphas[i_a]) and equals
+    /// Score(BuildQ(d, ks[i_k], weighting), alphas[i_a], filter) bit for
+    /// bit.
+    std::vector<ConfigScore> ScoreD(const DSeries& d) const;
+
+   private:
+    const SweepContext& context_;
+    std::vector<double> alphas_;
+    std::vector<std::vector<double>> theta_;  ///< θ_i of each K
+    std::vector<double> den_;                 ///< Σθ of each K
+    std::vector<RoiSlot> roi_;
+  };
 
   /// Full streaming-equivalent evaluation of a single configuration;
   /// convenience for tests and the Fig. 7 D-sweep.
@@ -97,6 +129,18 @@ class SweepContext {
                              WcmaWeighting weighting = WcmaWeighting::kRamp) const;
 
  private:
+  std::vector<RoiSlot> BuildRoi(const RoiFilter& filter) const;
+
+  /// The one scoring pass: walks `roi` once; at each slot `fill_q(g, p, q)`
+  /// writes Q(g) of each of `n_q` designs into q (p = ẽ(g)), and every
+  /// (design, α) pair adds its error to its sums.  Element
+  /// i_q·|alphas| + i_a of the result scores design i_q at alphas[i_a].
+  template <typename FillQ>
+  std::vector<ConfigScore> ScoreRoi(std::span<const RoiSlot> roi,
+                                    std::size_t n_q,
+                                    std::span<const double> alphas,
+                                    FillQ fill_q) const;
+
   std::string dataset_;
   SlotSeries series_;
   /// cum_[(day)*N + slot] = Σ of boundary(d, slot) for d < day;

@@ -88,23 +88,23 @@ SweepResult SweepWcma(const SweepContext& context, const ParamGrid& grid,
   const std::size_t n_k = grid.ks.size();
   const std::size_t n_a = grid.alphas.size();
 
-  // Parallelism across D: each D owns a disjoint slice of `points`, and the
-  // expensive BuildD/BuildQ work is D-local, so no synchronisation is
+  // Every K and α is checked, and the ROI walked, before any D task runs.
+  const SweepContext::GridScorer scorer(context, grid.ks, grid.alphas,
+                                        filter, weighting);
+  // Parallelism across D: each D owns a disjoint slice of `points`, and
+  // BuildD and the scoring pass are D-local, so no synchronisation is
   // needed beyond the ParallelFor join.
   ParallelFor(pool, grid.days.size(), [&](std::size_t i_d) {
     const int days_d = grid.days[i_d];
-    const auto d_series = context.BuildD(days_d);
+    const auto scores = scorer.ScoreD(context.BuildD(days_d));
     for (std::size_t i_k = 0; i_k < n_k; ++i_k) {
-      const int slots_k = grid.ks[i_k];
-      const auto q = context.BuildQ(d_series, slots_k, weighting);
-      const auto scores = context.ScoreAlphas(q, grid.alphas, filter);
       for (std::size_t i_a = 0; i_a < n_a; ++i_a) {
         SweepPoint& p = result.points[(i_d * n_k + i_k) * n_a + i_a];
         p.alpha = grid.alphas[i_a];
         p.days_d = days_d;
-        p.slots_k = slots_k;
-        p.mean_stats = scores[i_a].mean;
-        p.boundary_stats = scores[i_a].boundary;
+        p.slots_k = grid.ks[i_k];
+        p.mean_stats = scores[i_k * n_a + i_a].mean;
+        p.boundary_stats = scores[i_k * n_a + i_a].boundary;
       }
     }
   });

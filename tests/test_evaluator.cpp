@@ -127,10 +127,17 @@ TEST(SweepContext, ValidatesArguments) {
   EXPECT_THROW(ctx.BuildQ(d, 24), std::invalid_argument);
   const auto q = ctx.BuildQ(d, 2);
   EXPECT_THROW(ctx.Score(q, 1.5), std::invalid_argument);
-  // One α outside [0, 1] anywhere in the list rejects the whole call.
-  EXPECT_THROW(ctx.ScoreAlphas(q, std::vector<double>{0.0, 0.5, 1.5}),
+  // One K or α out of range anywhere in a grid rejects the whole scorer.
+  using GridScorer = SweepContext::GridScorer;
+  const std::vector<int> ks = {2};
+  EXPECT_THROW(GridScorer(ctx, ks, std::vector<double>{0.0, 0.5, 1.5}),
                std::invalid_argument);
-  EXPECT_THROW(ctx.ScoreAlphas(q, std::vector<double>{-0.1, 1.0}),
+  EXPECT_THROW(GridScorer(ctx, ks, std::vector<double>{-0.1, 1.0}),
+               std::invalid_argument);
+  const std::vector<double> alphas = {0.5};
+  EXPECT_THROW(GridScorer(ctx, std::vector<int>{2, 0}, alphas),
+               std::invalid_argument);
+  EXPECT_THROW(GridScorer(ctx, std::vector<int>{1, 24}, alphas),
                std::invalid_argument);
 }
 

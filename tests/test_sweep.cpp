@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "solar/synth.hpp"
@@ -78,27 +79,59 @@ SweepContext::ConfigScore SerialScore(const SweepContext& context,
   return {stats[0], stats[1]};
 }
 
-// Every point of the one-pass sweep equals Score for its α alone, and both
+// Q(g) = μ_D(g+1)·Φ_K(g) as a plain loop, its weights and Σθ recomputed
+// per slot and Φ summed in ascending i: the reference for BuildQ and for
+// the Q the sweep computes on the fly.
+std::vector<double> SerialQ(const SweepContext& context,
+                            const SweepContext::DSeries& d, int slots_k,
+                            WcmaWeighting weighting) {
+  const auto k = static_cast<std::size_t>(slots_k);
+  std::vector<double> q(context.points());
+  for (std::size_t g = 0; g < q.size(); ++g) {
+    if (d.mu_pred[g] < 0.0) {
+      q[g] = context.series().boundary(g);
+      continue;
+    }
+    double num = 0.0;
+    double den = 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      const double theta = weighting == WcmaWeighting::kRamp
+                               ? static_cast<double>(i + 1) /
+                                     static_cast<double>(k)
+                               : 1.0;
+      num += theta * d.eta[g + 1 - k + i];
+      den += theta;
+    }
+    q[g] = d.mu_pred[g] * (num / den);
+  }
+  return q;
+}
+
+// Every point of the sweep equals Score for its (D, K, α) alone, and both
 // equal the serial reference.
-void ExpectSweepMatchesPerAlphaScore(const SweepContext& context,
-                                     const RoiFilter& filter) {
+void ExpectSweepMatchesPerAlphaScore(
+    const SweepContext& context, const RoiFilter& filter,
+    std::vector<int> ks = {1, 3, 6},
+    WcmaWeighting weighting = WcmaWeighting::kRamp) {
   ParamGrid grid = ParamGrid::Paper();  // α = 0, 0.1, ..., 1
   grid.days = {2, 7, 20};
-  grid.ks = {1, 3, 6};
-  const auto result = SweepWcma(context, grid, filter);
+  grid.ks = std::move(ks);
+  const auto result = SweepWcma(context, grid, filter, nullptr, weighting);
   for (std::size_t i_d = 0; i_d < grid.days.size(); ++i_d) {
     const auto d = context.BuildD(grid.days[i_d]);
     for (std::size_t i_k = 0; i_k < grid.ks.size(); ++i_k) {
-      const auto q = context.BuildQ(d, grid.ks[i_k]);
+      const auto q = context.BuildQ(d, grid.ks[i_k], weighting);
+      const auto serial_q = SerialQ(context, d, grid.ks[i_k], weighting);
       for (std::size_t i_a = 0; i_a < grid.alphas.size(); ++i_a) {
         SCOPED_TRACE(testing::Message() << "D=" << grid.days[i_d]
                                         << " K=" << grid.ks[i_k]
                                         << " alpha=" << grid.alphas[i_a]);
         const auto score = context.Score(q, grid.alphas[i_a], filter);
         const auto serial =
-            SerialScore(context, q, grid.alphas[i_a], filter);
+            SerialScore(context, serial_q, grid.alphas[i_a], filter);
         const auto& p = result.At(i_d, i_k, i_a);
         ASSERT_TRUE(p.mean_stats.valid());
+        EXPECT_EQ(p.slots_k, grid.ks[i_k]);
         ExpectSameStats(p.mean_stats, score.mean);
         ExpectSameStats(p.boundary_stats, score.boundary);
         ExpectSameStats(score.mean, serial.mean);
@@ -167,6 +200,45 @@ TEST(SweepWcma, EveryPointEqualsPerAlphaScoreOnDegenerateGrid) {
   const SweepContext context(SynthesizeTrace(SiteByCode("SPMD"), opt), 288);
   ASSERT_TRUE(context.series().grid().degenerate());
   ExpectSweepMatchesPerAlphaScore(context, RoiFilter{});
+}
+
+TEST(SweepWcma, EveryPointEqualsPerAlphaScoreWithUniformWeighting) {
+  ExpectSweepMatchesPerAlphaScore(EcsuContext(), ShortFilter(), {1, 3, 6},
+                                  WcmaWeighting::kUniform);
+}
+
+TEST(SweepWcma, EveryPointEqualsPerAlphaScoreForUnsortedKsUpToNMinusOne) {
+  // K = N − 1 is the widest Φ window; an unsorted K list must still land
+  // each K's scores at its own grid index.
+  ExpectSweepMatchesPerAlphaScore(EcsuContext(), ShortFilter(),
+                                  {6, 23, 1, 3});
+}
+
+TEST(SweepWcma, EveryPointEqualsPerAlphaScoreFromDayZeroWithEverySlotLit) {
+  // A 5 W offset lights every slot, so the ROI holds day 0's
+  // persistence-fallback slots, the last slot of every day and the
+  // boundary sample after each midnight.
+  SynthOptions opt;
+  opt.days = 25;
+  const auto trace = SynthesizeTrace(SiteByCode("ECSU"), opt);
+  std::vector<double> samples(trace.samples().begin(), trace.samples().end());
+  for (double& sample : samples) sample += 5.0;
+  const SweepContext context(
+      PowerTrace("ECSU+5W", std::move(samples), trace.resolution_s()), 24);
+  RoiFilter filter;
+  filter.first_day = 0;
+  filter.threshold_fraction = 0.0;
+  ExpectSweepMatchesPerAlphaScore(context, filter);
+}
+
+TEST(SweepWcma, RejectsKAtOrAboveNSeriallyAndOnAPool) {
+  ParamGrid grid = ParamGrid::Coarse();
+  grid.ks = {2, 24};  // N = 24
+  EXPECT_THROW(SweepWcma(EcsuContext(), grid, ShortFilter()),
+               std::invalid_argument);
+  ThreadPool pool(4);
+  EXPECT_THROW(SweepWcma(EcsuContext(), grid, ShortFilter(), &pool),
+               std::invalid_argument);
 }
 
 TEST(SweepWcma, UnscoredSweepHasNoBestDesign) {
