@@ -78,7 +78,8 @@ int main(int argc, char** argv) try {
   std::cout << summary.ToTable() << '\n';
   std::cout << "nodes=" << summary.node_count << " cells="
             << summary.cells.size() << " unique_traces="
-            << info.unique_traces << " shards=" << info.shards
+            << info.unique_traces << " predictor_runs="
+            << info.predictor_runs << " shards=" << info.shards
             << " threads=" << info.threads << '\n';
   std::cout << "phases: synth_s=" << info.synth_seconds << " sim_s="
             << info.sim_seconds << " merge_s=" << info.merge_seconds

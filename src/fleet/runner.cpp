@@ -4,12 +4,14 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "fleet/faults.hpp"
+#include "fleet/forecast_replay.hpp"
 #include "mgmt/node_sim.hpp"
 #include "mgmt/node_sim_kernel.hpp"
 #include "solar/clearsky.hpp"
@@ -28,35 +30,26 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The kernel run behind SimulateSpecNode, parameterized on the kernel's
-/// slot probe and fault model so the traced/untraced and faulted/healthy
-/// paths share one definition.  WithPredictor hands the kernel the
-/// stack-built concrete predictor, so every kind dispatches statically.
-/// With NoSlotProbe the probe call sites vanish and this IS the untraced
-/// hot path; with NodeTraceProbe each slot is pushed into the worker's
-/// trace distiller.  Likewise NoFaultModel compiles the fault branches away
-/// entirely, while FaultModel (built from a precomputed per-node schedule)
-/// injects outages, dropouts, and degradation.  Neither hook feeds back
-/// into the healthy simulation, so the healthy instantiations all produce
-/// bit-identical results.
-template <class Probe, class Faults>
-NodeSimResult SimulateSpecNodeImpl(const PredictorSpec& spec,
-                                   int slots_per_day,
-                                   const SlotSeries& series,
-                                   const NodeSimConfig& config,
-                                   const Probe& probe, Faults faults) {
-  return WithPredictor(spec, slots_per_day, [&](auto& predictor) {
-    return SimulateNodeKernel(predictor, series, config, probe, faults);
-  });
-}
+/// One (weather lane, predictor design) pair of a healthy run: every node
+/// of the pair sees the same forecast whatever its storage tier
+/// (fleet/forecast_replay.hpp).  A pair that two or more nodes of the
+/// subset read is recorded once, by whichever of them gets there first,
+/// and freed by the last one to finish.
+struct SharedForecast {
+  std::size_t consumers = 0;               ///< nodes of the subset reading it.
+  std::atomic<std::size_t> unfinished{0};  ///< consumers still to run.
+  std::once_flag recorded;
+  RecordedForecast forecast;
+};
 
 }  // namespace
 
 NodeSimResult SimulateSpecNode(const PredictorSpec& spec, int slots_per_day,
                                const SlotSeries& series,
                                const NodeSimConfig& config) {
-  return SimulateSpecNodeImpl(spec, slots_per_day, series, config,
-                              NoSlotProbe{}, NoFaultModel{});
+  return WithPredictor(spec, slots_per_day, [&](auto& predictor) {
+    return SimulateNodeKernel(predictor, series, config);
+  });
 }
 
 FleetPartial RunFleetShards(const ShardPlan& plan,
@@ -179,6 +172,28 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
   std::vector<FaultSchedule> fault_scratch(
       faulted ? ParallelWorkerCount(options.pool, subset.size()) : 0);
 
+  // A healthy run records once each (lane, design) pair that several of
+  // its nodes read, and replays the recording to each of them
+  // (SharedForecast).  Faulted nodes keep their own predictor pass:
+  // outages and dropouts make each one's forecast its own.
+  const std::size_t designs = s.predictors.size();
+  auto forecast_key = [&](const FleetNodeConfig& node) {
+    return matrix.trace_lane(node) * designs +
+           matrix.cells[node.cell].predictor_index;
+  };
+  std::vector<SharedForecast> shared(faulted ? 0
+                                             : plan.lanes.size() * designs);
+  if (!faulted) {
+    for (std::size_t shard : subset) {
+      const ShardRange& range = plan.shards[shard];
+      for (std::size_t i = range.begin_node; i < range.end_node; ++i) {
+        ++shared[forecast_key(matrix.nodes[i])].consumers;
+      }
+    }
+    for (SharedForecast& pair : shared) pair.unfinished = pair.consumers;
+  }
+  std::atomic<std::size_t> predictor_runs{0};
+
   t0 = std::chrono::steady_clock::now();
   // Worker-indexed so a traced run can use its worker's shard writer: each
   // shard runs whole on one worker (the ParallelForWorker contract), which
@@ -196,33 +211,55 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
     for (std::size_t i = range.begin_node; i < range.end_node; ++i) {
       const FleetNodeConfig& node = matrix.nodes[i];
       const ScenarioCell& cell = matrix.cells[node.cell];
-      const std::size_t lane = matrix.trace_lane(node);
+      const PredictorSpec& design = s.predictors[cell.predictor_index];
+      const SlotSeries& lane = *series[matrix.trace_lane(node)];
 
       NodeSimConfig config = s.node;
       config.storage.capacity_j = cell.storage_j;
       config.initial_level_fraction = node.initial_level_fraction;
 
-      if (faulted) {
-        BuildFaultSchedule(s.faults, node.fault_seed, s.days,
-                           s.slots_per_day, fault_scratch[worker]);
-      }
-      auto simulate = [&](const auto& probe, auto fault_model) {
-        return SimulateSpecNodeImpl(s.predictors[cell.predictor_index],
-                                    s.slots_per_day, *series[lane], config,
-                                    probe, fault_model);
+      // The kernel run on a predictor built by WithPredictor or
+      // WithReplay, so every kind dispatches statically.  With NoSlotProbe
+      // the probe call sites vanish and this IS the untraced hot path;
+      // with NodeTraceProbe each slot is pushed into the worker's trace
+      // distiller.  Likewise NoFaultModel compiles the fault branches away
+      // entirely.  Neither hook feeds back into the healthy simulation.
+      auto simulate = [&](auto& predictor, auto fault_model) {
+        if (trace == nullptr) {
+          return SimulateNodeKernel(predictor, lane, config, NoSlotProbe{},
+                                    fault_model);
+        }
+        const NodeTraceProbe probe = trace->Probe(node.index, node.cell);
+        NodeSimResult traced =
+            SimulateNodeKernel(predictor, lane, config, probe, fault_model);
+        trace->EndNode();
+        return traced;
       };
       NodeSimResult result;
-      if (trace != nullptr) {
-        const NodeTraceProbe probe = trace->Probe(node.index, node.cell);
-        result = faulted
-                     ? simulate(probe, FaultModel(fault_scratch[worker]))
-                     : simulate(probe, NoFaultModel{});
-        trace->EndNode();
+      SharedForecast* const pair =
+          faulted ? nullptr : &shared[forecast_key(node)];
+      if (pair != nullptr && pair->consumers > 1) {
+        std::call_once(pair->recorded, [&] {
+          pair->forecast = RecordForecast(design, s.slots_per_day, lane);
+          predictor_runs.fetch_add(1, std::memory_order_relaxed);
+        });
+        result = WithReplay(pair->forecast, [&](auto& replay) {
+          return simulate(replay, NoFaultModel{});
+        });
+        if (pair->unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          pair->forecast = RecordedForecast{};
+        }
       } else {
-        result = faulted
-                     ? simulate(NoSlotProbe{},
-                                FaultModel(fault_scratch[worker]))
-                     : simulate(NoSlotProbe{}, NoFaultModel{});
+        predictor_runs.fetch_add(1, std::memory_order_relaxed);
+        if (faulted) {
+          BuildFaultSchedule(s.faults, node.fault_seed, s.days,
+                             s.slots_per_day, fault_scratch[worker]);
+        }
+        result = WithPredictor(design, s.slots_per_day, [&](auto& predictor) {
+          return faulted
+                     ? simulate(predictor, FaultModel(fault_scratch[worker]))
+                     : simulate(predictor, NoFaultModel{});
+        });
       }
 
       if (local.cells.empty() || local.cells.back().first != node.cell) {
@@ -247,6 +284,7 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
         options.pool != nullptr ? options.pool->thread_count() : 1;
     stats->shards = subset.size();
     stats->unique_traces = needed.size();
+    stats->predictor_runs = predictor_runs.load();
     stats->synth_seconds = synth_seconds;
     stats->sim_seconds = sim_seconds;
     stats->trace_cache_hits = cache_hits.load();

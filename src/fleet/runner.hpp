@@ -74,6 +74,10 @@ struct FleetRunStats {
   std::size_t threads = 1;
   std::size_t shards = 0;         ///< shards executed by this run.
   std::size_t unique_traces = 0;  ///< lanes this run's shards read.
+  /// Predictor passes phase 2 made: one per recorded (lane, design) pair
+  /// plus one per node that ran its own predictor.  Deterministic in
+  /// (plan, shard subset); equals the node count when nothing is shared.
+  std::size_t predictor_runs = 0;
   double synth_seconds = 0.0;     ///< phase 1 wall time.
   double sim_seconds = 0.0;       ///< phase 2 wall time, tracing included
                                   ///< (merge excluded — stage 3 may run in
@@ -100,6 +104,32 @@ struct FleetRunStats {
 /// order; duplicates rejected) and returns their reductions.  The partial
 /// is deterministic in (plan, shard_subset) — pool and cache only change
 /// wall time.
+///
+/// Shared forecasts.  No predictor reads the node's storage, so in a
+/// healthy run (`!spec.faults.any()`) every storage tier of one (weather
+/// lane, predictor design) pair gets the same forecast.  Each pair that
+/// two or more nodes of the subset read is run ONCE: its first node to
+/// start records the predictor's pass (fleet/forecast_replay.hpp) under a
+/// per-pair std::call_once, so siblings on other pool threads wait rather
+/// than recompute, and every node of the pair runs the one kernel,
+/// SimulateNodeKernel, on a replay of that recording.  The last node of
+/// the pair to finish frees it.  Results are bit-identical to one
+/// predictor pass per node (pinned by tests/test_fleet_distributed.cpp).
+///
+/// Memory bound: a recording is (days × slots_per_day − 1) doubles, live
+/// from its pair's first node to its last.  Nodes are cell-major and tiers
+/// are the innermost cell dimension, so a pair's nodes lie inside one
+/// (site, design) block of tiers × nodes_per_cell nodes, and the pool
+/// takes shards in plan order: about nodes_per_cell recordings per open
+/// block are live, with one to a few blocks open at once (shard_size ×
+/// threads nodes in flight).  fleet_mix-sized runs (365 days, N = 48,
+/// 10 replicas) hold about 140 KB per recording.
+///
+/// Faulted nodes keep one predictor pass each (their fault schedules make
+/// every forecast their own), and so does a pair with a single node in
+/// the subset.  That includes every RunFleetCoordinated worker job, which
+/// carries exactly one shard; sharing inside workers would need multi-
+/// shard jobs or a consumer count handed down by the coordinator.
 FleetPartial RunFleetShards(const ShardPlan& plan,
                             const std::vector<std::size_t>& shard_subset,
                             const FleetRunOptions& options = {},
@@ -111,7 +141,8 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
 /// Every PredictorKind takes this path — no per-slot virtual calls, no
 /// per-run dynamic_cast, no heap allocation for the predictor.
 /// Bit-identical to Make() + the virtual SimulateNode for every kind,
-/// cost channel included (pinned by tests/test_node_kernel.cpp).
+/// cost channel included (pinned by tests/test_node_kernel.cpp), and to
+/// the replayed run RunFleetShards gives a node whose forecast it shares.
 NodeSimResult SimulateSpecNode(const PredictorSpec& spec, int slots_per_day,
                                const SlotSeries& series,
                                const NodeSimConfig& config);

@@ -13,8 +13,10 @@
 // tests/test_node_kernel.cpp and the fleet golden suite).
 //
 // The fleet runs every PredictorKind at its concrete type: runner.cpp
-// calls this kernel inside fleet/scenario.hpp's WithPredictor.  The
-// examples and the tests' reference runs call the virtual entry point.
+// calls this kernel inside fleet/scenario.hpp's WithPredictor, or, for a
+// forecast several storage tiers share, on fleet/forecast_replay.hpp's
+// replay of it.  The examples and the tests' reference runs call the
+// virtual entry point.
 #pragma once
 
 #include <algorithm>

@@ -12,7 +12,10 @@
 
 #include <signal.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -90,6 +93,32 @@ FleetCoordOptions BaseOptions() {
   options.heartbeat_ms = 25;
   options.liveness_timeout_ms = 5000;
   return options;
+}
+
+/// Runs `spec` in-process, serially, and reports the wall time per node
+/// (its share of lane synthesis included): what one heartbeat gap of a
+/// busy worker costs on this host, in this build, under this load.
+FleetSummary TimedRunFleet(const ScenarioSpec& spec, std::size_t shard_size,
+                           double* node_ms) {
+  FleetRunOptions options;
+  options.shard_size = shard_size;
+  const auto start = std::chrono::steady_clock::now();
+  FleetSummary summary = RunFleet(spec, options);
+  *node_ms = std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - start)
+                 .count() /
+             static_cast<double>(spec.node_count());
+  return summary;
+}
+
+/// A liveness deadline a busy worker always meets: heartbeat_ms plus 64
+/// measured nodes, and never below `floor_ms`.  A sanitizer build or an
+/// oversubscribed host stretches every node, and the deadline stretches
+/// with it instead of staying a constant tuned on a quiet Release host.
+std::uint32_t LivenessDeadlineMs(std::uint32_t heartbeat_ms, double node_ms,
+                                 std::uint32_t floor_ms) {
+  return std::max(floor_ms, heartbeat_ms + static_cast<std::uint32_t>(
+                                               std::ceil(64.0 * node_ms)));
 }
 
 #ifndef SHEP_FLEET_WORKER_PATH
@@ -358,7 +387,10 @@ TEST(RunFleetCoordinated, ReapsAWorkerSpinningInsideAShardOnLiveness) {
   // liveness deadline alone must unstick the run.
   options.worker_args = {"--spin-in-shard", "2"};
   options.heartbeat_ms = 25;
-  options.liveness_timeout_ms = 250;
+  double node_ms = 0.0;
+  (void)TimedRunFleet(CoordSpec(), kShardSize, &node_ms);
+  options.liveness_timeout_ms =
+      LivenessDeadlineMs(options.heartbeat_ms, node_ms, 250);
   using Clock = std::chrono::steady_clock;
   auto spawned_at = std::make_shared<std::vector<Clock::time_point>>();
   options.on_spawn = [spawned_at](std::size_t, long) {
@@ -428,9 +460,10 @@ TEST(RunFleetCoordinated, ReapsASilentWorkerAtTheLivenessDeadline) {
 
 /// One shard of 512 WCMA nodes, each on its own 4-day weather lane: one
 /// worker runs the whole campaign while three owe nothing.  A lane or a
-/// node takes under a millisecond (about 12 ms in a TSan build), so the
-/// busy worker's heartbeats stay well inside a 100 ms liveness deadline,
-/// while the shard as a whole outlasts that deadline in any build.
+/// node takes under a millisecond (about 12 ms in a TSan build), and the
+/// test sizes its liveness deadline from the measured node time — 64
+/// nodes, so the busy worker's heartbeats stay well inside it, while the
+/// 512-node shard as a whole outlasts it in any build.
 ScenarioSpec OneShardSpec() {
   ScenarioSpec spec;
   spec.name = "one_shard";
@@ -454,12 +487,14 @@ TEST(RunFleetCoordinated, NeverReapsAnIdleWorkerForSilence) {
   FleetCoordOptions options = BaseOptions();
   options.shard_size = spec.nodes_per_cell;
   options.heartbeat_ms = 25;
-  options.liveness_timeout_ms = 100;
+  double node_ms = 0.0;
+  const FleetSummary monolithic =
+      TimedRunFleet(spec, options.shard_size, &node_ms);
+  options.liveness_timeout_ms =
+      LivenessDeadlineMs(options.heartbeat_ms, node_ms, 100);
   FleetCoordStats stats;
   const FleetSummary summary = RunFleetCoordinated(spec, options, &stats);
-  FleetRunOptions mono_options;
-  mono_options.shard_size = options.shard_size;
-  ExpectSummaryBitIdentical(summary, RunFleet(spec, mono_options));
+  ExpectSummaryBitIdentical(summary, monolithic);
   EXPECT_EQ(stats.workers_spawned, options.workers);
   EXPECT_EQ(stats.workers_killed, 0u);
   EXPECT_EQ(stats.respawns, 0u);

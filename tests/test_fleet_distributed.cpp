@@ -1,5 +1,6 @@
 // Tests for the distributed fleet pipeline: shard plans, serialized
-// partials, the plan-order merge, and the trace cache.  The acceptance
+// partials, the plan-order merge, the trace cache, and the forecasts a
+// healthy run shares between the storage tiers of a weather lane.  The acceptance
 // pin lives here — a scenario executed as several separate RunFleetShards
 // partial runs, each serialized to text and parsed back, must merge into
 // a FleetSummary bit-identical (table + CSV + integer totals) to the
@@ -10,6 +11,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -22,6 +25,8 @@
 #include "fleet/shard_plan.hpp"
 #include "fleet/trace_cache.hpp"
 #include "solar/clearsky.hpp"
+#include "trace/sink.hpp"
+#include "trace/trace_file.hpp"
 
 namespace shep {
 namespace {
@@ -456,6 +461,224 @@ TEST(TraceCache, CachedRunsAreBitIdenticalAndWarmRunsHit) {
   RunFleetShards(plan, {0}, options, &subset_info);
   EXPECT_GT(subset_info.trace_cache_hits, 0u);
   EXPECT_EQ(subset_info.trace_cache_misses, 0u);
+}
+
+// ---- Shared forecasts -------------------------------------------------------
+
+/// Every PredictorKind (the two costed backends among them) on three
+/// storage tiers, healthy: each (lane, design) pair feeds one node per
+/// tier.  Short, so the sanitizer builds stay quick, but every design's
+/// history fills before scoring starts.
+ScenarioSpec SharedForecastSpec(std::size_t nodes_per_cell) {
+  ScenarioSpec spec;
+  spec.name = "shared_forecast";
+  spec.sites = {"HSU"};
+  for (PredictorKind kind :
+       {PredictorKind::kWcma, PredictorKind::kWcmaFixed,
+        PredictorKind::kWcmaVm, PredictorKind::kEwma, PredictorKind::kAr,
+        PredictorKind::kAdaptiveWcma, PredictorKind::kPersistence,
+        PredictorKind::kPreviousDay}) {
+    PredictorSpec design;
+    design.kind = kind;
+    design.wcma.days = 5;
+    design.ar.days = 5;
+    design.adaptive.days = 5;
+    spec.predictors.push_back(design);
+  }
+  spec.storage_tiers_j = {1500.0, 4000.0, 12000.0};
+  spec.nodes_per_cell = nodes_per_cell;
+  spec.days = 16;
+  spec.slots_per_day = 48;
+  spec.seed = 29;
+  spec.node.duty.active_power_w = 0.40;
+  spec.node.warmup_days = 8;
+  spec.initial_level_jitter = 0.2;
+  return spec;
+}
+
+struct SharingShape {
+  const char* name;
+  std::size_t nodes_per_cell;
+  std::size_t shard_size;
+  /// Sum of predictor_runs over one RunFleetShards call per shard.
+  std::size_t single_shard_runs;
+};
+
+// With one replica, a (site, design) block is its three tier nodes in a
+// row, and a shard of six holds two whole blocks: tier siblings share a
+// shard, so even single-shard runs record each pair once (8 designs).
+// With three replicas a pair's nodes lie three apart, so no shard of two
+// holds two of them: single-shard runs never share and make one pass per
+// node (8 x 3 x 3).
+constexpr SharingShape kSharingShapes[] = {
+    {"siblings share a shard", 1, 6, 8},
+    {"siblings straddle shards", 3, 2, 72},
+};
+
+std::vector<std::size_t> AllShards(const ShardPlan& plan) {
+  std::vector<std::size_t> all(plan.shards.size());
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+
+/// Every cell accumulator's serialized bytes, in cell order.
+std::string CellBytes(const FleetSummary& summary) {
+  std::ostringstream os;
+  for (const CellAccumulator& cell : summary.stats) cell.Serialize(os);
+  return os.str();
+}
+
+/// The plan's summary with one predictor pass per node: SimulateSpecNode
+/// for every node, reduced per shard and merged in plan order as
+/// RunFleetShards reduces its own.
+FleetSummary OnePassPerNode(const ShardPlan& plan) {
+  const ScenarioMatrix& matrix = plan.matrix;
+  const ScenarioSpec& s = matrix.spec;
+  TraceCache lanes;
+  std::vector<FleetPartial> partials(1);
+  partials[0].scenario_name = s.name;
+  partials[0].plan_fingerprint = plan.fingerprint;
+  for (const ShardRange& range : plan.shards) {
+    ShardCells& local = partials[0].shards.emplace_back();
+    local.shard = range.index;
+    for (std::size_t i = range.begin_node; i < range.end_node; ++i) {
+      const FleetNodeConfig& node = matrix.nodes[i];
+      const ScenarioCell& cell = matrix.cells[node.cell];
+      const TraceLanePlan& lane = plan.lanes[matrix.trace_lane(node)];
+      NodeSimConfig config = s.node;
+      config.storage.capacity_j = cell.storage_j;
+      config.initial_level_fraction = node.initial_level_fraction;
+      const NodeSimResult result = SimulateSpecNode(
+          s.predictors[cell.predictor_index], s.slots_per_day,
+          *lanes.Get(lane.site_code, lane.trace_seed, s.days,
+                     s.slots_per_day),
+          config);
+      if (local.cells.empty() || local.cells.back().first != node.cell) {
+        local.cells.emplace_back(node.cell, CellAccumulator{});
+      }
+      local.cells.back().second.Add(result);
+    }
+  }
+  return MergeFleetPartials(plan, partials);
+}
+
+TEST(SharedForecasts, MatchOnePredictorPassPerNode) {
+  for (const SharingShape& shape : kSharingShapes) {
+    SCOPED_TRACE(shape.name);
+    const ShardPlan plan = BuildShardPlan(
+        SharedForecastSpec(shape.nodes_per_cell), shape.shard_size);
+    const std::size_t pairs =
+        plan.lanes.size() * plan.matrix.spec.predictors.size();
+    ASSERT_EQ(plan.matrix.nodes.size(), 3 * pairs);
+    const std::string reference = CellBytes(OnePassPerNode(plan));
+
+    // The whole plan in one call: every pair feeds three tiers, so each
+    // is recorded once, at any thread count.
+    for (std::size_t threads : {1u, 2u, 4u}) {
+      ThreadPool pool(threads);
+      FleetRunOptions options;
+      options.pool = &pool;
+      FleetRunStats stats;
+      std::vector<FleetPartial> partials;
+      partials.push_back(
+          RunFleetShards(plan, AllShards(plan), options, &stats));
+      EXPECT_EQ(CellBytes(MergeFleetPartials(plan, partials)), reference)
+          << threads << " threads";
+      EXPECT_EQ(stats.predictor_runs, pairs) << threads << " threads";
+    }
+
+    // One call per shard, as a coordinated worker runs them.
+    std::vector<FleetPartial> singles;
+    std::size_t runs = 0;
+    for (std::size_t shard = 0; shard < plan.shards.size(); ++shard) {
+      FleetRunStats stats;
+      singles.push_back(RunFleetShards(plan, {shard}, {}, &stats));
+      runs += stats.predictor_runs;
+    }
+    EXPECT_EQ(CellBytes(MergeFleetPartials(plan, singles)), reference);
+    EXPECT_EQ(runs, shape.single_shard_runs);
+  }
+}
+
+TEST(SharedForecasts, FaultedRunsKeepOnePassPerNode) {
+  // One node per shard: single-shard runs share nothing, so a whole-plan
+  // run that shared a faulted forecast would not match them.
+  ScenarioSpec spec = SharedForecastSpec(1);
+  spec.faults.outage_rate_per_day = 0.3;
+  spec.faults.outage_mean_slots = 6.0;
+  spec.faults.dropout_rate_per_day = 1.0;
+  spec.faults.dropout_mean_slots = 2.0;
+  spec.faults.recovery_window_slots = 48;
+  const ShardPlan plan = BuildShardPlan(spec, 1);
+  ThreadPool pool(2);
+  FleetRunOptions options;
+  options.pool = &pool;
+  FleetRunStats stats;
+  std::vector<FleetPartial> whole;
+  whole.push_back(RunFleetShards(plan, AllShards(plan), options, &stats));
+  EXPECT_EQ(stats.predictor_runs, plan.matrix.nodes.size());
+  std::vector<FleetPartial> singles;
+  for (std::size_t shard = 0; shard < plan.shards.size(); ++shard) {
+    singles.push_back(RunFleetShards(plan, {shard}));
+  }
+  EXPECT_EQ(CellBytes(MergeFleetPartials(plan, whole)),
+            CellBytes(MergeFleetPartials(plan, singles)));
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(SharedForecasts, TraceFilesMatchSingleShardRuns) {
+  for (const SharingShape& shape : kSharingShapes) {
+    SCOPED_TRACE(shape.name);
+    const ShardPlan plan = BuildShardPlan(
+        SharedForecastSpec(shape.nodes_per_cell), shape.shard_size);
+    const auto root = std::filesystem::path(::testing::TempDir()) /
+                      ("shep_shared_forecast_" +
+                       std::to_string(shape.nodes_per_cell));
+    std::filesystem::remove_all(root);
+    TraceSinkOptions whole_options;
+    whole_options.directory = (root / "whole").string();
+    TraceSinkOptions singles_options;
+    singles_options.directory = (root / "singles").string();
+    {
+      ThreadPool pool(4);
+      TraceSink sink(whole_options);
+      FleetRunOptions options;
+      options.pool = &pool;
+      options.trace_sink = &sink;
+      FleetRunStats stats;
+      (void)RunFleetShards(plan, AllShards(plan), options, &stats);
+      EXPECT_EQ(stats.predictor_runs, plan.matrix.nodes.size() / 3);
+    }
+    {
+      TraceSink sink(singles_options);
+      FleetRunOptions options;
+      options.trace_sink = &sink;
+      for (std::size_t shard = 0; shard < plan.shards.size(); ++shard) {
+        (void)RunFleetShards(plan, {shard}, options);
+      }
+    }
+    for (const ShardRange& shard : plan.shards) {
+      const std::string name =
+          TraceShardFile::FileName(plan.fingerprint, shard.index);
+      const std::string whole =
+          FileBytes((std::filesystem::path(whole_options.directory) / name)
+                        .string());
+      EXPECT_FALSE(whole.empty()) << "shard " << shard.index;
+      EXPECT_EQ(whole, FileBytes((std::filesystem::path(
+                                      singles_options.directory) /
+                                  name)
+                                     .string()))
+          << "shard " << shard.index;
+    }
+    std::filesystem::remove_all(root);
+  }
 }
 
 }  // namespace

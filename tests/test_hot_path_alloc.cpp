@@ -6,9 +6,10 @@
 // series must not allocate more than a run over a shorter one — per-node
 // constants (the result's predictor name) are fine, anything per slot,
 // per day, or per Reset() is not, and a traced run's distillation obeys
-// the same rule.  Likewise trace synthesis with a warm scratch and a warm
-// clear-sky memo allocates exactly the trace it returns, whatever its
-// length.
+// the same rule, as does a run on a replayed forecast
+// (fleet/forecast_replay.hpp).  Likewise trace synthesis with a warm
+// scratch and a warm clear-sky memo allocates exactly the trace it
+// returns, whatever its length.
 //
 // Global operator new is replaced by a counting one.  The counter is
 // thread-local, so only allocations made by the measuring thread count.
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "fleet/faults.hpp"
+#include "fleet/forecast_replay.hpp"
 #include "fleet/scenario.hpp"
 #include "mgmt/node_sim_kernel.hpp"
 #include "solar/sites.hpp"
@@ -66,13 +68,15 @@ const PredictorKind kKinds[] = {
     PredictorKind::kAr,          PredictorKind::kAdaptiveWcma,
     PredictorKind::kPersistence, PredictorKind::kPreviousDay};
 
-enum class Mode { kHealthy, kFaulted, kTraced };
+enum class Mode { kHealthy, kFaulted, kTraced, kReplayed, kReplayedTraced };
 
 const char* ModeName(Mode mode) {
   switch (mode) {
     case Mode::kHealthy: return "healthy";
     case Mode::kFaulted: return "faulted";
     case Mode::kTraced: return "traced";
+    case Mode::kReplayed: return "replayed";
+    case Mode::kReplayedTraced: return "replayed traced";
   }
   return "?";
 }
@@ -123,12 +127,16 @@ struct KernelRun {
 /// is one whole shard of one node through a real ShardWriter, so the
 /// node's distillation is counted too.  Like a pool worker's writer in
 /// steady state, its file vectors are warm: an identical node already ran
-/// into them, and BeginShard cleared them.  Nothing is reserved.
+/// into them, and BeginShard cleared them.  Nothing is reserved.  A
+/// replayed run drives the kernel with a ForecastReplay of a recording
+/// made beforehand, as RunFleetShards does for a shared forecast.
 KernelRun RunKernel(PredictorKind kind, Mode mode, const SlotSeries& series) {
   const PredictorSpec spec = Spec(kind);
   const auto predictor = spec.Make(kSlotsPerDay);
   Predictor& p = *predictor;
   const NodeSimConfig config = Config();
+  const RecordedForecast forecast =
+      RecordForecast(spec, kSlotsPerDay, series);
   FaultSchedule schedule;
   BuildFaultSchedule(Outages(), 7, series.days(), kSlotsPerDay, schedule);
   TraceSink sink;  // no directory: EndShard writes no file.
@@ -138,7 +146,7 @@ KernelRun RunKernel(PredictorKind kind, Mode mode, const SlotSeries& series) {
   context.cells.resize(1);
   sink.BeginRun(context);
   TraceSink::ShardWriter writer;
-  auto traced_shard = [&](Predictor& traced) {
+  auto traced_shard = [&](auto& traced) {
     writer.BeginShard(sink, 0);
     const NodeTraceProbe probe = writer.Probe(0, 0);
     NodeSimResult result = SimulateNodeKernel(traced, series, config, probe);
@@ -147,6 +155,9 @@ KernelRun RunKernel(PredictorKind kind, Mode mode, const SlotSeries& series) {
     return result;
   };
   if (mode == Mode::kTraced) (void)traced_shard(*spec.Make(kSlotsPerDay));
+  if (mode == Mode::kReplayedTraced) {
+    (void)WithReplay(forecast, traced_shard);
+  }
 
   KernelRun run;
   const std::size_t before = t_allocations;
@@ -161,6 +172,14 @@ KernelRun RunKernel(PredictorKind kind, Mode mode, const SlotSeries& series) {
     case Mode::kTraced:
       run.result = traced_shard(p);
       break;
+    case Mode::kReplayed:
+      run.result = WithReplay(forecast, [&](auto& replay) {
+        return SimulateNodeKernel(replay, series, config);
+      });
+      break;
+    case Mode::kReplayedTraced:
+      run.result = WithReplay(forecast, traced_shard);
+      break;
   }
   run.allocations = t_allocations - before;
   return run;
@@ -170,7 +189,8 @@ TEST(HotPathAlloc, KernelRunAllocationsDoNotGrowWithTheSeries) {
   const SlotSeries short_series = Series(30);
   const SlotSeries long_series = Series(120);
   for (PredictorKind kind : kKinds) {
-    for (Mode mode : {Mode::kHealthy, Mode::kFaulted, Mode::kTraced}) {
+    for (Mode mode : {Mode::kHealthy, Mode::kFaulted, Mode::kTraced,
+                      Mode::kReplayed, Mode::kReplayedTraced}) {
       const KernelRun short_run = RunKernel(kind, mode, short_series);
       const KernelRun long_run = RunKernel(kind, mode, long_series);
       EXPECT_EQ(short_run.allocations, long_run.allocations)
