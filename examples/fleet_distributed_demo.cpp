@@ -178,7 +178,9 @@ int main(int argc, char** argv) try {
               << stats.duplicate_frames << " duplicate, "
               << stats.corrupt_frames << " corrupt\n"
               << "workers: " << stats.lanes_synthesized << " lanes synthesized"
-              << " (plan has " << plan.lanes.size() << "), synth "
+              << " (plan has " << plan.lanes.size() << "), "
+              << stats.predictor_runs << " predictor passes (plan has "
+              << plan.matrix.nodes.size() << " nodes), synth "
               << stats.worker_synth_seconds << " s, sim "
               << stats.worker_sim_seconds << " s\n\n";
 

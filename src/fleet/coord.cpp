@@ -218,6 +218,7 @@ bool AcceptFrame(CoordState& state, WorkerProc& worker, std::size_t shard,
     return true;
   }
   state.shard_state[shard] = ShardState::kDone;
+  state.stats.predictor_runs += partial.predictor_runs;
   state.stats.worker_synth_seconds += partial.synth_seconds;
   state.stats.worker_sim_seconds += partial.sim_seconds;
   state.lanes_reported += state.shard_new_lanes[shard];

@@ -18,7 +18,10 @@
 // and only once it is idle, does it steal from the group with the most
 // pending shards, and only if the worker-reported costs say the steal
 // pays for the lanes it re-synthesizes.  Each lane is thus synthesized by
-// about one worker instead of by every worker.
+// about one worker instead of by every worker.  A group holds every shard
+// of its lanes, so every storage tier of a (lane, design) pair lands on the
+// same worker too, and the worker's ForecastMemo (fleet/forecast_replay.hpp)
+// runs that design's predictor once for all of them.
 //
 // Control plane vs data plane (the caldera heartbeat/transport split, kept
 // on the wire, not in threads): a worker runs on one thread and sends a
@@ -68,8 +71,10 @@ struct FleetWorkerJob {
   std::size_t shard_size = 8;
   /// Least time between heartbeats, which go out only at progress points
   /// (after each lane and each node).  The liveness deadline must exceed
-  /// this plus the longest gap between progress points: one lane or one
-  /// node, each ~35 ms at 365 days x 288 slots on a 4-vCPU x86 host.
+  /// this plus the longest gap between progress points: one lane, or one
+  /// node plus the recording of its (lane, design) pair when it is the
+  /// pair's first reader, about two node times.  A lane or a node is ~35 ms
+  /// at 365 days x 288 slots on a 4-vCPU x86 host.
   std::uint32_t heartbeat_ms = 100;
   /// Expected plan fingerprint.  The worker rebuilds the plan from (spec,
   /// shard_size) and refuses the job when its fingerprint disagrees —
@@ -144,6 +149,11 @@ struct FleetCoordStats {
   /// that spawn: the synthesis the fleet paid for.  The plan's lane count
   /// is the floor, reached by a single worker.
   std::size_t lanes_synthesized = 0;
+  /// Worker-reported predictor passes, summed over accepted frames: the
+  /// plan's lanes x designs when every worker replays its recordings to
+  /// the other storage tiers of a design, the node count for a faulted
+  /// spec.  Metadata only; never part of the summary.
+  std::size_t predictor_runs = 0;
   /// Worker-reported synthesis and simulation wall time, summed over
   /// accepted frames.  Timing only; never part of the summary.
   double worker_synth_seconds = 0.0;

@@ -12,12 +12,14 @@ std::string FleetPartial::Serialize() const {
   std::ostringstream os;
   // v2: CellAccumulator gained the min_soc moments (PR 7).  v3: the
   // graceful-degradation channel (availability and post-recovery moments,
-  // downtime/recovery totals).  Older partials would mis-align on parse,
-  // so the version token rejects them up front.
-  os << "shep-fleet-partial v3\n";
+  // downtime/recovery totals).  v4: the predictor_runs count.  Older
+  // partials would mis-align on parse, so the version token rejects them
+  // up front.
+  os << "shep-fleet-partial v4\n";
   os << "scenario " << scenario_name << '\n';
   os << "fingerprint " << plan_fingerprint << '\n';
   os << "nodes " << nodes_simulated << '\n';
+  os << "predictor_runs " << predictor_runs << '\n';
   os << "synth_seconds ";
   serdes::WriteDouble(os, synth_seconds);
   os << "\nsim_seconds ";
@@ -37,7 +39,7 @@ std::string FleetPartial::Serialize() const {
 FleetPartial FleetPartial::Parse(const std::string& text) {
   std::istringstream is(text);
   serdes::ExpectToken(is, "shep-fleet-partial");
-  serdes::ExpectToken(is, "v3");
+  serdes::ExpectToken(is, "v4");
   FleetPartial partial;
   serdes::ExpectToken(is, "scenario");
   is >> partial.scenario_name;
@@ -47,6 +49,8 @@ FleetPartial FleetPartial::Parse(const std::string& text) {
   partial.plan_fingerprint = serdes::ReadU64(is);
   serdes::ExpectToken(is, "nodes");
   partial.nodes_simulated = static_cast<std::size_t>(serdes::ReadU64(is));
+  serdes::ExpectToken(is, "predictor_runs");
+  partial.predictor_runs = static_cast<std::size_t>(serdes::ReadU64(is));
   serdes::ExpectToken(is, "synth_seconds");
   partial.synth_seconds = serdes::ReadDouble(is);
   serdes::ExpectToken(is, "sim_seconds");

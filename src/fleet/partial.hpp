@@ -3,7 +3,8 @@
 // Stage 2 of the pipeline (RunFleetShards) executes a subset of a
 // ShardPlan's shards and reduces each shard into per-cell
 // CellAccumulators.  A FleetPartial packages those shard results with
-// enough identity (plan fingerprint) and run metadata (nodes, wall times)
+// enough identity (plan fingerprint) and run metadata (nodes, predictor
+// passes, wall times)
 // that stage 3 (MergeFleetPartials) can fold ANY grouping of partials —
 // one per shard, one per machine, or one for the whole plan — into the
 // same FleetSummary, bit-identical to the single-process run.
@@ -42,6 +43,9 @@ struct FleetPartial {
   /// rejects partials whose fingerprint disagrees with the plan's.
   std::uint64_t plan_fingerprint = 0;
   std::size_t nodes_simulated = 0;
+  /// Predictor passes this run made (FleetRunStats::predictor_runs):
+  /// metadata like the wall times, never part of the summary.
+  std::size_t predictor_runs = 0;
   double synth_seconds = 0.0;  ///< phase-1 wall time of this run.
   double sim_seconds = 0.0;    ///< phase-2 wall time of this run.
   /// Per-shard reductions, ascending by shard index.

@@ -4,8 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <mutex>
 #include <numeric>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -30,18 +30,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// One (weather lane, predictor design) pair of a healthy run: every node
-/// of the pair sees the same forecast whatever its storage tier
-/// (fleet/forecast_replay.hpp).  A pair that two or more nodes of the
-/// subset read is recorded once, by whichever of them gets there first,
-/// and freed by the last one to finish.
-struct SharedForecast {
-  std::size_t consumers = 0;               ///< nodes of the subset reading it.
-  std::atomic<std::size_t> unfinished{0};  ///< consumers still to run.
-  std::once_flag recorded;
-  RecordedForecast forecast;
-};
-
 }  // namespace
 
 NodeSimResult SimulateSpecNode(const PredictorSpec& spec, int slots_per_day,
@@ -64,6 +52,19 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
   SHEP_REQUIRE(std::adjacent_find(subset.begin(), subset.end()) ==
                    subset.end(),
                "shard subset must not repeat a shard");
+
+  // A healthy run records once each (lane, design) pair that several of
+  // the memo's nodes read, and replays the recording to each of them
+  // (ForecastMemo).  Without a caller's memo, the call's own subset is the
+  // memo's whole world.
+  std::optional<ForecastMemo> local_memo;
+  if (options.forecast_memo == nullptr) local_memo.emplace(plan, subset);
+  ForecastMemo& memo =
+      options.forecast_memo != nullptr ? *options.forecast_memo : *local_memo;
+  SHEP_REQUIRE(memo.plan_fingerprint() == plan.fingerprint,
+               "forecast memo belongs to a different plan");
+  memo.BeginCall(subset);
+  const std::size_t recordings_before = memo.recordings();
 
   const ScenarioMatrix& matrix = plan.matrix;
   const ScenarioSpec& s = matrix.spec;  // slot_seconds already forced.
@@ -171,28 +172,7 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
   const bool faulted = s.faults.any();
   std::vector<FaultSchedule> fault_scratch(
       faulted ? ParallelWorkerCount(options.pool, subset.size()) : 0);
-
-  // A healthy run records once each (lane, design) pair that several of
-  // its nodes read, and replays the recording to each of them
-  // (SharedForecast).  Faulted nodes keep their own predictor pass:
-  // outages and dropouts make each one's forecast its own.
-  const std::size_t designs = s.predictors.size();
-  auto forecast_key = [&](const FleetNodeConfig& node) {
-    return matrix.trace_lane(node) * designs +
-           matrix.cells[node.cell].predictor_index;
-  };
-  std::vector<SharedForecast> shared(faulted ? 0
-                                             : plan.lanes.size() * designs);
-  if (!faulted) {
-    for (std::size_t shard : subset) {
-      const ShardRange& range = plan.shards[shard];
-      for (std::size_t i = range.begin_node; i < range.end_node; ++i) {
-        ++shared[forecast_key(matrix.nodes[i])].consumers;
-      }
-    }
-    for (SharedForecast& pair : shared) pair.unfinished = pair.consumers;
-  }
-  std::atomic<std::size_t> predictor_runs{0};
+  std::atomic<std::size_t> own_passes{0};
 
   t0 = std::chrono::steady_clock::now();
   // Worker-indexed so a traced run can use its worker's shard writer: each
@@ -236,21 +216,13 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
         return traced;
       };
       NodeSimResult result;
-      SharedForecast* const pair =
-          faulted ? nullptr : &shared[forecast_key(node)];
-      if (pair != nullptr && pair->consumers > 1) {
-        std::call_once(pair->recorded, [&] {
-          pair->forecast = RecordForecast(design, s.slots_per_day, lane);
-          predictor_runs.fetch_add(1, std::memory_order_relaxed);
-        });
-        result = WithReplay(pair->forecast, [&](auto& replay) {
+      if (const RecordedForecast* const shared = memo.Acquire(node, lane)) {
+        result = WithReplay(*shared, [&](auto& replay) {
           return simulate(replay, NoFaultModel{});
         });
-        if (pair->unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          pair->forecast = RecordedForecast{};
-        }
+        memo.Release(node);
       } else {
-        predictor_runs.fetch_add(1, std::memory_order_relaxed);
+        own_passes.fetch_add(1, std::memory_order_relaxed);
         if (faulted) {
           BuildFaultSchedule(s.faults, node.fault_seed, s.days,
                              s.slots_per_day, fault_scratch[worker]);
@@ -276,6 +248,8 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
   for (std::size_t shard : subset) {
     partial.nodes_simulated += plan.shards[shard].node_count();
   }
+  partial.predictor_runs =
+      own_passes.load() + (memo.recordings() - recordings_before);
   partial.synth_seconds = synth_seconds;
   partial.sim_seconds = sim_seconds;
 
@@ -284,7 +258,7 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
         options.pool != nullptr ? options.pool->thread_count() : 1;
     stats->shards = subset.size();
     stats->unique_traces = needed.size();
-    stats->predictor_runs = predictor_runs.load();
+    stats->predictor_runs = partial.predictor_runs;
     stats->synth_seconds = synth_seconds;
     stats->sim_seconds = sim_seconds;
     stats->trace_cache_hits = cache_hits.load();

@@ -32,6 +32,7 @@
 
 #include "common/threadpool.hpp"
 #include "fleet/aggregate.hpp"
+#include "fleet/forecast_replay.hpp"
 #include "fleet/partial.hpp"
 #include "fleet/scenario.hpp"
 #include "fleet/shard_plan.hpp"
@@ -53,6 +54,12 @@ struct FleetRunOptions {
   /// scenarios synthesize each lane once.  Results are bit-identical with
   /// and without it; only phase-1 wall time changes.
   TraceCache* trace_cache = nullptr;
+  /// Optional recorded-forecast memo (fleet/forecast_replay.hpp) kept
+  /// across calls over one plan, so the storage tiers of a design share
+  /// one predictor pass even when they arrive in separate calls, as
+  /// shep_fleet_worker's one-shard jobs do.  Null: the call shares only
+  /// among its own shards.  Results are bit-identical either way.
+  ForecastMemo* forecast_memo = nullptr;
   /// Opt-in telemetry: when set, the worker running a shard records every
   /// simulated slot, distills each node through the selective-persistence
   /// policy and writes the shard's trace file (trace/sink.hpp).  Strictly
@@ -74,9 +81,10 @@ struct FleetRunStats {
   std::size_t threads = 1;
   std::size_t shards = 0;         ///< shards executed by this run.
   std::size_t unique_traces = 0;  ///< lanes this run's shards read.
-  /// Predictor passes phase 2 made: one per recorded (lane, design) pair
+  /// Predictor passes phase 2 made: one per (lane, design) pair recorded
   /// plus one per node that ran its own predictor.  Deterministic in
-  /// (plan, shard subset); equals the node count when nothing is shared.
+  /// (plan, shard subset, memo history); equals the node count when
+  /// nothing is shared.
   std::size_t predictor_runs = 0;
   double synth_seconds = 0.0;     ///< phase 1 wall time.
   double sim_seconds = 0.0;       ///< phase 2 wall time, tracing included
@@ -107,29 +115,18 @@ struct FleetRunStats {
 ///
 /// Shared forecasts.  No predictor reads the node's storage, so in a
 /// healthy run (`!spec.faults.any()`) every storage tier of one (weather
-/// lane, predictor design) pair gets the same forecast.  Each pair that
-/// two or more nodes of the subset read is run ONCE: its first node to
-/// start records the predictor's pass (fleet/forecast_replay.hpp) under a
-/// per-pair std::call_once, so siblings on other pool threads wait rather
-/// than recompute, and every node of the pair runs the one kernel,
-/// SimulateNodeKernel, on a replay of that recording.  The last node of
-/// the pair to finish frees it.  Results are bit-identical to one
-/// predictor pass per node (pinned by tests/test_fleet_distributed.cpp).
-///
-/// Memory bound: a recording is (days × slots_per_day − 1) doubles, live
-/// from its pair's first node to its last.  Nodes are cell-major and tiers
-/// are the innermost cell dimension, so a pair's nodes lie inside one
-/// (site, design) block of tiers × nodes_per_cell nodes, and the pool
-/// takes shards in plan order: about nodes_per_cell recordings per open
-/// block are live, with one to a few blocks open at once (shard_size ×
-/// threads nodes in flight).  fleet_mix-sized runs (365 days, N = 48,
-/// 10 replicas) hold about 140 KB per recording.
-///
-/// Faulted nodes keep one predictor pass each (their fault schedules make
-/// every forecast their own), and so does a pair with a single node in
-/// the subset.  That includes every RunFleetCoordinated worker job, which
-/// carries exactly one shard; sharing inside workers would need multi-
-/// shard jobs or a consumer count handed down by the coordinator.
+/// lane, predictor design) pair gets the same forecast.  A pair that two or
+/// more nodes of the ForecastMemo read is run ONCE: its first node to start
+/// records the predictor's pass, siblings on other pool threads wait for
+/// it rather than recompute, and every node of the pair runs the one
+/// kernel, SimulateNodeKernel, on a replay of that recording.  The pair's
+/// last node frees it.  Without `options.forecast_memo` the call builds a
+/// memo for its own subset; a caller that runs a plan one shard at a time
+/// (shep_fleet_worker) passes one memo to every call, and its later tiers
+/// replay what an earlier call recorded.  The memory bound is stated on
+/// ForecastMemo.  Results are bit-identical to one predictor pass per node
+/// (pinned by tests/test_fleet_distributed.cpp), and faulted nodes keep
+/// one pass each (their fault schedules make every forecast their own).
 FleetPartial RunFleetShards(const ShardPlan& plan,
                             const std::vector<std::size_t>& shard_subset,
                             const FleetRunOptions& options = {},

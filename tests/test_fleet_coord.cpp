@@ -633,6 +633,46 @@ TEST(RunFleetCoordinated, OneWorkerSynthesizesEveryLaneOnce) {
   EXPECT_EQ(stats.lanes_synthesized, plan.lanes.size());
 }
 
+/// CoordSpec on three storage tiers in shards of 2: each shard holds one
+/// tier's two replicas, so a (lane, design) pair's three readers sit in
+/// three different shards of one lane group and only a forecast memo kept
+/// across the worker's jobs can share them.
+ScenarioSpec TieredSpec() {
+  ScenarioSpec spec = CoordSpec();
+  spec.name = "tiered";
+  spec.storage_tiers_j = {1500.0, 4000.0, 12000.0};
+  return spec;
+}
+
+constexpr std::size_t kTieredShardSize = 2;
+
+TEST(RunFleetCoordinated, OneWorkerRecordsEachForecastOnce) {
+  SHEP_SKIP_WITHOUT_WORKER();
+  FleetCoordOptions options = BaseOptions();
+  options.workers = 1;
+  options.shard_size = kTieredShardSize;
+  for (const bool faulted : {false, true}) {
+    SCOPED_TRACE(faulted ? "faulted" : "healthy");
+    ScenarioSpec spec = TieredSpec();
+    if (faulted) {
+      spec.faults.outage_rate_per_day = 0.3;
+      spec.faults.outage_mean_slots = 6.0;
+      spec.faults.dropout_rate_per_day = 0.5;
+      spec.faults.dropout_mean_slots = 4.0;
+    }
+    const ShardPlan plan = BuildShardPlan(spec, kTieredShardSize);
+    FleetCoordStats stats;
+    const FleetSummary summary = RunFleetCoordinated(spec, options, &stats);
+    ExpectSummaryBitIdentical(summary, MonolithicOf(spec, kTieredShardSize));
+    EXPECT_EQ(stats.frames_accepted, plan.shards.size());
+    // Healthy: one pass per (lane, design) pair, 4 x 3 = 12 for 36 nodes.
+    // Faulted: every node runs its own predictor.
+    EXPECT_EQ(stats.predictor_runs,
+              faulted ? plan.matrix.nodes.size()
+                      : plan.lanes.size() * spec.predictors.size());
+  }
+}
+
 TEST(RunFleetCoordinated, ShardsStraddlingCellsMergeBitIdentically) {
   SHEP_SKIP_WITHOUT_WORKER();
   // 5 replicas per cell in shards of 3: shards straddle cells, so lane

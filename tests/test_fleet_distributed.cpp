@@ -1,6 +1,7 @@
 // Tests for the distributed fleet pipeline: shard plans, serialized
 // partials, the plan-order merge, the trace cache, and the forecasts a
-// healthy run shares between the storage tiers of a weather lane.  The acceptance
+// healthy run shares between the storage tiers of a weather lane, within
+// one call and, through a ForecastMemo, across calls.  The acceptance
 // pin lives here — a scenario executed as several separate RunFleetShards
 // partial runs, each serialized to text and parsed back, must merge into
 // a FleetSummary bit-identical (table + CSV + integer totals) to the
@@ -13,14 +14,18 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <numeric>
+#include <random>
 #include <set>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/threadpool.hpp"
+#include "fleet/forecast_replay.hpp"
 #include "fleet/partial.hpp"
 #include "fleet/shard_plan.hpp"
 #include "fleet/trace_cache.hpp"
@@ -185,6 +190,8 @@ TEST(FleetPartial, SerializeParseRoundTripIsBitIdentical) {
   EXPECT_EQ(parsed.scenario_name, original.scenario_name);
   EXPECT_EQ(parsed.plan_fingerprint, original.plan_fingerprint);
   EXPECT_EQ(parsed.nodes_simulated, original.nodes_simulated);
+  EXPECT_EQ(parsed.predictor_runs, original.predictor_runs);
+  EXPECT_GT(original.predictor_runs, 0u);
   EXPECT_EQ(parsed.synth_seconds, original.synth_seconds);
   EXPECT_EQ(parsed.sim_seconds, original.sim_seconds);
   ASSERT_EQ(parsed.shards.size(), original.shards.size());
@@ -203,6 +210,10 @@ TEST(FleetPartial, SerializeParseRoundTripIsBitIdentical) {
   EXPECT_EQ(parsed.Serialize(), original.Serialize());
 
   EXPECT_THROW(FleetPartial::Parse("garbage"), std::invalid_argument);
+  // An older format version is refused up front, not mis-aligned.
+  std::string v3 = original.Serialize();
+  v3.replace(v3.find(" v4\n"), 4, " v3\n");
+  EXPECT_THROW(FleetPartial::Parse(v3), std::invalid_argument);
 
   // The progress hook fires once per lane the subset reads, synthesized or
   // cached, and once per node simulated; the partial's text is the same
@@ -502,17 +513,25 @@ struct SharingShape {
   std::size_t shard_size;
   /// Sum of predictor_runs over one RunFleetShards call per shard.
   std::size_t single_shard_runs;
+  /// The same calls in plan order, all against one ForecastMemo.
+  std::size_t memo_plan_order_runs;
 };
 
 // With one replica, a (site, design) block is its three tier nodes in a
 // row, and a shard of six holds two whole blocks: tier siblings share a
 // shard, so even single-shard runs record each pair once (8 designs).
 // With three replicas a pair's nodes lie three apart, so no shard of two
-// holds two of them: single-shard runs never share and make one pass per
-// node (8 x 3 x 3).
+// or three holds two of them: single-shard runs never share and make one
+// pass per node (8 x 3 x 3).  A memo kept across the calls shares them:
+// a shard of three is one cell and reads all three lanes, so each pair is
+// recorded once (3 lanes x 8 designs).  A shard of two reads two lanes,
+// and one of the two gaps between a pair's readers crosses a shard that
+// does not read the pair's lane; the memo drops the recording there, so
+// each pair is recorded twice.
 constexpr SharingShape kSharingShapes[] = {
-    {"siblings share a shard", 1, 6, 8},
-    {"siblings straddle shards", 3, 2, 72},
+    {"siblings share a shard", 1, 6, 8, 8},
+    {"one cell per shard", 3, 3, 72, 24},
+    {"siblings straddle shards", 3, 2, 72, 48},
 };
 
 std::vector<std::size_t> AllShards(const ShardPlan& plan) {
@@ -679,6 +698,242 @@ TEST(SharedForecasts, TraceFilesMatchSingleShardRuns) {
     }
     std::filesystem::remove_all(root);
   }
+}
+
+// ---- One memo across calls, as shep_fleet_worker runs a plan ---------------
+
+/// The lanes the listed shards read.
+std::set<std::size_t> LanesOf(const ShardPlan& plan,
+                              const std::vector<std::size_t>& shards) {
+  std::set<std::size_t> lanes;
+  for (std::size_t shard : shards) {
+    const ShardRange& range = plan.shards[shard];
+    for (std::size_t i = range.begin_node; i < range.end_node; ++i) {
+      lanes.insert(plan.matrix.trace_lane(plan.matrix.nodes[i]));
+    }
+  }
+  return lanes;
+}
+
+/// One lane cache for every memo test's calls, as a worker keeps one for
+/// its job: otherwise each one-shard call re-synthesizes its lanes.
+TraceCache& LaneCache() {
+  static TraceCache cache;
+  return cache;
+}
+
+struct MemoRun {
+  std::string cells;  ///< CellBytes of the merged summary.
+  std::size_t predictor_runs = 0;
+  std::size_t live_after = 0;  ///< recordings the memo still holds.
+};
+
+/// Runs each entry of `calls` as one RunFleetShards call against one
+/// persistent memo, as a worker runs the jobs it is sent, and checks the
+/// memo's bound after every call.  Shards no call names are left to
+/// "another worker": one memo-less call per shard, not counted.
+MemoRun RunWithMemo(const ShardPlan& plan,
+                    const std::vector<std::vector<std::size_t>>& calls,
+                    ThreadPool* pool = nullptr, TraceSink* sink = nullptr) {
+  ForecastMemo memo(plan, AllShards(plan));
+  FleetRunOptions options;
+  options.pool = pool;
+  options.trace_cache = &LaneCache();
+  options.trace_sink = sink;
+  options.forecast_memo = &memo;
+  const std::size_t designs = plan.matrix.spec.predictors.size();
+  MemoRun run;
+  std::vector<FleetPartial> partials;
+  std::vector<bool> covered(plan.shards.size(), false);
+  for (const std::vector<std::size_t>& call : calls) {
+    FleetRunStats stats;
+    partials.push_back(RunFleetShards(plan, call, options, &stats));
+    EXPECT_EQ(partials.back().predictor_runs, stats.predictor_runs);
+    run.predictor_runs += stats.predictor_runs;
+    EXPECT_LE(memo.live_recordings(), LanesOf(plan, call).size() * designs);
+    for (std::size_t shard : call) covered[shard] = true;
+  }
+  run.live_after = memo.live_recordings();
+  options.forecast_memo = nullptr;
+  for (std::size_t shard = 0; shard < plan.shards.size(); ++shard) {
+    if (!covered[shard]) {
+      partials.push_back(RunFleetShards(plan, {shard}, options));
+    }
+  }
+  run.cells = CellBytes(MergeFleetPartials(plan, partials));
+  return run;
+}
+
+std::vector<std::vector<std::size_t>> OnePerCall(
+    const std::vector<std::size_t>& shards) {
+  std::vector<std::vector<std::size_t>> calls;
+  for (std::size_t shard : shards) calls.push_back({shard});
+  return calls;
+}
+
+/// The plan's shards grouped by the set of lanes they read, groups in
+/// order of first appearance and shards in plan order: the order in which
+/// lane-affinity dispatch feeds a lone worker.
+std::vector<std::vector<std::size_t>> LaneGroups(const ShardPlan& plan) {
+  std::vector<std::vector<std::size_t>> groups;
+  std::map<std::set<std::size_t>, std::size_t> index;
+  for (const ShardRange& range : plan.shards) {
+    const auto [it, added] =
+        index.emplace(LanesOf(plan, {range.index}), groups.size());
+    if (added) groups.emplace_back();
+    groups[it->second].push_back(range.index);
+  }
+  return groups;
+}
+
+struct CallPattern {
+  std::string name;
+  std::vector<std::vector<std::size_t>> calls;
+  bool pooled;             ///< calls run on a 4-thread pool.
+  bool runs_every_reader;  ///< every shard goes through the memo.
+};
+
+std::vector<CallPattern> CallPatterns(const ShardPlan& plan) {
+  std::vector<std::size_t> lane_order;
+  const std::vector<std::vector<std::size_t>> groups = LaneGroups(plan);
+  for (const std::vector<std::size_t>& group : groups) {
+    lane_order.insert(lane_order.end(), group.begin(), group.end());
+  }
+  std::vector<std::size_t> shuffled = AllShards(plan);
+  std::mt19937 rng(13);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  // A steal: the middle shard goes to another worker, so the memo never
+  // sees some pair's last reader.
+  std::vector<std::size_t> stolen = AllShards(plan);
+  stolen.erase(stolen.begin() +
+               static_cast<std::ptrdiff_t>(stolen.size() / 2));
+  return {
+      {"plan order", OnePerCall(AllShards(plan)), false, true},
+      {"plan order, 4 threads", OnePerCall(AllShards(plan)), true, true},
+      {"lane-group order", OnePerCall(lane_order), false, true},
+      {"shuffled", OnePerCall(shuffled), false, true},
+      {"sibling left out", OnePerCall(stolen), false, false},
+      // Several shards per call: siblings meet on different pool threads.
+      {"one call per lane group, 4 threads", groups, true, true},
+  };
+}
+
+/// The shapes in which a memo kept across one-shard calls shares more
+/// than the calls share on their own.
+std::vector<SharingShape> CrossCallShapes() {
+  std::vector<SharingShape> shapes;
+  for (const SharingShape& shape : kSharingShapes) {
+    if (shape.memo_plan_order_runs < shape.single_shard_runs) {
+      shapes.push_back(shape);
+    }
+  }
+  return shapes;
+}
+
+TEST(ForecastMemo, SharesAcrossCallsInAnyOrder) {
+  ThreadPool pool(4);
+  for (const SharingShape& shape : CrossCallShapes()) {
+    SCOPED_TRACE(shape.name);
+    const ShardPlan plan = BuildShardPlan(
+        SharedForecastSpec(shape.nodes_per_cell), shape.shard_size);
+    const std::size_t nodes = plan.matrix.nodes.size();
+    const std::size_t pairs = nodes / 3;
+    const std::string reference = CellBytes(OnePassPerNode(plan));
+    for (const CallPattern& pattern : CallPatterns(plan)) {
+      SCOPED_TRACE(pattern.name);
+      const MemoRun run =
+          RunWithMemo(plan, pattern.calls, pattern.pooled ? &pool : nullptr);
+      EXPECT_EQ(run.cells, reference);
+      if (pattern.name.starts_with("plan order")) {
+        EXPECT_EQ(run.predictor_runs, shape.memo_plan_order_runs);
+      }
+      if (pattern.runs_every_reader) {
+        EXPECT_GE(run.predictor_runs, pairs);
+        EXPECT_LE(run.predictor_runs, nodes);
+        EXPECT_EQ(run.live_after, 0u);
+      }
+    }
+  }
+}
+
+TEST(ForecastMemo, TraceFilesMatchMemolessRuns) {
+  // The shape whose memo drops and re-records pairs.  The reference is one
+  // memo-less call per shard, which with three replicas never holds two
+  // readers of a pair: one predictor pass per node.
+  const SharingShape& shape = kSharingShapes[2];
+  const ShardPlan plan = BuildShardPlan(
+      SharedForecastSpec(shape.nodes_per_cell), shape.shard_size);
+  const auto root =
+      std::filesystem::path(::testing::TempDir()) / "shep_forecast_memo";
+  std::filesystem::remove_all(root);
+  TraceSinkOptions reference_options;
+  reference_options.directory = (root / "reference").string();
+  {
+    TraceSink sink(reference_options);
+    FleetRunOptions options;
+    options.trace_cache = &LaneCache();
+    options.trace_sink = &sink;
+    for (std::size_t shard = 0; shard < plan.shards.size(); ++shard) {
+      (void)RunFleetShards(plan, {shard}, options);
+    }
+  }
+  ThreadPool pool(4);
+  const std::vector<CallPattern> patterns = CallPatterns(plan);
+  for (std::size_t p = 0; p < patterns.size(); ++p) {
+    SCOPED_TRACE(patterns[p].name);
+    TraceSinkOptions options;
+    options.directory = (root / std::to_string(p)).string();
+    {
+      TraceSink sink(options);
+      (void)RunWithMemo(plan, patterns[p].calls,
+                        patterns[p].pooled ? &pool : nullptr, &sink);
+    }
+    for (const ShardRange& shard : plan.shards) {
+      const std::string name =
+          TraceShardFile::FileName(plan.fingerprint, shard.index);
+      const std::string expected = FileBytes(
+          (std::filesystem::path(reference_options.directory) / name)
+              .string());
+      EXPECT_FALSE(expected.empty()) << "shard " << shard.index;
+      EXPECT_EQ(
+          FileBytes((std::filesystem::path(options.directory) / name)
+                        .string()),
+          expected)
+          << "shard " << shard.index;
+    }
+  }
+  std::filesystem::remove_all(root);
+}
+
+TEST(ForecastMemo, FaultedPlansKeepOnePassPerNode) {
+  ScenarioSpec spec = SharedForecastSpec(3);
+  spec.faults.outage_rate_per_day = 0.3;
+  spec.faults.outage_mean_slots = 6.0;
+  spec.faults.dropout_rate_per_day = 1.0;
+  spec.faults.dropout_mean_slots = 2.0;
+  spec.faults.recovery_window_slots = 48;
+  const ShardPlan plan = BuildShardPlan(spec, 3);
+  std::vector<FleetPartial> whole;
+  whole.push_back(RunFleetShards(plan, AllShards(plan)));
+  const MemoRun run = RunWithMemo(plan, OnePerCall(AllShards(plan)));
+  EXPECT_EQ(run.cells, CellBytes(MergeFleetPartials(plan, whole)));
+  EXPECT_EQ(run.predictor_runs, plan.matrix.nodes.size());
+  EXPECT_EQ(run.live_after, 0u);
+}
+
+TEST(ForecastMemo, RejectsARepeatedShardAndAForeignPlan) {
+  const ShardPlan plan = BuildShardPlan(SharedForecastSpec(3), 3);
+  ForecastMemo memo(plan, AllShards(plan));
+  FleetRunOptions options;
+  options.forecast_memo = &memo;
+  (void)RunFleetShards(plan, {0}, options);
+  EXPECT_THROW((void)RunFleetShards(plan, {1, 0}, options),
+               std::invalid_argument);
+  const ShardPlan other = BuildShardPlan(SharedForecastSpec(3), 2);
+  EXPECT_THROW((void)RunFleetShards(other, {0}, options),
+               std::invalid_argument);
+  // The refused calls ran nothing: shard 1 is still the memo's to run.
+  (void)RunFleetShards(plan, {1}, options);
 }
 
 }  // namespace

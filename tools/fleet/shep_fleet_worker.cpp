@@ -5,7 +5,9 @@
 // text + shard size), rebuilds the shard plan and proves identity by
 // checking its fingerprint against the job's, then serves "run <shard>"
 // commands: each shard runs through the ordinary RunFleetShards and goes
-// back as one checksummed frame of FleetPartial::Serialize() text.  The
+// back as one checksummed frame of FleetPartial::Serialize() text.  One
+// ForecastMemo spans the job, so a (lane, design) pair recorded for one
+// shard is replayed to the shards holding its other storage tiers.  The
 // worker has one thread.  RunFleetShards' progress hook fires after every
 // weather lane and every node, and there the worker sends "hb" if it has
 // written nothing for a heartbeat period.  So a worker busy on a shard
@@ -36,6 +38,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -43,6 +46,7 @@
 
 #include "common/strings.hpp"
 #include "fleet/coord.hpp"
+#include "fleet/forecast_replay.hpp"
 #include "fleet/partial.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/shard_plan.hpp"
@@ -138,8 +142,15 @@ int main(int argc, char** argv) {
   }
 
   // Every shard runs serially on this thread.  The cache only ever sees
-  // this plan's lanes, so it holds at most plan.lanes.size() series.
+  // this plan's lanes, so it holds at most plan.lanes.size() series.  The
+  // forecast memo carries each (lane, design) recording from the job that
+  // makes it to the later jobs that read it: lane-affinity dispatch keeps
+  // every storage tier of a design on this worker.  It holds at most the
+  // current shard's lanes x designs recordings (fleet/forecast_replay.hpp).
   shep::TraceCache cache;
+  std::vector<std::size_t> all_shards(plan.shards.size());
+  std::iota(all_shards.begin(), all_shards.end(), 0);
+  shep::ForecastMemo memo(plan, all_shards);
   std::unique_ptr<shep::TraceSink> sink;
   if (!job.trace_dir.empty()) {
     shep::TraceSinkOptions sink_options;
@@ -149,6 +160,7 @@ int main(int argc, char** argv) {
   shep::FleetRunOptions run_options;
   run_options.shard_size = job.shard_size;
   run_options.trace_cache = &cache;
+  run_options.forecast_memo = &memo;
   run_options.trace_sink = sink.get();
   // Each progress point sends "hb" unless something went out within the
   // last heartbeat period.
