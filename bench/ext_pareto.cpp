@@ -45,7 +45,7 @@ int main() {
   for (const char* code : {"ORNL", "PFCI"}) {
     const auto& site = SiteByCode(code);
     SynthOptions opt;
-    opt.days = repro::TraceDays();
+    opt.days = repro::kTraceDays;
     const auto trace = SynthesizeTrace(site, opt);
 
     // Collect candidates: for each (N, D, K) keep the best α.

@@ -2,11 +2,9 @@
 //
 // Every reproduction binary uses the same protocol as the paper's Sec. IV-A:
 // 365-day traces, evaluation over days 21..365, samples >= 10 % of peak.
-// SHEP_DAYS (environment) shortens the traces for quick runs; the printed
-// header always states the protocol actually used.
 #pragma once
 
-#include <cstdlib>
+#include <cstddef>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -17,15 +15,8 @@
 
 namespace shep::repro {
 
-/// Trace length: SHEP_DAYS env var, default 365 (the paper's year).
-inline std::size_t TraceDays() {
-  if (const char* env = std::getenv("SHEP_DAYS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 25) return static_cast<std::size_t>(v);
-    std::cerr << "SHEP_DAYS must be >= 25; using 365\n";
-  }
-  return 365;
-}
+/// Trace length: the paper's year.
+inline constexpr std::size_t kTraceDays = 365;
 
 /// The paper's evaluation filter: days 21.. (0-based index 20), >= 10 % of
 /// the peak value.
@@ -36,10 +27,10 @@ inline RoiFilter PaperFilter() {
   return f;
 }
 
-/// Synthesizes all six paper sites at TraceDays() length.
+/// Synthesizes all six paper sites at kTraceDays length.
 inline std::vector<PowerTrace> PaperTraces() {
   SynthOptions opt;
-  opt.days = TraceDays();
+  opt.days = kTraceDays;
   return SynthesizePaperTraces(opt);
 }
 
@@ -47,7 +38,7 @@ inline std::vector<PowerTrace> PaperTraces() {
 inline void Banner(const std::string& artifact, const std::string& what) {
   std::cout << "==============================================================\n"
             << "Reproduction of " << artifact << " — " << what << "\n"
-            << "Protocol: " << TraceDays()
+            << "Protocol: " << kTraceDays
             << "-day synthetic traces (README: Synthetic substrate), "
                "evaluation days 21.., samples >= 10% of peak, MAPE per "
                "Sec. III\n"

@@ -17,7 +17,7 @@ int main() {
   repro::Banner("Figure 2", "six days of 5-minute solar energy");
 
   SynthOptions opt;
-  opt.days = std::max<std::size_t>(repro::TraceDays(), 66);
+  opt.days = repro::kTraceDays;
   const auto trace = SynthesizeTrace(SiteByCode("SPMD"), opt);
 
   constexpr std::size_t kFirstDay = 60;  // late winter/early spring mix

@@ -17,7 +17,7 @@ int main() {
   const CycleCosts costs;
 
   SynthOptions opt;
-  opt.days = std::min<std::size_t>(repro::TraceDays(), 60);
+  opt.days = 60;
   const auto trace = SynthesizeTrace(SiteByCode("NPCS"), opt);
   WcmaParams p;
   p.alpha = 0.7;

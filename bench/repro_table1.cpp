@@ -47,7 +47,6 @@ int main() {
 
   std::cout << "\nPaper values for reference: 5-minute sites record 105,120\n"
                "observations and 1-minute sites 525,600 over 365 days; the\n"
-               "synthetic inventory above must match those counts exactly\n"
-               "when SHEP_DAYS=365.\n";
+               "synthetic inventory above must match those counts exactly.\n";
   return 0;
 }

@@ -55,7 +55,7 @@ int main() {
 
   // Steady-state operation counts measured on a sunny trace at N = 48.
   SynthOptions opt;
-  opt.days = std::min<std::size_t>(repro::TraceDays(), 60);
+  opt.days = 60;
   const auto trace = SynthesizeTrace(SiteByCode("NPCS"), opt);
 
   struct Config {

@@ -544,6 +544,8 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
   SHEP_REQUIRE(options.workers > 0, "coordinator needs at least one worker");
   SHEP_REQUIRE(options.heartbeat_ms > 0,
                "coordinator needs a positive worker heartbeat");
+  SHEP_REQUIRE(options.liveness_timeout_ms > options.heartbeat_ms,
+               "coordinator liveness deadline must exceed the heartbeat");
   const std::size_t respawn_budget =
       options.max_respawns != 0 ? options.max_respawns : 2 * options.workers;
 

@@ -115,6 +115,7 @@ struct FleetCoordOptions {
   std::uint32_t heartbeat_ms = 100;
   /// No bytes at all for this long from a worker that owes a shard =>
   /// it is killed.  The clock restarts when an idle worker is dispatched.
+  /// Must exceed heartbeat_ms (see FleetWorkerJob::heartbeat_ms).
   std::uint32_t liveness_timeout_ms = 5000;
   /// Replacement workers the run may spawn after deaths; when the budget
   /// is exhausted and no live worker remains, the run throws.  0 picks

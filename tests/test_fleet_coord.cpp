@@ -527,6 +527,13 @@ TEST(RunFleetCoordinated, ValidatesItsConfiguration) {
   zero_heartbeat.heartbeat_ms = 0;
   EXPECT_THROW(RunFleetCoordinated(CoordSpec(), zero_heartbeat),
                std::invalid_argument);
+  // A deadline no longer than the heartbeat would reap a healthy worker
+  // that only heartbeats.
+  FleetCoordOptions short_deadline = BaseOptions();
+  short_deadline.worker_path = "/does/not/matter";
+  short_deadline.liveness_timeout_ms = short_deadline.heartbeat_ms;
+  EXPECT_THROW(RunFleetCoordinated(CoordSpec(), short_deadline),
+               std::invalid_argument);
 }
 
 TEST(FleetProtocol, JobRejectsAnOversizedSpecByteCount) {

@@ -541,40 +541,53 @@ TEST(TraceSinkFleet, DefaultOptionsPersistEverySlot) {
   // default TraceSinkOptions::ring_capacity (16 Ki), which has no effect.
   ScenarioSpec spec = TracedSpec();
   spec.days = 45;
-  TraceSinkOptions options;
-  options.directory = UniqueDir("complete");
-  TraceSink sink(options);
-  FleetRunOptions run;
-  run.trace_sink = &sink;
-  FleetRunStats stats;
-  RunFleet(spec, run, &stats);
-
   // The kernel simulates series.size() - 1 = days × slots_per_day − 1
   // slots per node, warm-up included, and offers every one to the probe.
   const std::uint64_t slots_per_node =
       static_cast<std::uint64_t>(spec.days) * spec.slots_per_day - 1;
-  const ShardPlan plan = BuildShardPlan(spec, run.shard_size);
+  const ShardPlan plan = BuildShardPlan(spec, FleetRunOptions{}.shard_size);
   std::size_t max_shard_nodes = 0;
   for (const ShardRange& range : plan.shards) {
     max_shard_nodes = std::max(max_shard_nodes, range.node_count());
   }
-  ASSERT_GT(max_shard_nodes * slots_per_node, options.ring_capacity);
+  ASSERT_GT(max_shard_nodes * slots_per_node,
+            TraceSinkOptions{}.ring_capacity);
 
-  EXPECT_EQ(stats.trace_dropped, 0u);
-  EXPECT_EQ(stats.trace_events, spec.node_count() * slots_per_node);
-  EXPECT_EQ(stats.trace_shard_files, plan.shards.size());
+  // Serially, and on a pool where each batch worker traces the shards it
+  // runs through its own shard writer.
+  ThreadPool pool(4);
+  ThreadPool* const pools[] = {nullptr, &pool};
+  for (ThreadPool* const run_pool : pools) {
+    SCOPED_TRACE(run_pool == nullptr ? "serial" : "pooled");
+    TraceSinkOptions options;
+    options.directory = UniqueDir(run_pool == nullptr ? "complete_serial"
+                                                      : "complete_pool");
+    TraceSink sink(options);
+    FleetRunOptions run;
+    run.pool = run_pool;
+    run.trace_sink = &sink;
+    FleetRunStats stats;
+    RunFleet(spec, run, &stats);
 
-  // Persistence is complete: every observed slot is either a
-  // full-resolution record or summarized in exactly one day record.
-  const auto files = LoadTraceFiles(TraceFilePaths(plan, options.directory));
-  std::uint64_t slot_records = 0, summarized = 0;
-  for (const TraceShardFile& file : files) {
-    EXPECT_EQ(file.dropped_events, 0u);
-    slot_records += file.records.size();
-    for (const TraceDayRecord& day : file.day_records) summarized += day.slots;
+    EXPECT_EQ(stats.trace_dropped, 0u);
+    EXPECT_EQ(stats.trace_events, spec.node_count() * slots_per_node);
+    EXPECT_EQ(stats.trace_shard_files, plan.shards.size());
+
+    // Persistence is complete: every observed slot is either a
+    // full-resolution record or summarized in exactly one day record.
+    const auto files =
+        LoadTraceFiles(TraceFilePaths(plan, options.directory));
+    std::uint64_t slot_records = 0, summarized = 0;
+    for (const TraceShardFile& file : files) {
+      EXPECT_EQ(file.dropped_events, 0u);
+      slot_records += file.records.size();
+      for (const TraceDayRecord& day : file.day_records) {
+        summarized += day.slots;
+      }
+    }
+    EXPECT_EQ(slot_records, stats.trace_slot_records);
+    EXPECT_EQ(slot_records + summarized, stats.trace_events);
   }
-  EXPECT_EQ(slot_records, stats.trace_slot_records);
-  EXPECT_EQ(slot_records + summarized, stats.trace_events);
 }
 
 TEST(TraceSinkFleet, TraceFilesAreSchedulingInvariant) {
