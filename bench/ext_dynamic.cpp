@@ -21,10 +21,10 @@ int main() {
   repro::Banner("Extension (paper Sec. IV-C future work)",
                 "realizable dynamic (alpha, K) selection");
 
-  const auto traces = repro::PaperTraces();
+  ThreadPool pool;
+  const auto traces = repro::PaperTraces(&pool);
   const auto grid = ParamGrid::Paper();
   const auto filter = repro::PaperFilter();
-  ThreadPool pool;
   constexpr int kD = 10;  // the paper's memory guideline
 
   TableBuilder table(

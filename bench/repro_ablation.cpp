@@ -22,9 +22,9 @@ int main() {
   using namespace shep;
   repro::Banner("Ablations", "design choices behind the evaluation");
 
-  const auto traces = repro::PaperTraces();
-  const auto filter = repro::PaperFilter();
   ThreadPool pool;
+  const auto traces = repro::PaperTraces(&pool);
+  const auto filter = repro::PaperFilter();
   constexpr int kN = 48;
 
   // Configuration from the paper's guidelines: α=0.7, D=20 (we also probe

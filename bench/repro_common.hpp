@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/threadpool.hpp"
 #include "metrics/error.hpp"
 #include "solar/synth.hpp"
 #include "timeseries/trace.hpp"
@@ -27,11 +28,12 @@ inline RoiFilter PaperFilter() {
   return f;
 }
 
-/// Synthesizes all six paper sites at kTraceDays length.
-inline std::vector<PowerTrace> PaperTraces() {
+/// Synthesizes all six paper sites at kTraceDays length, on `pool` when
+/// one is given (bit-identical to the serial corpus).
+inline std::vector<PowerTrace> PaperTraces(ThreadPool* pool = nullptr) {
   SynthOptions opt;
   opt.days = kTraceDays;
-  return SynthesizePaperTraces(opt);
+  return SynthesizePaperTraces(opt, pool);
 }
 
 /// Prints the standard harness banner.

@@ -15,10 +15,10 @@ int main() {
   using namespace shep;
   repro::Banner("Figure 7", "MAPE vs history depth D at N = 48");
 
-  const auto traces = repro::PaperTraces();
+  ThreadPool pool;
+  const auto traces = repro::PaperTraces(&pool);
   const auto grid = ParamGrid::Paper();
   const auto filter = repro::PaperFilter();
-  ThreadPool pool;
 
   std::vector<Series> all_series;
   TableBuilder table("Fig. 7 data: MAPE (%) vs D, (alpha, K) from Table III");

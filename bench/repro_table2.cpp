@@ -16,10 +16,10 @@ int main() {
   using namespace shep;
   repro::Banner("Table II", "MAPE' vs MAPE optimization at N = 48");
 
-  const auto traces = repro::PaperTraces();
+  ThreadPool pool;
+  const auto traces = repro::PaperTraces(&pool);
   const auto grid = ParamGrid::Paper();
   const auto filter = repro::PaperFilter();
-  ThreadPool pool;
 
   TableBuilder table(
       "Table II: optimized (alpha, D, K) under each error function, N = 48");

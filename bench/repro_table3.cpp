@@ -16,10 +16,10 @@ int main() {
   using namespace shep;
   repro::Banner("Table III", "optimized parameters and MAPE across N");
 
-  const auto traces = repro::PaperTraces();
+  ThreadPool pool;
+  const auto traces = repro::PaperTraces(&pool);
   const auto grid = ParamGrid::Paper();
   const auto filter = repro::PaperFilter();
-  ThreadPool pool;
 
   TableBuilder table("Table III: prediction results at different N");
   table.Columns({"Data Set", "N", "alpha", "D", "K", "MAPE", "MAPE@K=2"});

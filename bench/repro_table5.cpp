@@ -18,10 +18,10 @@ int main() {
   using namespace shep;
   repro::Banner("Table V", "clairvoyant dynamic parameter selection");
 
-  const auto traces = repro::PaperTraces();
+  ThreadPool pool;
+  const auto traces = repro::PaperTraces(&pool);
   const auto grid = ParamGrid::Paper();
   const auto filter = repro::PaperFilter();
-  ThreadPool pool;
   constexpr int kDynamicD = 20;
 
   TableBuilder table(

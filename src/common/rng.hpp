@@ -61,18 +61,33 @@ class Rng {
   double NextGaussian() {
     if (has_spare_) {
       has_spare_ = false;
-      return spare_;
+      // A spare whose pair was discarded still holds v; its multiplier is
+      // computed now, from the same s, so the value is the one an eager
+      // pair would have cached.
+      return spare_s_ == 0.0 ? spare_ : spare_ * PolarMultiplier(spare_s_);
     }
     double u = 0.0, v = 0.0, s = 0.0;
-    do {
-      u = 2.0 * NextDouble() - 1.0;
-      v = 2.0 * NextDouble() - 1.0;
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double mul = std::sqrt(-2.0 * std::log(s) / s);
+    DrawPolarPair(u, v, s);
+    const double mul = PolarMultiplier(s);
     spare_ = v * mul;
+    spare_s_ = 0.0;
     has_spare_ = true;
     return u * mul;
+  }
+
+  /// Advances the generator exactly as one NextGaussian() call would, but
+  /// computes no value: a discarded spare costs nothing, and a discarded
+  /// first value runs the pair's rejection loop and defers the pair's
+  /// log/sqrt until its spare is read — never, when that is discarded
+  /// too.  Every later draw is the value it would have been.
+  void DiscardGaussian() {
+    if (has_spare_) {
+      has_spare_ = false;
+      return;
+    }
+    double u = 0.0;
+    DrawPolarPair(u, spare_, spare_s_);
+    has_spare_ = true;
   }
 
   /// Normal variate with the given mean and standard deviation (sigma >= 0).
@@ -99,8 +114,25 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
+  /// The polar method's rejection loop: a point uniform in the unit disc
+  /// minus its centre, and its squared radius s in (0, 1).
+  void DrawPolarPair(double& u, double& v, double& s) {
+    do {
+      u = 2.0 * NextDouble() - 1.0;
+      v = 2.0 * NextDouble() - 1.0;
+      s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
+  }
+
+  static double PolarMultiplier(double s) {
+    return std::sqrt(-2.0 * std::log(s) / s);
+  }
+
   std::uint64_t s_[4];
   double spare_ = 0.0;
+  /// 0 when spare_ is the final value; otherwise spare_ holds the pair's v
+  /// and this its s, because the pair's first value was discarded.
+  double spare_s_ = 0.0;
   bool has_spare_ = false;
 };
 

@@ -73,7 +73,9 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
   // Lanes are keyed (site, replica) — see ShardPlan::lanes — so all
   // predictor/storage cells of a site share traces (paired comparison) and
   // the synthesis cost is at most sites × replicas, not cells × replicas.
-  // A subset run only pays for the lanes its own nodes touch.
+  // A subset run only pays for the lanes its own nodes touch.  Each lane
+  // is synthesized straight into its SlotSeries (SynthesizeSlotSeries), so
+  // a worker never holds a lane's full-resolution samples.
   std::vector<std::shared_ptr<const SlotSeries>> series(plan.lanes.size());
   std::vector<std::size_t> needed;
   {
@@ -99,8 +101,8 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
   // process and documented approximate otherwise (runner.hpp).
   const ClearSkyMemoStats clearsky_before = GetClearSkyMemoStats();
   // One synthesis scratch per batch worker: lanes sharing a worker id run
-  // serialized, so each slot's buffers are reused race-free across every
-  // lane (and day) that worker synthesizes.  Scratch placement never
+  // serialized, so each slot's one-day buffers are reused race-free across
+  // every lane (and day) that worker synthesizes.  Scratch placement never
   // affects values, only allocation traffic.
   std::vector<SynthScratch> scratch(
       ParallelWorkerCount(options.pool, needed.size()));
@@ -120,8 +122,8 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
       synth.days = s.days;
       synth.seed_offset = lane.trace_seed;
       series[lane.lane] = std::make_shared<const SlotSeries>(
-          SynthesizeTrace(SiteByCode(lane.site_code), synth, scratch[worker]),
-          s.slots_per_day);
+          SynthesizeSlotSeries(SiteByCode(lane.site_code), synth,
+                               s.slots_per_day, scratch[worker]));
     }
     if (options.on_progress) options.on_progress();
   });

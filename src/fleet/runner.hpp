@@ -7,8 +7,9 @@
 //     expanded scenario into fixed-size node shards and weather-trace
 //     lanes;
 //  2. RunFleetShards — executes ANY subset of the plan's shards: the
-//     subset's lanes are synthesized (or fetched from an optional
-//     TraceCache) and each shard reduces its nodes into private per-cell
+//     subset's lanes are synthesized day by day into their slot series
+//     (SynthesizeSlotSeries; or fetched from an optional TraceCache,
+//     which builds them the same way) and each shard reduces its nodes into private per-cell
 //     accumulators with no locking or sharing on the hot path.  The result
 //     is a FleetPartial whose text serialization can cross a process
 //     boundary exactly;

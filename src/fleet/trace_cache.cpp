@@ -27,17 +27,17 @@ std::shared_ptr<const SlotSeries> TraceCache::Get(const std::string& site_code,
 
   // Miss: synthesize without holding the lock (seconds of work on long
   // horizons; blocking every other lane lookup would serialize phase 1).
-  // The caller's scratch (if any) supplies the per-day buffers; results
-  // are bit-identical either way.
+  // The lane is folded into its SlotSeries day by day; the caller's
+  // scratch (if any) supplies the per-day buffers, and results are
+  // bit-identical either way.
   const SiteProfile& site = SiteByCode(site_code);
   SynthOptions synth;
   synth.days = days;
   synth.seed_offset = trace_seed;
   SynthScratch local_scratch;
-  auto series = std::make_shared<const SlotSeries>(
-      SynthesizeTrace(site, synth,
-                      scratch != nullptr ? *scratch : local_scratch),
-      slots_per_day);
+  auto series = std::make_shared<const SlotSeries>(SynthesizeSlotSeries(
+      site, synth, slots_per_day,
+      scratch != nullptr ? *scratch : local_scratch));
 
   std::lock_guard<std::mutex> lock(mutex_);
   ++misses_;

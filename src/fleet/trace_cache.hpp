@@ -1,7 +1,9 @@
 // trace_cache.hpp — memoized weather-lane synthesis for fleet campaigns.
 //
-// Synthesizing and slotting a weather lane is the fleet runner's phase-1
-// cost, and campaigns routinely re-run overlapping scenarios — the parity
+// Synthesizing a weather lane into its SlotSeries (SynthesizeSlotSeries,
+// solar/synth.hpp: day by day, never the full-resolution trace) is the
+// fleet runner's phase-1 cost, and campaigns routinely re-run overlapping
+// scenarios — the parity
 // harness, the golden test, and a demo all expand the same sites with the
 // same seeds.  A TraceCache keyed by (site code, trace seed, days,
 // slots_per_day) — exactly the fields a TraceLanePlan carries — lets every

@@ -52,10 +52,11 @@ std::vector<double> ClearSkyDayGhi(double latitude_deg, int day_of_year,
 /// lock, so concurrent first calls on one key may both compute it and the
 /// first insertion wins — the loser's bit-identical copy is dropped.
 ///
-/// The memo never evicts.  SynthesizeTrace, its one caller in the library,
-/// asks for 60 s profiles of day-of-year 1..365 at a paper site's latitude,
-/// so it holds at most PaperSites().size() * 365 profiles
-/// (tests/test_clearsky.cpp pins the bound).
+/// The memo never evicts.  The synthesis day loop (solar/synth.cpp), its
+/// one caller in the library, asks for 60 s profiles of day-of-year
+/// 1..365 at a paper site's latitude, so it holds at most
+/// PaperSites().size() * 365 profiles (tests/test_clearsky.cpp pins the
+/// bound).
 std::shared_ptr<const std::vector<double>> ClearSkyDayGhiCached(
     double latitude_deg, int day_of_year, int resolution_s);
 

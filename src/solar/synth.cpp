@@ -1,27 +1,39 @@
 #include "solar/synth.hpp"
 
+#include <algorithm>
+#include <optional>
+#include <span>
+
 #include "common/check.hpp"
+#include "common/threadpool.hpp"
 #include "solar/clearsky.hpp"
 #include "timeseries/resample.hpp"
 
 namespace shep {
 
-PowerTrace SynthesizeTrace(const SiteProfile& site,
-                           const SynthOptions& options) {
-  SynthScratch scratch;
-  return SynthesizeTrace(site, options, scratch);
-}
+namespace {
 
-PowerTrace SynthesizeTrace(const SiteProfile& site, const SynthOptions& options,
-                           SynthScratch& scratch) {
+constexpr int kGenResolutionS = 60;
+
+void RequireSynthesizable(const SiteProfile& site,
+                          const SynthOptions& options) {
   SHEP_REQUIRE(options.days > 0, "trace must contain at least one day");
   SHEP_REQUIRE(options.start_day_of_year >= 1 &&
                    options.start_day_of_year <= 366,
                "start day of year must be in [1, 366]");
-  SHEP_REQUIRE(site.resolution_s % 60 == 0,
-               "site resolution must be a multiple of one minute");
+  SHEP_REQUIRE(site.resolution_s > 0 &&
+                   site.resolution_s % kGenResolutionS == 0 &&
+                   kSecondsPerDay % site.resolution_s == 0,
+               "site resolution must be a multiple of one minute that "
+               "divides one day");
+}
 
-  constexpr int kGenResolutionS = 60;
+/// The synthesis day loop: calls `emit(day)` once per day, in order, with
+/// that day's samples at the site's resolution (a span into `scratch`,
+/// valid until the next call).  The caller has checked the request.
+template <class Emit>
+void SynthesizeDays(const SiteProfile& site, const SynthOptions& options,
+                    SynthScratch& scratch, Emit&& emit) {
   const WeatherModel model(site.weather);
   Rng rng = Rng(site.seed).Fork(options.seed_offset);
 
@@ -31,12 +43,10 @@ PowerTrace SynthesizeTrace(const SiteProfile& site, const SynthOptions& options,
   for (int i = 0; i < 16; ++i) state = model.NextState(state, rng);
 
   const double scale = site.panel_area_m2 * site.panel_efficiency;
-  std::vector<double>& samples = scratch.minute_samples;
-  samples.clear();
-  // One up-front reserve per trace, before the per-sample loop; capacity
-  // persists in scratch across traces.
-  samples.reserve(options.days *
-                  static_cast<std::size_t>(kSecondsPerDay / kGenResolutionS));
+  const int factor = site.resolution_s / kGenResolutionS;
+  std::vector<double>& minutes = scratch.day_minutes;
+  // Day buffers sized once per lane; capacity persists in scratch.
+  minutes.resize(static_cast<std::size_t>(kSecondsPerDay / kGenResolutionS));
 
   double drift = 0.0;  // AR(1) state carried across days
   for (std::size_t d = 0; d < options.days; ++d) {
@@ -46,34 +56,74 @@ PowerTrace SynthesizeTrace(const SiteProfile& site, const SynthOptions& options,
         1 + static_cast<int>((options.start_day_of_year - 1 + d) % 365);
     const std::shared_ptr<const std::vector<double>> ghi =
         ClearSkyDayGhiCached(site.latitude_deg, doy, kGenResolutionS);
-    model.DayTransmittanceInto(state, kGenResolutionS, drift, rng,
-                               scratch.day_tau, scratch.weather);
     const std::vector<double>& day_ghi = *ghi;
-    for (std::size_t i = 0; i < day_ghi.size(); ++i) {
-      // Writes into the capacity reserved above; never reallocates mid-trace.
-      samples.push_back(day_ghi[i] * scratch.day_tau[i] * scale);
+    const DayWindow lit = LitWindow(day_ghi);
+    model.DayTransmittanceInto(state, kGenResolutionS, drift, rng,
+                               scratch.day_tau, scratch.weather, lit);
+    // Outside the lit window the clear-sky GHI is +0.0 and τ is finite,
+    // so the product is +0.0: written, not computed.
+    std::fill(minutes.begin(), minutes.begin() + lit.begin, 0.0);
+    for (std::size_t i = lit.begin; i < lit.end; ++i) {
+      minutes[i] = day_ghi[i] * scratch.day_tau[i] * scale;
+    }
+    std::fill(minutes.begin() + lit.end, minutes.end(), 0.0);
+    if (factor == 1) {
+      emit(std::span<const double>(minutes));
+    } else {
+      // The site resolution divides the day, so `factor` divides 1440 and
+      // the per-day block means are the whole trace's block means.
+      DownsampleMeanInto(minutes, factor, scratch.day_samples);
+      emit(std::span<const double>(scratch.day_samples));
     }
     state = model.NextState(state, rng);
   }
-
-  // One allocation per trace: the sample vector the PowerTrace owns.  The
-  // minute-resolution staging stays in the scratch for the next call.
-  const int factor = site.resolution_s / kGenResolutionS;
-  if (factor == 1) {
-    return PowerTrace(site.code,
-                      std::vector<double>(samples.begin(), samples.end()),
-                      kGenResolutionS);
-  }
-  std::vector<double> out;
-  DownsampleMeanInto(samples, factor, out);
-  return PowerTrace(site.code, std::move(out), site.resolution_s);
 }
 
-std::vector<PowerTrace> SynthesizePaperTraces(const SynthOptions& options) {
+}  // namespace
+
+PowerTrace SynthesizeTrace(const SiteProfile& site,
+                           const SynthOptions& options) {
+  SynthScratch scratch;
+  return SynthesizeTrace(site, options, scratch);
+}
+
+PowerTrace SynthesizeTrace(const SiteProfile& site, const SynthOptions& options,
+                           SynthScratch& scratch) {
+  RequireSynthesizable(site, options);
+  // One allocation per trace: the sample vector the PowerTrace owns,
+  // reserved up front so each day's append never reallocates.
+  std::vector<double> samples;
+  samples.reserve(options.days *
+                  static_cast<std::size_t>(kSecondsPerDay / site.resolution_s));
+  SynthesizeDays(site, options, scratch, [&](std::span<const double> day) {
+    samples.insert(samples.end(), day.begin(), day.end());
+  });
+  return PowerTrace(site.code, std::move(samples), site.resolution_s);
+}
+
+SlotSeries SynthesizeSlotSeries(const SiteProfile& site,
+                                const SynthOptions& options,
+                                int slots_per_day, SynthScratch& scratch) {
+  RequireSynthesizable(site, options);
+  SlotSeries series(SlotGrid::Make(site.resolution_s, slots_per_day),
+                    options.days);
+  SynthesizeDays(site, options, scratch, [&](std::span<const double> day) {
+    series.AppendDay(day);
+  });
+  return series;
+}
+
+std::vector<PowerTrace> SynthesizePaperTraces(const SynthOptions& options,
+                                              ThreadPool* pool) {
+  const std::vector<SiteProfile>& sites = PaperSites();
+  std::vector<std::optional<PowerTrace>> built(sites.size());
+  ParallelFor(pool, sites.size(), [&](std::size_t i) {
+    built[i].emplace(SynthesizeTrace(sites[i], options));
+  });
   std::vector<PowerTrace> traces;
-  traces.reserve(PaperSites().size());
-  for (const auto& site : PaperSites()) {
-    traces.push_back(SynthesizeTrace(site, options));
+  traces.reserve(sites.size());
+  for (std::optional<PowerTrace>& trace : built) {
+    traces.push_back(std::move(*trace));
   }
   return traces;
 }

@@ -76,13 +76,28 @@ std::array<double, 3> WeatherModel::StationaryDistribution() const {
   return pi;
 }
 
+DayWindow LitWindow(std::span<const double> day_ghi) {
+  DayWindow lit{0, 0};
+  const auto first = std::find_if(day_ghi.begin(), day_ghi.end(),
+                                  [](double g) { return g > 0.0; });
+  if (first == day_ghi.end()) return lit;
+  const auto last = std::find_if(day_ghi.rbegin(), day_ghi.rend(),
+                                 [](double g) { return g > 0.0; });
+  lit.begin = static_cast<std::size_t>(first - day_ghi.begin());
+  lit.end = static_cast<std::size_t>(day_ghi.rend() - last);
+  return lit;
+}
+
 void WeatherModel::DayTransmittanceInto(WeatherState state, int resolution_s,
                                         double& drift, Rng& rng,
                                         std::vector<double>& tau,
-                                        DayScratch& scratch) const {
+                                        DayScratch& scratch,
+                                        DayWindow window) const {
   SHEP_REQUIRE(resolution_s > 0 && kSecondsPerDay % resolution_s == 0,
                "resolution must divide one day");
   const auto n = static_cast<std::size_t>(kSecondsPerDay / resolution_s);
+  const std::size_t end = std::min(window.end, n);
+  const std::size_t begin = std::min(window.begin, end);
   const auto si = static_cast<std::size_t>(state);
   const double base = params_.base_transmittance[si];
   const double sigma = params_.drift_sigma[si];
@@ -94,7 +109,8 @@ void WeatherModel::DayTransmittanceInto(WeatherState state, int resolution_s,
                                                 params_.drift_phi));
 
   // Draw the day's cloud events up front (Poisson arrivals over 24 h; the
-  // night-time ones simply multiply zero irradiance and are harmless).
+  // night-time ones simply multiply zero irradiance and are harmless, but
+  // their draws keep every later draw in place).
   std::vector<DayScratch::CloudEvent>& events = scratch.events;
   events.clear();
   const double rate_per_s = params_.cloud_rate_per_hour[si] / 3600.0;
@@ -116,20 +132,30 @@ void WeatherModel::DayTransmittanceInto(WeatherState state, int resolution_s,
     }
   }
 
-  // The day's drift draws are batched up front: the sample loop consumes
-  // exactly one Gaussian per sample and nothing else touches the generator
-  // in between, so pre-drawing produces the SAME values in the SAME order.
-  // Drawing through a local Rng copy lets the generator state live in
-  // registers — through the reference the compiler must assume rng's
-  // members could alias the output buffer and re-load them every draw.
+  // The drift AR(1) runs over the whole day, window or not: it carries
+  // into the next day, and its innovations are one Gaussian per sample.
+  // gauss[i] keeps the drift after sample i.  Drawing through a local Rng
+  // copy lets the generator state live in registers — through the
+  // reference the compiler must assume rng's members could alias the
+  // output buffer and re-load them every draw.
   std::vector<double>& gauss = scratch.gauss;
   // Scratch buffer sized once per day; capacity persists across days.
   gauss.resize(n);
   Rng local_rng = rng;
   for (std::size_t i = 0; i < n; ++i) {
-    gauss[i] = local_rng.Gaussian(0.0, innovation);
+    drift = params_.drift_phi * drift + local_rng.Gaussian(0.0, innovation);
+    gauss[i] = drift;
   }
   rng = local_rng;
+
+  // The box filter below reads `half` samples before and `tail` after each
+  // kept sample, so the unsmoothed τ is needed on the window widened by
+  // that margin (clipped to the day, as the filter's window is).
+  const int w = params_.smooth_samples;
+  const auto half = static_cast<std::size_t>(w / 2);
+  const auto tail = static_cast<std::size_t>(w) - half - 1;
+  const std::size_t raw_begin = begin >= half ? begin - half : 0;
+  const std::size_t raw_end = std::min(n, end + tail);
 
   // Attenuation from overlapping cloud events, weighted by the fraction of
   // the sample interval each event covers (so short events still register
@@ -140,13 +166,14 @@ void WeatherModel::DayTransmittanceInto(WeatherState state, int resolution_s,
   // list stays in generation order, so the attenuation product multiplies
   // exactly the factors the full scan would, in the same order —
   // bit-identical, just O(samples + events) instead of O(samples x events).
+  // Starting the sweep at raw_begin admits every event begun by then and
+  // drops the ended ones at once: the same live list in the same order.
   std::vector<std::size_t>& active = scratch.active;
   active.clear();
   std::size_t next_event = 0;
   // Caller-owned output buffer sized once per day before the sample loop.
   tau.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    drift = params_.drift_phi * drift + gauss[i];
+  for (std::size_t i = raw_begin; i < raw_end; ++i) {
     const double t0 = static_cast<double>(i) * resolution_s;
     const double t1 = t0 + resolution_s;
     while (next_event < events.size() && events[next_event].start_s < t1) {
@@ -163,22 +190,19 @@ void WeatherModel::DayTransmittanceInto(WeatherState state, int resolution_s,
         attenuation *= 1.0 - ev.depth * (overlap / resolution_s);
       }
     }
-    tau[i] = Clamp((base + drift) * attenuation, params_.min_transmittance,
+    tau[i] = Clamp((base + gauss[i]) * attenuation, params_.min_transmittance,
                    1.0);
   }
 
   // Box-smooth to give cloud passages the gradual edges real loggers see
   // (window clamped at the day boundaries; midnight is dark anyway).
-  const int w = params_.smooth_samples;
   if (w > 1) {
     std::vector<double>& smoothed = scratch.smooth;
     // Smoothing scratch sized once per day; capacity persists across days.
     smoothed.resize(n);
-    const int half = w / 2;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t lo =
-          i >= static_cast<std::size_t>(half) ? i - static_cast<std::size_t>(half) : 0;
-      const std::size_t hi = std::min(n - 1, i + static_cast<std::size_t>(w - half - 1));
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::size_t lo = i >= half ? i - half : 0;
+      const std::size_t hi = std::min(n - 1, i + tail);
       double acc = 0.0;
       for (std::size_t j = lo; j <= hi; ++j) acc += tau[j];
       smoothed[i] = acc / static_cast<double>(hi - lo + 1);
@@ -190,19 +214,24 @@ void WeatherModel::DayTransmittanceInto(WeatherState state, int resolution_s,
 
   // Fast multiplicative noise (scintillation / sensor noise) survives the
   // smoothing by construction, then everything is re-clamped into the
-  // physical range.  The noise draws are batched like the drift draws.
+  // physical range.  The noise draws are batched like the drift draws;
+  // the ones outside the window are discarded, which advances the
+  // generator identically and skips a pair's log/sqrt when neither of
+  // its values is kept.
   if (params_.fast_sigma > 0.0) {
     local_rng = rng;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < begin; ++i) local_rng.DiscardGaussian();
+    for (std::size_t i = begin; i < end; ++i) {
       gauss[i] = local_rng.Gaussian(0.0, params_.fast_sigma);
     }
+    for (std::size_t i = end; i < n; ++i) local_rng.DiscardGaussian();
     rng = local_rng;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = begin; i < end; ++i) {
       tau[i] *= 1.0 + gauss[i];
       tau[i] = Clamp(tau[i], params_.min_transmittance, 1.0);
     }
   } else {
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = begin; i < end; ++i) {
       tau[i] = Clamp(tau[i], params_.min_transmittance, 1.0);
     }
   }

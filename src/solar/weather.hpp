@@ -22,11 +22,27 @@
 
 #include <array>
 #include <cstddef>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 
 namespace shep {
+
+/// A half-open range [begin, end) of one day's sample indices.  The
+/// default spans the whole day: `end` is clipped to the day's length.
+struct DayWindow {
+  std::size_t begin = 0;
+  std::size_t end = std::numeric_limits<std::size_t>::max();
+};
+
+/// The lit window of one day's clear-sky profile: the hull of the samples
+/// with GHI > 0.  Empty (begin == end == 0) on a polar-night day.  The
+/// clear-sky model is unimodal around solar noon, so every sample outside
+/// the window is exactly +0.0 (tests/test_clearsky.cpp pins this for the
+/// paper sites' latitudes).
+DayWindow LitWindow(std::span<const double> day_ghi);
 
 /// Day-granularity weather regimes.
 enum class WeatherState : int { kClear = 0, kPartly = 1, kOvercast = 2 };
@@ -95,7 +111,8 @@ class WeatherModel {
     };
     std::vector<CloudEvent> events;
     std::vector<std::size_t> active;  ///< sweep's live-event index window.
-    std::vector<double> gauss;        ///< batched Gaussian draws.
+    /// The day's AR(1) drift path, then its batched fast-noise draws.
+    std::vector<double> gauss;
     std::vector<double> smooth;       ///< box-filter output buffer.
   };
 
@@ -114,9 +131,21 @@ class WeatherModel {
   /// `resolution_s` seconds, reusing `scratch`'s buffers.  The AR(1) drift
   /// state is carried in/out through `drift` so consecutive days join
   /// smoothly.
+  ///
+  /// Only τ inside `window` is computed; `tau` is sized to the whole day
+  /// and its entries outside the window are left unspecified.  The window
+  /// never changes what is drawn: the drift AR(1), every cloud event and
+  /// every Gaussian draw run for the whole day, so `drift`, `rng` and each
+  /// τ inside the window are bit-identical to a whole-day call.  The
+  /// window only skips work that no kept τ reads — attenuation and the
+  /// clamp outside the window widened by the smoothing margin, the box
+  /// smoothing and fast-noise multiply outside the window, and the
+  /// log/sqrt of a fast-noise pair neither of whose values is kept
+  /// (Rng::DiscardGaussian).  Synthesis passes the day's lit window,
+  /// since a dark sample is +0.0 whatever τ is.
   void DayTransmittanceInto(WeatherState state, int resolution_s,
                             double& drift, Rng& rng, std::vector<double>& tau,
-                            DayScratch& scratch) const;
+                            DayScratch& scratch, DayWindow window = {}) const;
 
  private:
   WeatherParams params_;

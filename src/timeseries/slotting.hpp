@@ -39,6 +39,9 @@ struct SlotGrid {
   /// resolution dividing the slot length (M >= 1).
   static SlotGrid Make(const PowerTrace& trace, int slots_per_day);
 
+  /// The same grid for samples every `resolution_s` seconds.
+  static SlotGrid Make(int resolution_s, int slots_per_day);
+
   /// True when the discretization is representable for this trace, i.e. the
   /// slot length is a multiple of the trace resolution.  N=288 on a 5-minute
   /// trace yields M=1 and is flagged degenerate (paper Table III footnote:
@@ -54,8 +57,19 @@ class SlotSeries {
   /// Discretizes `trace` into `slots_per_day` slots.
   SlotSeries(const PowerTrace& trace, int slots_per_day);
 
+  /// An empty series on `grid` with storage reserved for `days` days, to be
+  /// filled one day at a time by AppendDay — for producers that never hold
+  /// a whole trace (SynthesizeSlotSeries).
+  SlotSeries(const SlotGrid& grid, std::size_t days);
+
+  /// Folds one day of N × M samples into its N boundaries and means, and
+  /// the peak.  A series built day by day is bit-identical to one built
+  /// from the concatenated trace.  Appending past the reserved days
+  /// reallocates.
+  void AppendDay(std::span<const double> day_samples);
+
   const SlotGrid& grid() const { return grid_; }
-  std::size_t days() const { return days_; }
+  std::size_t days() const { return boundary_.size() / slots_per_day(); }
 
   /// Total number of slots = days * N.
   std::size_t size() const { return boundary_.size(); }
@@ -102,10 +116,9 @@ class SlotSeries {
 
  private:
   SlotGrid grid_;
-  std::size_t days_;
   std::vector<double> boundary_;
   std::vector<double> mean_;
-  double peak_mean_;
+  double peak_mean_ = 0.0;
 };
 
 }  // namespace shep

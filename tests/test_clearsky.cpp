@@ -5,11 +5,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <thread>
 #include <vector>
 
 #include "solar/sites.hpp"
 #include "solar/synth.hpp"
+#include "solar/weather.hpp"
 #include "timeseries/trace.hpp"
 
 namespace shep {
@@ -104,6 +106,82 @@ TEST(DaylightHours, SeasonalAsymmetry) {
 TEST(DaylightHours, PolarCases) {
   EXPECT_DOUBLE_EQ(DaylightHours(80.0, 172), 24.0);  // midnight sun
   EXPECT_DOUBLE_EQ(DaylightHours(80.0, 355), 0.0);   // polar night
+}
+
+// Synthesis computes only a day's lit window and writes +0.0 elsewhere.
+// That is exact only if the clear-sky profile is +0.0 (sign bit clear)
+// outside one contiguous lit interval, which LitWindow then recovers.
+TEST(LitWindow, PaperSitesAreDarkExactlyOutsideOneContiguousInterval) {
+  for (const SiteProfile& site : PaperSites()) {
+    for (int doy = 1; doy <= 365; ++doy) {
+      const std::vector<double> ghi = ClearSkyDayGhi(site.latitude_deg, doy, 60);
+      const DayWindow lit = LitWindow(ghi);
+      ASSERT_LT(lit.begin, lit.end) << site.code << " day " << doy;
+      for (std::size_t i = 0; i < ghi.size(); ++i) {
+        if (i >= lit.begin && i < lit.end) {
+          ASSERT_GT(ghi[i], 0.0) << site.code << " day " << doy << " i " << i;
+        } else {
+          ASSERT_EQ(ghi[i], 0.0) << site.code << " day " << doy << " i " << i;
+          ASSERT_FALSE(std::signbit(ghi[i]))
+              << site.code << " day " << doy << " i " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(LitWindow, PolarNightIsEmptyAndMidnightSunIsTheWholeDay) {
+  const DayWindow night = LitWindow(ClearSkyDayGhi(78.0, 355, 60));
+  EXPECT_EQ(night.begin, night.end);
+  const DayWindow sun = LitWindow(ClearSkyDayGhi(78.0, 172, 60));
+  EXPECT_EQ(sun.begin, 0u);
+  EXPECT_EQ(sun.end, 1440u);
+}
+
+// Every sample whose minutes all lie outside the lit window is +0.0 in a
+// synthesized trace, at both recording resolutions.
+TEST(LitWindow, DarkSamplesOfSynthesizedTracesArePositiveZero) {
+  SynthOptions options;
+  options.days = 365;
+  SynthScratch scratch;
+  for (const SiteProfile& site : PaperSites()) {
+    const PowerTrace trace = SynthesizeTrace(site, options, scratch);
+    const auto factor = static_cast<std::size_t>(site.resolution_s / 60);
+    for (std::size_t d = 0; d < trace.days(); ++d) {
+      const DayWindow lit = LitWindow(
+          ClearSkyDayGhi(site.latitude_deg, static_cast<int>(d) + 1, 60));
+      for (std::size_t j = 0; j < trace.samples_per_day(); ++j) {
+        if (j * factor + factor <= lit.begin || j * factor >= lit.end) {
+          const double v = trace.at(d, j);
+          ASSERT_EQ(v, 0.0) << site.code << " day " << d << " j " << j;
+          ASSERT_FALSE(std::signbit(v)) << site.code << " day " << d;
+        }
+      }
+    }
+  }
+}
+
+// The kept τ feeds the lit product, so it must be a finite transmittance.
+TEST(LitWindow, KeptTransmittanceIsFiniteAndInRange) {
+  for (const SiteProfile& site : PaperSites()) {
+    const WeatherModel model(site.weather);
+    Rng rng(site.seed);
+    WeatherState state = WeatherState::kClear;
+    double drift = 0.0;
+    std::vector<double> tau;
+    WeatherModel::DayScratch scratch;
+    for (int doy = 1; doy <= 365; ++doy) {
+      const DayWindow lit =
+          LitWindow(ClearSkyDayGhi(site.latitude_deg, doy, 60));
+      model.DayTransmittanceInto(state, 60, drift, rng, tau, scratch, lit);
+      for (std::size_t i = lit.begin; i < lit.end; ++i) {
+        ASSERT_TRUE(std::isfinite(tau[i])) << site.code << " day " << doy;
+        ASSERT_GE(tau[i], site.weather.min_transmittance);
+        ASSERT_LE(tau[i], 1.0);
+      }
+      state = model.NextState(state, rng);
+    }
+  }
 }
 
 TEST(ClearSkyMemo, ReturnsBitIdenticalProfilesAndSharesInstances) {

@@ -9,7 +9,8 @@
 // the same rule, as does a run on a replayed forecast
 // (fleet/forecast_replay.hpp).  Likewise trace synthesis with a warm
 // scratch and a warm clear-sky memo allocates exactly the trace it
-// returns, whatever its length.
+// returns, and lane synthesis exactly the slot series it returns,
+// whatever their length.
 //
 // Global operator new is replaced by a counting one.  The counter is
 // thread-local, so only allocations made by the measuring thread count.
@@ -218,6 +219,26 @@ TEST(HotPathAlloc, WarmSynthesisAllocatesOnlyTheReturnedTrace) {
     const std::size_t before = t_allocations;
     const PowerTrace trace = SynthesizeTrace(site, options, scratch);
     EXPECT_EQ(t_allocations - before, 1u) << days << " days";
+  }
+}
+
+// The fleet's lane path never holds a whole trace: a warm lane allocates
+// the series' boundary and mean vectors and nothing else, at any length
+// and at either recording resolution.
+TEST(HotPathAlloc, WarmLaneSynthesisAllocatesOnlyTheSeriesStorage) {
+  for (const char* code : {"HSU", "SPMD"}) {
+    const SiteProfile& site = SiteByCode(code);
+    SynthScratch scratch;
+    SynthOptions options;
+    options.days = 365;
+    (void)SynthesizeSlotSeries(site, options, 48, scratch);
+    for (std::size_t days : {30u, 120u, 365u}) {
+      options.days = days;
+      const std::size_t before = t_allocations;
+      const SlotSeries series = SynthesizeSlotSeries(site, options, 48, scratch);
+      EXPECT_EQ(t_allocations - before, 2u) << code << " " << days << " days";
+      EXPECT_EQ(series.days(), days);
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -151,6 +153,61 @@ TEST(Rng, ForkDoesNotAdvanceParent) {
   Rng b(5);
   (void)a.Fork(3);
   EXPECT_EQ(a.NextU64(), b.NextU64());
+}
+
+// DiscardGaussian is a NextGaussian whose value nobody reads: any mix of
+// the two must leave every drawn value, and every draw after the mix, as
+// an all-draw run has them.  The mix covers a discarded first value whose
+// spare is read next (the deferred multiplier), a discarded spare, a
+// discarded pair, a spare that outlives the mix (odd lengths, discard
+// last), and NextDouble calls between Gaussians, which leave the spare
+// alone.
+TEST(Rng, DiscardGaussianAdvancesExactlyLikeNextGaussian) {
+  Rng plan(20261018);
+  int odd_batches_ending_in_discard = 0;
+  for (int trial = 0; trial < 12000; ++trial) {
+    const std::uint64_t seed = plan.NextU64();
+    const auto length = 1 + static_cast<int>(plan.NextBelow(24));
+    // Every other trial with an odd length discards its last call, so the
+    // pair it opens leaves the batch with its spare pending.
+    const bool force_last = length % 2 == 1 && trial % 2 == 0;
+    if (force_last) ++odd_batches_ending_in_discard;
+    Rng all(seed);
+    Rng mixed(seed);
+    for (int i = 0; i < length; ++i) {
+      const std::uint64_t op = plan.NextBelow(5);
+      if (op == 0) {
+        ASSERT_EQ(all.NextU64(), mixed.NextU64());
+        continue;
+      }
+      const double expected = all.NextGaussian();
+      if ((force_last && i == length - 1) || op <= 2) {
+        mixed.DiscardGaussian();
+      } else {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(mixed.NextGaussian()),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "trial " << trial << " call " << i;
+      }
+    }
+    for (int i = 0; i < 64; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(mixed.NextGaussian()),
+                std::bit_cast<std::uint64_t>(all.NextGaussian()))
+          << "trial " << trial << " draw " << i << " after the mix";
+    }
+  }
+  EXPECT_GT(odd_batches_ending_in_discard, 1000);
+}
+
+TEST(Rng, DiscardedLastCallOfAnOddBatchLeavesItsSpareReadable) {
+  Rng all(77);
+  Rng mixed(77);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(mixed.NextGaussian(), all.NextGaussian());
+  }
+  (void)all.NextGaussian();
+  mixed.DiscardGaussian();  // third of three: opens a pair, reads nothing.
+  EXPECT_EQ(mixed.NextGaussian(), all.NextGaussian());  // that pair's spare.
+  EXPECT_EQ(mixed.NextGaussian(), all.NextGaussian());
 }
 
 }  // namespace

@@ -3,10 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "common/mathutil.hpp"
+#include "common/rng.hpp"
+#include "common/threadpool.hpp"
+#include "solar/clearsky.hpp"
 #include "solar/sites.hpp"
+#include "solar/weather.hpp"
+#include "timeseries/slotting.hpp"
 
 namespace shep {
 namespace {
@@ -182,6 +191,139 @@ TEST(Synthesize, ScratchReuseIsBitIdentical) {
             << code << " replica " << replica << " sample " << i;
       }
     }
+  }
+}
+
+/// The six paper sites plus a 78° N copy of ORNL, whose year runs from
+/// polar night (an empty lit window) to midnight sun (the whole day, where
+/// the smoothing margin falls off both ends).
+std::vector<SiteProfile> OracleSites() {
+  std::vector<SiteProfile> sites = PaperSites();
+  SiteProfile polar = SiteByCode("ORNL");
+  polar.code = "POLAR";
+  polar.latitude_deg = 78.0;
+  sites.push_back(polar);
+  return sites;
+}
+
+constexpr int kOracleStartDays[] = {1, 172, 355, 366};
+constexpr std::uint64_t kOracleSeedOffsets[] = {0, 1, 17};
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// A windowed DayTransmittanceInto must keep every bit a whole-day call
+// computes inside the window, and leave the drift and the generator where
+// the whole-day call leaves them.  The windowed call gets fresh buffers,
+// so a τ it reads but never computed (say, in the smoothing margin) shows.
+TEST(WeatherOracle, LitWindowKeepsTheWholeDayBitsDriftAndDraws) {
+  std::size_t empty_windows = 0, whole_days = 0, odd_begins = 0;
+  for (const SiteProfile& site : OracleSites()) {
+    const WeatherModel model(site.weather);
+    for (const std::uint64_t offset : kOracleSeedOffsets) {
+      for (const int start : kOracleStartDays) {
+        Rng rng = Rng(site.seed).Fork(offset);
+        WeatherState state = model.NextState(WeatherState::kClear, rng);
+        double drift = 0.0;
+        std::vector<double> whole_tau;
+        WeatherModel::DayScratch whole_scratch;
+        for (int d = 0; d < 6; ++d) {
+          const int doy = 1 + (start - 1 + d) % 365;
+          const DayWindow lit =
+              LitWindow(*ClearSkyDayGhiCached(site.latitude_deg, doy, 60));
+          empty_windows += lit.begin == lit.end;
+          whole_days += lit.begin == 0 && lit.end == 1440;
+          odd_begins += lit.begin % 2 == 1;
+
+          Rng lit_rng = rng;
+          double lit_drift = drift;
+          std::vector<double> lit_tau;
+          WeatherModel::DayScratch lit_scratch;
+          model.DayTransmittanceInto(state, 60, lit_drift, lit_rng, lit_tau,
+                                     lit_scratch, lit);
+          model.DayTransmittanceInto(state, 60, drift, rng, whole_tau,
+                                     whole_scratch);
+
+          ASSERT_EQ(lit_tau.size(), whole_tau.size());
+          for (std::size_t i = lit.begin; i < lit.end; ++i) {
+            ASSERT_TRUE(SameBits(lit_tau[i], whole_tau[i]))
+                << site.code << " offset " << offset << " doy " << doy
+                << " sample " << i << " window [" << lit.begin << ", "
+                << lit.end << ")";
+          }
+          ASSERT_TRUE(SameBits(lit_drift, drift)) << site.code << " " << doy;
+          Rng next_lit = lit_rng;
+          Rng next_whole = rng;
+          for (int k = 0; k < 64; ++k) {
+            ASSERT_TRUE(SameBits(next_lit.NextGaussian(),
+                                 next_whole.NextGaussian()))
+                << site.code << " doy " << doy << " draw " << k;
+          }
+          state = model.NextState(state, rng);
+        }
+      }
+    }
+  }
+  // The cases that matter were all reached.
+  EXPECT_GT(empty_windows, 0u);
+  EXPECT_GT(whole_days, 0u);
+  EXPECT_GT(odd_begins, 0u);
+}
+
+// The lane entry point folds each day into its series as it is built; the
+// result must be the slotting of the full trace, bit for bit.
+TEST(WeatherOracle, SlotSeriesLaneMatchesSlottingTheTrace) {
+  SynthScratch scratch;
+  for (const SiteProfile& site : OracleSites()) {
+    std::vector<int> ns{24, 48, 96};
+    if (site.resolution_s == 60) ns.push_back(288);
+    for (const std::uint64_t offset : kOracleSeedOffsets) {
+      for (const int start : kOracleStartDays) {
+        SynthOptions options;
+        options.days = 8;
+        options.seed_offset = offset;
+        options.start_day_of_year = start;
+        const PowerTrace trace = SynthesizeTrace(site, options, scratch);
+        for (const int n : ns) {
+          const SlotSeries expected(trace, n);
+          const SlotSeries lane =
+              SynthesizeSlotSeries(site, options, n, scratch);
+          ASSERT_EQ(lane.days(), expected.days());
+          ASSERT_EQ(lane.size(), expected.size());
+          EXPECT_EQ(lane.grid().samples_per_slot,
+                    expected.grid().samples_per_slot);
+          for (std::size_t g = 0; g < expected.size(); ++g) {
+            ASSERT_TRUE(SameBits(lane.boundary(g), expected.boundary(g)))
+                << site.code << " N " << n << " start " << start << " g " << g;
+            ASSERT_TRUE(SameBits(lane.mean(g), expected.mean(g)))
+                << site.code << " N " << n << " start " << start << " g " << g;
+          }
+          ASSERT_TRUE(SameBits(lane.peak_mean(), expected.peak_mean()))
+              << site.code << " N " << n << " start " << start;
+        }
+      }
+    }
+  }
+}
+
+TEST(Synthesize, PooledPaperTracesEqualSerialByteForByte) {
+  SynthOptions opt;
+  opt.days = 20;
+  opt.seed_offset = 3;
+  const auto serial = SynthesizePaperTraces(opt);
+  ThreadPool pool(4);
+  const auto pooled = SynthesizePaperTraces(opt, &pool);
+  ASSERT_EQ(pooled.size(), serial.size());
+  for (std::size_t t = 0; t < serial.size(); ++t) {
+    EXPECT_EQ(pooled[t].name(), serial[t].name());
+    EXPECT_EQ(pooled[t].resolution_s(), serial[t].resolution_s());
+    ASSERT_EQ(pooled[t].size(), serial[t].size());
+    EXPECT_EQ(std::memcmp(pooled[t].samples().data(),
+                          serial[t].samples().data(),
+                          serial[t].size() * sizeof(double)),
+              0)
+        << serial[t].name();
   }
 }
 
