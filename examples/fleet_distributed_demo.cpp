@@ -11,8 +11,9 @@
 // With --procs N the simulation is real: RunFleetCoordinated spawns N
 // shep_fleet_worker processes, streams the checksummed frames back over
 // pipes, and merges — the same bit-identity proof over actual process
-// boundaries.  --chaos additionally SIGKILLs the first worker mid-campaign
-// to show the reassignment path recovering without changing a byte.
+// boundaries.  --chaos additionally SIGKILLs the first worker as soon as it
+// is spawned, so the shards dispatched to it are reassigned, to show the
+// reassignment path recovering without changing a byte.
 //
 // A shared TraceCache stands in for a per-machine trace store: workers
 // whose shards read the same weather lanes synthesize each lane once.

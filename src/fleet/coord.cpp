@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
-#include <filesystem>
 #include <istream>
 #include <map>
 #include <optional>
@@ -26,7 +25,6 @@
 #include "fleet/partial.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/shard_plan.hpp"
-#include "trace/trace_file.hpp"
 
 namespace shep {
 
@@ -154,7 +152,6 @@ struct ShardGroup {
 };
 
 struct WorkerProc {
-  std::size_t spawn = 0;  ///< monotone spawn id (stable across respawns).
   pid_t pid = -1;
   int stdin_fd = -1;
   int stdout_fd = -1;
@@ -188,7 +185,6 @@ struct CoordState {
   /// Lanes whose synthesis time arrived in accepted frames.
   std::size_t lanes_reported = 0;
   std::vector<std::optional<FleetPartial>> partials;  ///< per shard.
-  std::vector<std::size_t> winning_spawn;             ///< per shard.
   std::size_t done = 0;
 
   std::vector<WorkerProc> workers;  ///< live (unreaped) workers.
@@ -223,7 +219,6 @@ bool AcceptFrame(CoordState& state, WorkerProc& worker, std::size_t shard,
   state.stats.worker_sim_seconds += partial.sim_seconds;
   state.lanes_reported += state.shard_new_lanes[shard];
   state.partials[shard] = std::move(partial);
-  state.winning_spawn[shard] = worker.spawn;
   ++state.done;
   ++state.stats.frames_accepted;
   return true;
@@ -302,10 +297,11 @@ void ReadWorker(CoordState& state, WorkerProc& worker) {
   ConsumeInbox(state, worker);
 }
 
-/// Starts one worker with the pipes as its stdin/stdout.  Throws
+/// Starts one worker with the pipes as its stdin/stdout and writes it the
+/// job.  Its spawn id is the count of spawns before it.  Throws
 /// std::runtime_error when the binary cannot be started at all.
 void SpawnWorker(CoordState& state, const FleetCoordOptions& options,
-                 const std::string& job_text, std::size_t spawn) {
+                 const std::string& job_text) {
   int to_child[2];
   int from_child[2];
   SHEP_CHECK(::pipe2(to_child, O_CLOEXEC) == 0 &&
@@ -340,14 +336,13 @@ void SpawnWorker(CoordState& state, const FleetCoordOptions& options,
   }
 
   WorkerProc worker;
-  worker.spawn = spawn;
   worker.pid = pid;
   worker.stdin_fd = to_child[1];
   worker.stdout_fd = from_child[0];
   // The job header is far smaller than the pipe buffer, so this never
   // blocks even against a worker that dies before reading it.
   if (!WriteAll(worker.stdin_fd, job_text)) worker.unwritable = true;
-  ++state.stats.workers_spawned;
+  const std::size_t spawn = state.stats.workers_spawned++;
   state.workers.push_back(std::move(worker));
   if (options.on_spawn) options.on_spawn(spawn, static_cast<long>(pid));
 }
@@ -491,34 +486,6 @@ std::size_t MaxFramePayloadBytes(const ShardPlan& plan) {
   return 4096 + plan.matrix.spec.name.size() + 4096 * max_nodes;
 }
 
-/// Moves each accepted shard's trace file from its winning spawn's private
-/// directory up into the root, then drops the per-spawn directories, so a
-/// coordinated traced run leaves exactly the file set a single-process
-/// traced run would.
-void CollectTraceFiles(const CoordState& state,
-                       const FleetCoordOptions& options) {
-  namespace fs = std::filesystem;
-  const fs::path root(options.trace_dir);
-  for (std::size_t shard = 0; shard < state.winning_spawn.size(); ++shard) {
-    const std::string name =
-        TraceShardFile::FileName(state.plan->fingerprint, shard);
-    const fs::path from =
-        root / ("worker-" + std::to_string(state.winning_spawn[shard])) /
-        name;
-    std::error_code ec;
-    fs::rename(from, root / name, ec);
-    SHEP_CHECK(!ec, "coordinator cannot collect trace file " + from.string() +
-                        ": " + ec.message());
-  }
-  std::error_code ec;
-  for (const fs::directory_entry& entry : fs::directory_iterator(root, ec)) {
-    if (entry.is_directory() &&
-        entry.path().filename().string().rfind("worker-", 0) == 0) {
-      fs::remove_all(entry.path(), ec);
-    }
-  }
-}
-
 /// RAII SIGPIPE guard: a write to a SIGKILLed worker's stdin must surface
 /// as EPIPE (handled as a death), not kill the coordinator.
 class ScopedIgnoreSigpipe {
@@ -556,28 +523,17 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
   job.shard_size = options.shard_size;
   job.heartbeat_ms = options.heartbeat_ms;
   job.fingerprint = plan.fingerprint;
+  job.trace_dir = options.trace_dir;
+  const std::string job_text = EncodeFleetJob(job);
 
   CoordState state;
   state.plan = &plan;
   state.max_frame_bytes = MaxFramePayloadBytes(plan);
   state.shard_state.assign(plan.shards.size(), ShardState::kPending);
   state.partials.resize(plan.shards.size());
-  state.winning_spawn.assign(plan.shards.size(), 0);
   GroupShardsByLanes(state);
 
   ScopedIgnoreSigpipe sigpipe_guard;
-  std::size_t next_spawn = 0;
-  auto spawn_one = [&] {
-    FleetWorkerJob worker_job = job;
-    if (!options.trace_dir.empty()) {
-      worker_job.trace_dir =
-          (std::filesystem::path(options.trace_dir) /
-           ("worker-" + std::to_string(next_spawn)))
-              .string();
-    }
-    SpawnWorker(state, options, EncodeFleetJob(worker_job), next_spawn);
-    ++next_spawn;
-  };
 
   // Everything below must stop the fleet on ANY exit path — a leaked child
   // would outlive the run.
@@ -590,7 +546,9 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
   // and replaces dead or condemned workers, dispatches, then waits at most
   // kPollTimeoutMs for worker output and reads each ready worker once.
   try {
-    for (std::size_t i = 0; i < options.workers; ++i) spawn_one();
+    for (std::size_t i = 0; i < options.workers; ++i) {
+      SpawnWorker(state, options, job_text);
+    }
 
     const auto liveness =
         std::chrono::milliseconds(options.liveness_timeout_ms);
@@ -620,7 +578,7 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
       while (state.workers.size() < options.workers &&
              state.stats.respawns < respawn_budget) {
         ++state.stats.respawns;
-        spawn_one();
+        SpawnWorker(state, options, job_text);
       }
       if (state.workers.empty()) {
         throw std::runtime_error(
@@ -671,7 +629,6 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
     throw;
   }
 
-  if (!options.trace_dir.empty()) CollectTraceFiles(state, options);
   if (stats != nullptr) *stats = state.stats;
 
   std::vector<FleetPartial> partials;

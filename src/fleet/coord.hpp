@@ -43,6 +43,18 @@
 // over exactly one accepted frame per shard.  First valid frame wins; late
 // duplicates are counted and discarded.
 //
+// Trace files.  Every worker writes its shard trace files straight into
+// the one trace directory; the coordinator never touches them.  A finished
+// run leaves a single-process traced run's file set because:
+//   1. A shard is dispatched to at most one live worker.  It is requeued
+//      only after that worker has been SIGKILLed and reaped.
+//   2. A worker finishes a shard's file before it sends the shard's frame.
+//      An accepted shard is never dispatched again.
+//   3. Every runner of a shard writes the same bytes, and std::ofstream
+//      truncates on open.  So a file left half-written by a killed worker
+//      is rewritten in full by the shard's next runner.
+// A run that throws may leave a partial file set.
+//
 // The merged summary is bit-identical to single-process RunFleet at any
 // worker count and any kill/reassignment schedule (pinned by
 // tests/test_fleet_coord.cpp): partials travel as exact hexfloat text and
@@ -80,7 +92,7 @@ struct FleetWorkerJob {
   /// shard_size) and refuses the job when its fingerprint disagrees —
   /// catching coordinator/worker version skew before any work runs.
   std::uint64_t fingerprint = 0;
-  /// Per-worker trace directory (empty = telemetry off).
+  /// The directory every worker writes into (empty = telemetry off).
   std::string trace_dir;
 };
 
@@ -121,11 +133,8 @@ struct FleetCoordOptions {
   /// is exhausted and no live worker remains, the run throws.  0 picks
   /// 2 * workers.
   std::size_t max_respawns = 0;
-  /// Telemetry root (empty = off).  Each spawn writes its shard trace
-  /// files into <trace_dir>/worker-<spawn>/; after the run the
-  /// coordinator moves each ACCEPTED shard's file up into <trace_dir> and
-  /// removes the per-spawn directories, so the surviving set is identical
-  /// to a single-process traced run.
+  /// Trace directory (empty = off), which every worker writes into; see
+  /// "Trace files" above.
   std::string trace_dir;
   /// Extra argv entries for every spawned worker; how tests inject
   /// deterministic faults (--die-after-frames, --corrupt-frame, ...).

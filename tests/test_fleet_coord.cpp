@@ -787,36 +787,54 @@ TEST(RunFleetCoordinated, TracedRunLeavesTheSingleProcessFileSet) {
   }
   const FleetSummary mono = MergeFleetPartials(plan, mono_partials);
 
-  // Coordinated traced run across 4 processes with a worker SIGKILLed:
-  // reassignment must not leak duplicate or orphan trace files.
-  FleetCoordOptions options = BaseOptions();
-  options.trace_dir = coord_dir.string();
-  options.on_spawn = [](std::size_t spawn, long pid) {
-    if (spawn == 1) kill(static_cast<pid_t>(pid), SIGKILL);
-  };
-  const FleetSummary coordinated = RunFleetCoordinated(spec, options);
-  ExpectSummaryBitIdentical(coordinated, mono);
-
-  // Exactly one file per shard, byte-identical to the single-process one,
-  // and no worker-* directories left behind.
+  // Coordinated traced runs across 4 processes, each writing straight into
+  // one directory.  Two inputs: a worker SIGKILLed at spawn (its shards
+  // move before any file is written), and every spawn's second frame
+  // corrupted (that shard's file was written in full before the frame, so
+  // the shard's next runner writes it a second time).  The second input is
+  // the one that fails when a rerun does not truncate the first file.
   auto slurp = [](const fs::path& p) {
     std::ifstream in(p, std::ios::binary);
     std::ostringstream os;
     os << in.rdbuf();
     return os.str();
   };
-  std::size_t files = 0;
-  for (const fs::directory_entry& entry : fs::directory_iterator(coord_dir)) {
-    EXPECT_TRUE(entry.is_regular_file())
-        << "unexpected directory: " << entry.path();
-    ++files;
-  }
-  EXPECT_EQ(files, plan.shards.size());
-  for (std::size_t shard = 0; shard < plan.shards.size(); ++shard) {
-    const std::string name =
-        TraceShardFile::FileName(plan.fingerprint, shard);
-    ASSERT_TRUE(fs::exists(coord_dir / name)) << name;
-    EXPECT_EQ(slurp(coord_dir / name), slurp(mono_dir / name)) << name;
+  for (const bool corrupt : {false, true}) {
+    SCOPED_TRACE(corrupt ? "--corrupt-frame 2" : "kill at spawn");
+    fs::remove_all(coord_dir);
+    FleetCoordOptions options = BaseOptions();
+    options.trace_dir = coord_dir.string();
+    if (corrupt) {
+      options.worker_args = {"--corrupt-frame", "2"};
+    } else {
+      options.on_spawn = [](std::size_t spawn, long pid) {
+        if (spawn == 1) kill(static_cast<pid_t>(pid), SIGKILL);
+      };
+    }
+    FleetCoordStats stats;
+    const FleetSummary coordinated = RunFleetCoordinated(spec, options, &stats);
+    ExpectSummaryBitIdentical(coordinated, mono);
+    EXPECT_GE(stats.workers_died + stats.workers_killed, 1u);
+    if (corrupt) {
+      EXPECT_GE(stats.workers_killed, 1u);
+    }
+
+    // Exactly one file per shard, byte-identical to the single-process one,
+    // and nothing else in the directory.
+    std::size_t files = 0;
+    for (const fs::directory_entry& entry :
+         fs::directory_iterator(coord_dir)) {
+      EXPECT_TRUE(entry.is_regular_file())
+          << "unexpected directory: " << entry.path();
+      ++files;
+    }
+    EXPECT_EQ(files, plan.shards.size());
+    for (std::size_t shard = 0; shard < plan.shards.size(); ++shard) {
+      const std::string name =
+          TraceShardFile::FileName(plan.fingerprint, shard);
+      ASSERT_TRUE(fs::exists(coord_dir / name)) << name;
+      EXPECT_EQ(slurp(coord_dir / name), slurp(mono_dir / name)) << name;
+    }
   }
   fs::remove_all(root);
 }

@@ -158,7 +158,6 @@ int main(int argc, char** argv) {
     sink = std::make_unique<shep::TraceSink>(sink_options);
   }
   shep::FleetRunOptions run_options;
-  run_options.shard_size = job.shard_size;
   run_options.trace_cache = &cache;
   run_options.forecast_memo = &memo;
   run_options.trace_sink = sink.get();
