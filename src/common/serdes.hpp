@@ -14,9 +14,11 @@
 // spelling them shep::serdes::*.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 namespace shep::serdes {
 
@@ -30,5 +32,33 @@ std::uint32_t ReadU32(std::istream& is);
 int ReadInt(std::istream& is);
 /// Reads one token and requires it to equal `keyword` (format framing).
 void ExpectToken(std::istream& is, const std::string& keyword);
+
+/// FNV-1a 64-bit, behind the shard-plan fingerprint and the frame checksum.
+/// Not cryptographic: it only has to make accidental mismatches fail loudly.
+class Fnv1a {
+ public:
+  /// The bytes as they are, with no length mixed in.
+  void Bytes(std::string_view bytes) {
+    for (char c : bytes) Byte(static_cast<unsigned char>(c));
+  }
+  void Mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      Byte(static_cast<unsigned char>(v >> (8 * i)));
+    }
+  }
+  void Mix(const std::string& s) {
+    Mix(static_cast<std::uint64_t>(s.size()));
+    Bytes(s);
+  }
+  void Mix(double v) { Mix(std::bit_cast<std::uint64_t>(v)); }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  void Byte(unsigned char b) {
+    hash_ ^= b;
+    hash_ *= 0x100000001B3ull;
+  }
+  std::uint64_t hash_ = 0xCBF29CE484222325ull;
+};
 
 }  // namespace shep::serdes

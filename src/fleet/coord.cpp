@@ -92,16 +92,14 @@ FleetWorkerJob ParseFleetJob(std::istream& in) {
                "fleet job ended inside the spec text");
   job.spec = ParseScenarioSpec(spec_text);
   serdes::ExpectToken(in, "end-job");
+  SHEP_REQUIRE(in.get() == '\n', "fleet job must end with a newline");
   return job;
 }
 
 std::uint64_t FleetFrameChecksum(std::string_view payload) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64 offset basis.
-  for (unsigned char c : payload) {
-    h ^= c;
-    h *= 1099511628211ull;  // FNV-1a 64 prime.
-  }
-  return h;
+  serdes::Fnv1a hash;
+  hash.Bytes(payload);
+  return hash.value();
 }
 
 std::string EncodeFleetFrame(std::size_t shard, const std::string& payload) {
@@ -140,8 +138,6 @@ bool WriteAll(int fd, std::string_view data) {
   return true;
 }
 
-enum class ShardState { kPending, kInflight, kDone };
-
 /// Shards that read the same set of weather lanes.  A worker caches every
 /// lane it synthesizes, so keeping a group on one worker pays for its lanes
 /// once instead of once per worker that touches the group.
@@ -159,7 +155,7 @@ struct WorkerProc {
   /// is never longer than max(kMaxLineBytes, frame header +
   /// max_frame_bytes + trailer).
   std::string inbox;
-  bool ended = false;   ///< stdout closed or said bye/error: reap as died.
+  bool ended = false;   ///< stdout closed or sent an error: reap as died.
   bool faulty = false;  ///< lied or went silent owing a shard: killed.
   /// A write to its stdin failed: dispatch nothing more.  Usually the
   /// worker is dead and its EOF reaps it as died; a live one still answers
@@ -168,7 +164,7 @@ struct WorkerProc {
   /// Last byte read from it, or its last dispatch from idle.  The liveness
   /// deadline runs from here only while the worker owes a shard.
   Clock::time_point last_activity;
-  std::set<std::size_t> inflight;  ///< dispatched shards.
+  std::set<std::size_t> inflight;  ///< dispatched shards it still owes.
   std::vector<std::size_t> groups;  ///< shard groups it serves.
   std::set<std::size_t> lanes;      ///< distinct lanes of those groups.
 };
@@ -177,15 +173,15 @@ struct CoordState {
   const ShardPlan* plan = nullptr;
   /// Largest payload an honest frame of this plan can carry.
   std::size_t max_frame_bytes = 0;
-  std::vector<ShardState> shard_state;
+  /// Each shard is in exactly one place: pending in its group, owed by one
+  /// live worker (WorkerProc::inflight), or accepted here.
   std::vector<ShardGroup> groups;
   std::vector<std::size_t> shard_group;               ///< per shard.
   /// Per shard: lanes its latest dispatch made the worker synthesize.
   std::vector<std::size_t> shard_new_lanes;
   /// Lanes whose synthesis time arrived in accepted frames.
   std::size_t lanes_reported = 0;
-  std::vector<std::optional<FleetPartial>> partials;  ///< per shard.
-  std::size_t done = 0;
+  std::vector<FleetPartial> partials;  ///< accepted, in arrival order.
 
   std::vector<WorkerProc> workers;  ///< live (unreaped) workers.
   std::string last_worker_error;
@@ -193,8 +189,8 @@ struct CoordState {
 };
 
 /// Checks one complete frame (checksum, parse, fingerprint, exactly the
-/// announced shard) and records it; false when the frame lies.  The first
-/// valid frame per shard wins.
+/// announced shard) and records it; false when the frame lies.  A valid
+/// frame counts only when its sender owes the shard; any other is dropped.
 bool AcceptFrame(CoordState& state, WorkerProc& worker, std::size_t shard,
                  std::uint64_t checksum, std::string_view payload) {
   if (FleetFrameChecksum(payload) != checksum) return false;
@@ -208,18 +204,15 @@ bool AcceptFrame(CoordState& state, WorkerProc& worker, std::size_t shard,
       partial.shards.size() != 1 || partial.shards[0].shard != shard) {
     return false;
   }
-  worker.inflight.erase(shard);
-  if (state.shard_state[shard] == ShardState::kDone) {
-    ++state.stats.duplicate_frames;  // a reassigned shard finished twice.
+  if (worker.inflight.erase(shard) == 0) {
+    ++state.stats.duplicate_frames;
     return true;
   }
-  state.shard_state[shard] = ShardState::kDone;
   state.stats.predictor_runs += partial.predictor_runs;
   state.stats.worker_synth_seconds += partial.synth_seconds;
   state.stats.worker_sim_seconds += partial.sim_seconds;
   state.lanes_reported += state.shard_new_lanes[shard];
-  state.partials[shard] = std::move(partial);
-  ++state.done;
+  state.partials.push_back(std::move(partial));
   ++state.stats.frames_accepted;
   return true;
 }
@@ -244,9 +237,7 @@ void ConsumeInbox(CoordState& state, WorkerProc& worker) {
     if (eol == in.size()) break;  // the line is still arriving.
     const std::string_view line = in.substr(pos, eol - pos);
     const std::size_t next = eol + 1;
-    if (line == "bye") {
-      worker.ended = true;
-    } else if (line.starts_with("error ")) {
+    if (line.starts_with("error ")) {
       state.last_worker_error = line.substr(6);
       worker.ended = true;  // the worker is about to exit.
     } else if (line.starts_with("frame ")) {
@@ -347,9 +338,8 @@ void SpawnWorker(CoordState& state, const FleetCoordOptions& options,
   if (options.on_spawn) options.on_spawn(spawn, static_cast<long>(pid));
 }
 
-/// Ends one worker process.  Closing its stdin is the quit command; SIGKILL
-/// stops one mid-shard at once (a no-op on a worker already dead), and
-/// waitpid reaps it.
+/// Ends one worker process with no quit message: SIGKILL stops it at once,
+/// mid-shard or idle (a no-op on one already dead), and waitpid reaps it.
 void StopWorker(const WorkerProc& worker) {
   ::close(worker.stdin_fd);
   ::kill(worker.pid, SIGKILL);
@@ -366,16 +356,13 @@ void ReapWorker(CoordState& state, const WorkerProc& worker) {
   } else {
     ++state.stats.workers_died;
   }
-  // Back to the front of their groups, in plan order; groups nobody else
-  // serves become unclaimed again.
+  // Every shard it still owes goes back to the front of its group, in plan
+  // order; groups nobody else serves become unclaimed again.
   for (auto it = worker.inflight.rbegin(); it != worker.inflight.rend();
        ++it) {
-    if (state.shard_state[*it] == ShardState::kInflight) {
-      state.shard_state[*it] = ShardState::kPending;
-      state.groups[state.shard_group[*it]].pending.push_front(*it);
-      ++state.stats.shards_reassigned;
-    }
+    state.groups[state.shard_group[*it]].pending.push_front(*it);
   }
+  state.stats.shards_reassigned += worker.inflight.size();
   for (std::size_t group : worker.groups) --state.groups[group].servers;
 }
 
@@ -529,8 +516,7 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
   CoordState state;
   state.plan = &plan;
   state.max_frame_bytes = MaxFramePayloadBytes(plan);
-  state.shard_state.assign(plan.shards.size(), ShardState::kPending);
-  state.partials.resize(plan.shards.size());
+  state.partials.reserve(plan.shards.size());
   GroupShardsByLanes(state);
 
   ScopedIgnoreSigpipe sigpipe_guard;
@@ -553,7 +539,7 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
     const auto liveness =
         std::chrono::milliseconds(options.liveness_timeout_ms);
     std::vector<pollfd> polled;
-    while (state.done < plan.shards.size()) {
+    while (state.partials.size() < plan.shards.size()) {
       const Clock::time_point now = Clock::now();
 
       // Liveness: a worker silent past the deadline while it owes a shard
@@ -596,7 +582,6 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
           const std::optional<std::size_t> picked = PickShard(state, worker);
           if (!picked) break;
           const std::size_t shard = *picked;
-          state.shard_state[shard] = ShardState::kInflight;
           // An idle worker's silence was not owed; its clock starts now.
           if (worker.inflight.empty()) worker.last_activity = Clock::now();
           worker.inflight.insert(shard);
@@ -630,14 +615,7 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
   }
 
   if (stats != nullptr) *stats = state.stats;
-
-  std::vector<FleetPartial> partials;
-  partials.reserve(plan.shards.size());
-  for (auto& partial : state.partials) {
-    SHEP_CHECK(partial.has_value(), "coordinator finished with a hole");
-    partials.push_back(std::move(*partial));
-  }
-  return MergeFleetPartials(plan, partials);
+  return MergeFleetPartials(plan, state.partials);
 }
 
 }  // namespace shep

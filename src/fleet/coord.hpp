@@ -36,12 +36,12 @@
 // next read, so an inbox never holds more than max(64 KiB line cap, frame
 // header + largest honest payload + trailer).  Silence past the liveness
 // deadline while a worker owes a shard (the clock restarts when an idle
-// worker is dispatched) means dead or hung: SIGKILL + reap.  The victim's
-// uncovered shards go back to their groups, which become unclaimed for the
-// survivors — safe by construction, because shards are dispatched one per
-// frame and MergeFleetPartials rejects duplicate coverage, so the merge is
-// over exactly one accepted frame per shard.  First valid frame wins; late
-// duplicates are counted and discarded.
+// worker is dispatched) means dead or hung: SIGKILL + reap.  A shard is
+// in exactly one place: pending in its group, owed by one live worker, or
+// accepted.  A reaped worker's owed shards go back to their groups, which
+// become unclaimed for the survivors.  A valid frame counts only when its
+// sender owes the shard; any other is dropped and counted in
+// duplicate_frames.  The coordinator reads only "hb", "error" and frames.
 //
 // Trace files.  Every worker writes its shard trace files straight into
 // the one trace directory; the coordinator never touches them.  A finished
@@ -101,9 +101,10 @@ struct FleetWorkerJob {
 /// reader never guesses where it ends.
 std::string EncodeFleetJob(const FleetWorkerJob& job);
 
-/// Inverse of EncodeFleetJob.  Throws std::invalid_argument on malformed
-/// input, including a spec byte count over the 1 MiB cap.  Does NOT verify
-/// the fingerprint — the worker does that after rebuilding the plan.
+/// Inverse of EncodeFleetJob, read through the job's last newline so the
+/// next line is the first command.  Throws std::invalid_argument on
+/// malformed input, including a spec byte count over the 1 MiB cap.  Does
+/// NOT verify the fingerprint — the worker does that after rebuilding it.
 [[nodiscard]] FleetWorkerJob ParseFleetJob(std::istream& in);
 
 /// FNV-1a 64 over the payload bytes; the frame checksum.
@@ -147,12 +148,13 @@ struct FleetCoordOptions {
 /// What the control loop saw; for logs, tests, and the demo.
 struct FleetCoordStats {
   std::size_t workers_spawned = 0;   ///< including replacements.
-  std::size_t workers_died = 0;      ///< exited/EOF with work outstanding.
-  std::size_t workers_killed = 0;    ///< coordinator SIGKILLs.
+  std::size_t workers_died = 0;      ///< reaped without being condemned.
+  std::size_t workers_killed = 0;    ///< reaped after being condemned.
   std::size_t respawns = 0;
   std::size_t shards_reassigned = 0;
   std::size_t frames_accepted = 0;
-  std::size_t duplicate_frames = 0;  ///< valid frames for covered shards.
+  std::size_t duplicate_frames = 0;  ///< valid frames for shards the
+                                     ///< sender did not owe; dropped.
   std::size_t corrupt_frames = 0;    ///< bad header, checksum, payload or
                                      ///< an over-long line.
   /// Sum over spawns of the distinct lanes in the shards dispatched to

@@ -81,9 +81,9 @@ void PredictorSpec::Validate(int slots_per_day) const {
 }
 
 void ScenarioSpec::Validate() const {
-  // Validation must be exhaustive: the runner executes node simulations on
-  // pool workers, where a late throw cannot be caught (std::terminate), so
-  // every way a spec could fail downstream is rejected here, up front.
+  // Validation must be exhaustive: every way a spec could fail downstream
+  // is rejected here, before any worker process is spawned or any shard
+  // runs, instead of part-way through a campaign.
   SHEP_REQUIRE(!sites.empty(), "scenario needs at least one site");
   SHEP_REQUIRE(slots_per_day > 0 && kSecondsPerDay % slots_per_day == 0,
                "slots_per_day must divide the day");

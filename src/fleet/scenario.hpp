@@ -72,8 +72,8 @@ struct PredictorSpec {
   std::unique_ptr<Predictor> Make(int slots_per_day) const;
 
   /// Rejects parameters WithPredictor would throw on, so a malformed design is
-  /// caught by ScenarioSpec::Validate up front instead of on a pool worker
-  /// (where the throw would std::terminate).
+  /// caught by ScenarioSpec::Validate before any worker process is spawned
+  /// or any shard runs.
   void Validate(int slots_per_day) const;
 
   /// Cell label for reports: the kind name.  When a scenario lists the same

@@ -1,41 +1,12 @@
 #include "fleet/shard_plan.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/serdes.hpp"
 
 namespace shep {
-
-namespace {
-
-/// FNV-1a 64-bit over the plan-identity fields.  Not cryptographic — it
-/// only has to make accidental cross-plan merges (different spec, seed, or
-/// shard size) fail loudly instead of silently producing garbage.
-class Fnv1a {
- public:
-  void Mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      Byte(static_cast<unsigned char>(v >> (8 * i)));
-    }
-  }
-  void Mix(const std::string& s) {
-    Mix(static_cast<std::uint64_t>(s.size()));
-    for (char c : s) Byte(static_cast<unsigned char>(c));
-  }
-  void Mix(double v) { Mix(std::bit_cast<std::uint64_t>(v)); }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  void Byte(unsigned char b) {
-    hash_ ^= b;
-    hash_ *= 0x100000001B3ull;
-  }
-  std::uint64_t hash_ = 0xCBF29CE484222325ull;
-};
-
-}  // namespace
 
 ShardPlan BuildShardPlan(const ScenarioSpec& spec, std::size_t shard_size) {
   SHEP_REQUIRE(shard_size >= 1, "shard_size must be >= 1");
@@ -71,7 +42,7 @@ ShardPlan BuildShardPlan(const ScenarioSpec& spec, std::size_t shard_size) {
   // results, not just the matrix shape — two specs that differ only in a
   // predictor parameter or a storage tier expand to identically-shaped
   // matrices, and merging their partials must still fail loudly.
-  Fnv1a hash;
+  serdes::Fnv1a hash;
   hash.Mix(s.name);
   hash.Mix(s.seed);
   hash.Mix(static_cast<std::uint64_t>(node_count));

@@ -4,15 +4,20 @@
 // shep_fleet_worker binary — the acceptance pins: a 4-worker campaign
 // merges bit-identical to single-process RunFleet, and stays bit-identical
 // when workers are SIGKILLed, die mid-campaign, stream corrupt frames, or
-// spin inside a shard (every fault path ends in reassignment), and when
-// every frame arrives over several pipe reads.
+// spin inside a shard (every fault path ends in reassignment), when
+// every frame arrives over several pipe reads, and when every frame
+// arrives twice.
 #include "fleet/coord.hpp"
 
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -253,6 +258,7 @@ TEST(FleetProtocol, JobRoundTripsAndFramesChecksum) {
   EXPECT_EQ(parsed.heartbeat_ms, 75u);
   EXPECT_EQ(parsed.fingerprint, 0xDEADBEEFull);
   EXPECT_EQ(parsed.trace_dir, job.trace_dir);
+  EXPECT_EQ(in.peek(), EOF);  // the job's last newline is consumed too.
 
   // No trace dir travels as "-" and comes back empty.
   job.trace_dir.clear();
@@ -279,6 +285,10 @@ TEST(FleetProtocol, JobRoundTripsAndFramesChecksum) {
   EXPECT_EQ(checksum, FleetFrameChecksum(payload));
   EXPECT_NE(FleetFrameChecksum(payload), FleetFrameChecksum("x" + payload));
   EXPECT_NE(frame.find("end-frame\n"), std::string::npos);
+  // The published FNV-1a 64 test vectors.
+  EXPECT_EQ(FleetFrameChecksum(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(FleetFrameChecksum("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(FleetFrameChecksum("foobar"), 0x85944171f73967e8ull);
 }
 
 // ---- The real multi-process runtime --------------------------------------
@@ -377,6 +387,66 @@ TEST(RunFleetCoordinated, RejectsCorruptFramesAndReassigns) {
     EXPECT_GE(stats.corrupt_frames, 1u) << flag;
     EXPECT_GE(stats.workers_killed, 1u) << flag;
   }
+}
+
+/// `sh -c` script: runs the real worker ("$0") and writes every frame block
+/// it sends twice, passing every other line through.
+constexpr const char* kSendEveryFrameTwice = R"sh(
+"$0" | while IFS= read -r line; do
+  if [ -n "$frame" ]; then
+    frame="$frame
+$line"
+  else
+    case $line in
+      'frame '*) frame=$line ;;
+      *) printf '%s\n' "$line" ;;
+    esac
+  fi
+  if [ "$line" = end-frame ]; then
+    printf '%s\n%s\n' "$frame" "$frame"
+    frame=
+  fi
+done)sh";
+
+TEST(RunFleetCoordinated, DropsValidFramesTheSenderDoesNotOwe) {
+  SHEP_SKIP_WITHOUT_WORKER();
+  // Every frame arrives twice.  The first copy settles the shard, so the
+  // second names a shard its sender no longer owes: it must be dropped
+  // and counted, without condemning the sender or reaching the merge.
+  FleetCoordOptions options = BaseOptions();
+  options.worker_args = {"-c", kSendEveryFrameTwice, options.worker_path};
+  options.worker_path = "/bin/sh";
+  // The coordinator SIGKILLs each shell, which orphans the worker and the
+  // filter behind it.  As their subreaper this process can see them exit.
+  struct Subreaper {
+    Subreaper() { EXPECT_EQ(prctl(PR_SET_CHILD_SUBREAPER, 1), 0); }
+    ~Subreaper() { prctl(PR_SET_CHILD_SUBREAPER, 0); }
+  } subreaper;
+  FleetCoordStats stats;
+  const FleetSummary summary =
+      RunFleetCoordinated(CoordSpec(), options, &stats);
+  ExpectSummaryBitIdentical(summary, Monolithic());
+  EXPECT_EQ(stats.frames_accepted,
+            BuildShardPlan(CoordSpec(), kShardSize).shards.size());
+  EXPECT_EQ(stats.duplicate_frames, stats.frames_accepted);
+  EXPECT_EQ(stats.workers_killed, 0u);
+  EXPECT_EQ(stats.corrupt_frames, 0u);
+
+  // Every orphan exits once its stdin closes: reap until none is left.
+  // Each spawn leaves at least its worker to reap here.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  std::size_t orphans = 0;
+  int status = 0;
+  pid_t reaped = 0;
+  while ((reaped = waitpid(-1, &status, WNOHANG)) >= 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    if (reaped == 0) usleep(1000);
+    if (reaped > 0) ++orphans;
+  }
+  EXPECT_EQ(reaped, -1);
+  EXPECT_EQ(errno, ECHILD) << "a worker or filter outlived the run";
+  EXPECT_GE(orphans, stats.workers_spawned);
 }
 
 TEST(RunFleetCoordinated, ReapsAWorkerSpinningInsideAShardOnLiveness) {

@@ -727,7 +727,9 @@ TEST(TraceSinkFleet, TraceFilesMatchPinnedDigest) {
   EXPECT_EQ(fired, kTraceTriggerViolationBurst | kTraceTriggerSocLowWater |
                        kTraceTriggerDivergence | kTraceTriggerOutage);
 
-  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a 64 offset basis.
+  // FNV-1a's prime, but not its offset basis (0xCBF29CE484222325): the
+  // pinned value below was computed from this basis and depends on it.
+  std::uint64_t digest = 1469598103934665603ull;
   for (const std::string& path : TraceFilePaths(plan, options.directory)) {
     for (unsigned char c : FileBytes(path)) {
       digest ^= c;

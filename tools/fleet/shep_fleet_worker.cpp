@@ -3,16 +3,18 @@
 //
 // The process reads one job from stdin (the campaign's exact ScenarioSpec
 // text + shard size), rebuilds the shard plan and proves identity by
-// checking its fingerprint against the job's, then serves "run <shard>"
-// commands: each shard runs through the ordinary RunFleetShards and goes
-// back as one checksummed frame of FleetPartial::Serialize() text.  One
-// ForecastMemo spans the job, so a (lane, design) pair recorded for one
-// shard is replayed to the shards holding its other storage tiers.  The
-// worker has one thread.  RunFleetShards' progress hook fires after every
-// weather lane and every node, and there the worker sends "hb" if it has
-// written nothing for a heartbeat period.  So a worker busy on a shard
-// keeps talking, and one stuck inside a lane or a node goes silent; the
-// coordinator's liveness deadline then reaps it.
+// checking its fingerprint against the job's, then serves "run <shard>",
+// its one command: each shard runs through the ordinary RunFleetShards and
+// goes back as one checksummed frame of FleetPartial::Serialize() text.
+// Besides frames it writes only "hb" and, before it exits 1, one "error"
+// line; EOF on stdin ends it with 0.  One ForecastMemo spans the job, so a
+// (lane, design) pair recorded for one shard is replayed to the shards
+// holding its other storage tiers.  The worker has one thread.
+// RunFleetShards' progress hook fires after every weather lane and every
+// node, and there the worker sends "hb" if it has written nothing for a
+// heartbeat period.  So a worker busy on a shard keeps talking, and one
+// stuck inside a lane or a node goes silent; the coordinator's liveness
+// deadline then reaps it.
 //
 // Fault-injection flags (used by tests/test_fleet_coord.cpp and the
 // chaos mode of fleet_distributed_demo to exercise the coordinator's
@@ -177,8 +179,6 @@ int main(int argc, char** argv) {
   std::size_t frames_written = 0;
   std::string line;
   while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    if (line == "quit") break;
     if (line.rfind("run ", 0) != 0) Fail("unknown command: " + line);
     const std::optional<long long> shard = shep::ParseInt(line.substr(4));
     if (!shard || static_cast<std::size_t>(*shard) >= plan.shards.size()) {
@@ -223,10 +223,8 @@ int main(int argc, char** argv) {
 
     if (flags.die_after_frames != 0 &&
         frames_written >= flags.die_after_frames) {
-      std::_Exit(9);  // no bye, no flush: an honest crash.
+      std::_Exit(9);  // no flush, no clean exit: an honest crash.
     }
   }
-
-  WriteOut("bye\n");
   return 0;
 }
