@@ -15,16 +15,32 @@
 // (cyc_mean/cyc_p95/ops_mean) filled only for the two deployable builds.
 //
 // Usage: fleet_demo [nodes_per_cell] [days]   (defaults 28, 120)
-#include <cstdlib>
+#include <cstddef>
 #include <exception>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
+#include <string>
 
+#include "common/strings.hpp"
 #include "common/threadpool.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/trace_cache.hpp"
 
 int main(int argc, char** argv) try {
   using namespace shep;
+
+  // "12abc" and "-1" are typos, not 12 and 2^64 - 1.
+  const auto positive_arg = [&](int index,
+                                std::size_t fallback) -> std::size_t {
+    if (argc <= index) return fallback;
+    const std::optional<long long> n = ParseInt(argv[index]);
+    if (!n || *n <= 0) {
+      throw std::invalid_argument(std::string("'") + argv[index] +
+                                  "' is not a positive integer");
+    }
+    return static_cast<std::size_t>(*n);
+  };
 
   ScenarioSpec spec;
   spec.name = "fleet_demo";
@@ -51,8 +67,8 @@ int main(int argc, char** argv) try {
   // Under one night's reserve / a few hours / half a day of buffer.
   spec.storage_tiers_j = {1200.0, 4000.0, 12000.0};
 
-  spec.nodes_per_cell = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 28;
-  spec.days = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 120;
+  spec.nodes_per_cell = positive_arg(1, 28);
+  spec.days = positive_arg(2, 120);
   spec.slots_per_day = 48;
   spec.seed = 0xF1EE7u;
 
@@ -84,17 +100,12 @@ int main(int argc, char** argv) try {
   std::cout << "phases: synth_s=" << info.synth_seconds << " sim_s="
             << info.sim_seconds << " merge_s=" << info.merge_seconds
             << "  trace_cache: hits=" << info.trace_cache_hits << " misses="
-            << info.trace_cache_misses << '\n';
-  std::cout << "telemetry: events=" << info.trace_events << " dropped="
-            << info.trace_dropped << " slot_records="
-            << info.trace_slot_records << " day_records="
-            << info.trace_day_records << " files=" << info.trace_shard_files
-            << " (no sink attached — see fleet_distributed_demo)\n\n";
+            << info.trace_cache_misses << "\n\n";
   std::cout << summary.ToCsv();
   return 0;
 } catch (const std::exception& e) {
-  // Bad CLI values (e.g. 0 replicas, days inside the warm-up) surface here
-  // through ScenarioSpec::Validate.
+  // Bad CLI values surface here: a malformed or non-positive number from
+  // positive_arg, a horizon inside the warm-up from ScenarioSpec::Validate.
   std::cerr << "fleet_demo: " << e.what()
             << "\nUsage: fleet_demo [nodes_per_cell] [days]\n";
   return 1;

@@ -149,7 +149,6 @@ int main(int argc, char** argv) try {
   std::cout << "plan: " << plan.shards.size() << " shards over "
             << plan.matrix.nodes.size() << " nodes, " << plan.lanes.size()
             << " weather lanes, fingerprint " << plan.fingerprint << "\n\n";
-  std::cout << plan.Describe() << '\n';
 
   // ---- Multi-process mode: the coordinator does stages 2+3 for real. -----
   if (procs > 0) {

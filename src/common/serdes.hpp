@@ -10,8 +10,8 @@
 // when the trace layer (src/trace) needed the same exact wire discipline
 // for per-slot telemetry records without depending on the fleet layer.
 // fleet/aggregate.hpp still re-exports them by including this header, so
-// every existing serializer (aggregates, FleetPartial, ShardPlan) keeps
-// spelling them shep::serdes::*.
+// every serializer (aggregates, FleetPartial, ScenarioSpec, the worker job
+// and the trace files) spells them shep::serdes::*.
 #pragma once
 
 #include <bit>
@@ -33,7 +33,8 @@ int ReadInt(std::istream& is);
 /// Reads one token and requires it to equal `keyword` (format framing).
 void ExpectToken(std::istream& is, const std::string& keyword);
 
-/// FNV-1a 64-bit, behind the shard-plan fingerprint and the frame checksum.
+/// FNV-1a 64-bit, behind the shard-plan fingerprint (ScenarioSpec::Hash
+/// mixes the spec's values into it) and the frame checksum.
 /// Not cryptographic: it only has to make accidental mismatches fail loudly.
 class Fnv1a {
  public:

@@ -89,8 +89,10 @@ struct FleetWorkerJob {
   /// at 365 days x 288 slots on a 4-vCPU x86 host.
   std::uint32_t heartbeat_ms = 100;
   /// Expected plan fingerprint.  The worker rebuilds the plan from (spec,
-  /// shard_size) and refuses the job when its fingerprint disagrees —
-  /// catching coordinator/worker version skew before any work runs.
+  /// shard_size) and refuses the job when its fingerprint disagrees.  The
+  /// fingerprint hashes every spec field, the shard size and the lane
+  /// seeds, so the check catches coordinator/worker version skew in any
+  /// of them before any work runs.
   std::uint64_t fingerprint = 0;
   /// The directory every worker writes into (empty = telemetry off).
   std::string trace_dir;

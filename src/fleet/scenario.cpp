@@ -1,6 +1,8 @@
 #include "fleet/scenario.hpp"
 
 #include <algorithm>
+#include <concepts>
+#include <limits>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -103,6 +105,15 @@ void ScenarioSpec::Validate() const {
     SHEP_REQUIRE(s > 0.0, "storage tiers must be positive");
   }
   SHEP_REQUIRE(nodes_per_cell >= 1, "nodes_per_cell must be >= 1");
+  // node_count() multiplies unchecked; a product that wraps would pass
+  // every other check here and expand to a wrong node list.
+  std::size_t nodes = 1;
+  for (std::size_t factor : {sites.size(), predictors.size(),
+                             storage_tiers_j.size(), nodes_per_cell}) {
+    SHEP_REQUIRE(factor <= std::numeric_limits<std::size_t>::max() / nodes,
+                 "scenario node count overflows");
+    nodes *= factor;
+  }
   // The sim loop drops the final boundary slot, so one post-warm-up slot is
   // not enough: (days - warmup) * N - 1 scored slots must be >= 1.
   SHEP_REQUIRE(days > node.warmup_days &&
@@ -119,193 +130,182 @@ void ScenarioSpec::Validate() const {
                "initial level must be a fraction");
 }
 
+namespace {
+
+// ---- The text form's one field list --------------------------------------
+//
+// WalkSpec visits every field of a ScenarioSpec in text order, and three
+// policies drive it: SpecWriter prints the text, SpecReader parses it back
+// and SpecHasher mixes the values into a plan fingerprint.  Adding a field
+// here serializes, parses and fingerprints it in one edit.  A policy has
+//   Keyword(word, new_line)  format framing; new_line starts a text line,
+//   Field(value)             one string, integer, double or PredictorKind,
+//   List(items, visit)       the item count, then visit(item) per item.
+
+/// `keyword`, then each of `values`, on the current line.
+template <class Io, class... T>
+void Key(Io& io, const char* keyword, T&&... values) {
+  io.Keyword(keyword, false);
+  (io.Field(values), ...);
+}
+
+/// Like Key, but `keyword` starts a new line of the text.
+template <class Io, class... T>
+void Line(Io& io, const char* keyword, T&&... values) {
+  io.Keyword(keyword, true);
+  (io.Field(values), ...);
+}
+
+template <class Io, class Spec>
+void WalkSpec(Io& io, Spec& s) {
+  const auto field = [&io](auto& value) { io.Field(value); };
+  // v2: the spec gained the faults block (deterministic fault injection);
+  // v1 bytes would mis-align on parse, so the version token rejects them.
+  Line(io, "shep-scenario");
+  Key(io, "v2");
+  Line(io, "name", s.name);
+  Line(io, "seed", s.seed);
+  Line(io, "shape", s.days, s.slots_per_day, s.nodes_per_cell);
+  Line(io, "sites");
+  io.List(s.sites, field);
+  Line(io, "tiers");
+  io.List(s.storage_tiers_j, field);
+  Line(io, "predictors");
+  io.List(s.predictors, [&](auto& p) {
+    // Every kind serializes every parameter block: the few unused doubles
+    // cost a handful of bytes and keep the reader branch-free.
+    Line(io, "predictor", p.kind);
+    Key(io, "wcma", p.wcma.alpha, p.wcma.days, p.wcma.slots_k);
+    Key(io, "ewma", p.ewma_weight);
+    Key(io, "ar", p.ar.order, p.ar.days, p.ar.lambda, p.ar.delta);
+    Key(io, "adaptive");
+    io.List(p.adaptive.alphas, field);
+    io.List(p.adaptive.ks, field);
+    io.Field(p.adaptive.days);
+    io.Field(p.adaptive.discount);
+  });
+  auto& duty = s.node.duty;
+  Line(io, "duty", duty.slot_seconds, duty.active_power_w,
+       duty.sleep_power_w, duty.min_duty, duty.max_duty,
+       duty.target_level_fraction, duty.level_gain);
+  auto& store = s.node.storage;
+  Line(io, "store", store.capacity_j, store.charge_efficiency,
+       store.leakage_w);
+  Line(io, "node", s.node.initial_level_fraction, s.node.warmup_days,
+       s.initial_level_jitter);
+  auto& faults = s.faults;
+  Line(io, "faults");
+  Key(io, "outage", faults.outage_rate_per_day, faults.outage_mean_slots);
+  Key(io, "dropout", faults.dropout_rate_per_day, faults.dropout_mean_slots);
+  Key(io, "panel", faults.panel_decay_per_day);
+  Key(io, "aging", faults.battery_aging_per_day);
+  Key(io, "recovery", faults.recovery_window_slots);
+  Line(io, "end-scenario");
+}
+
+/// Tokens separated by one space, lines by '\n'; doubles as hexfloats.
+struct SpecWriter {
+  std::ostringstream os;
+
+  void Keyword(const char* word, bool new_line) {
+    if (!new_line) {
+      os << ' ';
+    } else if (os.tellp() > 0) {
+      os << '\n';
+    }
+    os << word;
+  }
+  void Field(double value) {
+    os << ' ';
+    serdes::WriteDouble(os, value);
+  }
+  void Field(PredictorKind kind) { os << ' ' << PredictorKindName(kind); }
+  template <class T>
+  void Field(const T& value) {  // strings and integers.
+    static_assert(!std::is_floating_point_v<T>,
+                  "floating-point fields travel through WriteDouble");
+    os << ' ' << value;
+  }
+  template <class T, class Visit>
+  void List(const std::vector<T>& items, Visit&& visit) {
+    os << ' ' << items.size();
+    for (const T& item : items) visit(item);
+  }
+};
+
+struct SpecReader {
+  std::istream& is;
+
+  void Keyword(const char* word, bool /*new_line*/) {
+    serdes::ExpectToken(is, word);
+  }
+  void Field(std::string& value) {
+    is >> value;
+    SHEP_REQUIRE(!value.empty(), "unexpected end of serialized input");
+  }
+  void Field(int& value) { value = serdes::ReadInt(is); }
+  template <std::unsigned_integral U>
+  void Field(U& value) {
+    value = static_cast<U>(serdes::ReadU64(is));
+  }
+  void Field(double& value) { value = serdes::ReadDouble(is); }
+  void Field(PredictorKind& kind) {
+    std::string name;
+    Field(name);
+    kind = PredictorKindFromName(name);
+  }
+  /// One emplace_back per item read: the count is input, so it never sizes
+  /// an allocation (a short text ends the loop by throwing).
+  template <class T, class Visit>
+  void List(std::vector<T>& items, Visit&& visit) {
+    const std::uint64_t count = serdes::ReadU64(is);
+    items.clear();
+    for (std::uint64_t i = 0; i < count; ++i) visit(items.emplace_back());
+  }
+};
+
+struct SpecHasher {
+  serdes::Fnv1a& hash;
+
+  void Keyword(const char* /*word*/, bool /*new_line*/) {}
+  void Field(const std::string& value) { hash.Mix(value); }
+  template <std::integral T>
+  void Field(T value) {
+    hash.Mix(static_cast<std::uint64_t>(value));
+  }
+  void Field(double value) { hash.Mix(value); }
+  void Field(PredictorKind kind) {
+    hash.Mix(static_cast<std::uint64_t>(kind));
+  }
+  template <class T, class Visit>
+  void List(const std::vector<T>& items, Visit&& visit) {
+    hash.Mix(static_cast<std::uint64_t>(items.size()));
+    for (const T& item : items) visit(item);
+  }
+};
+
+}  // namespace
+
 std::string ScenarioSpec::Describe() const {
   Validate();  // only an expandable spec may cross a process boundary.
   SHEP_REQUIRE(name.find_first_of(" \t\n") == std::string::npos,
                "scenario names must be whitespace-free to serialize");
-  std::ostringstream os;
-  // v2: the spec gained the faults block (deterministic fault injection);
-  // v1 bytes would mis-align on parse, so the version token rejects them.
-  os << "shep-scenario v2\n";
-  os << "name " << name << '\n';
-  os << "seed " << seed << '\n';
-  os << "shape " << days << ' ' << slots_per_day << ' ' << nodes_per_cell
-     << '\n';
-  os << "sites " << sites.size();
-  for (const std::string& code : sites) os << ' ' << code;
-  os << '\n';
-  os << "tiers " << storage_tiers_j.size();
-  for (double tier : storage_tiers_j) {
-    os << ' ';
-    serdes::WriteDouble(os, tier);
-  }
-  os << '\n';
-  os << "predictors " << predictors.size() << '\n';
-  for (const PredictorSpec& p : predictors) {
-    // Every kind serializes every parameter block: the few unused doubles
-    // cost a handful of bytes and keep the reader branch-free.
-    os << "predictor " << PredictorKindName(p.kind) << " wcma ";
-    serdes::WriteDouble(os, p.wcma.alpha);
-    os << ' ' << p.wcma.days << ' ' << p.wcma.slots_k << " ewma ";
-    serdes::WriteDouble(os, p.ewma_weight);
-    os << " ar " << p.ar.order << ' ' << p.ar.days << ' ';
-    serdes::WriteDouble(os, p.ar.lambda);
-    os << ' ';
-    serdes::WriteDouble(os, p.ar.delta);
-    os << " adaptive " << p.adaptive.alphas.size();
-    for (double a : p.adaptive.alphas) {
-      os << ' ';
-      serdes::WriteDouble(os, a);
-    }
-    os << ' ' << p.adaptive.ks.size();
-    for (int k : p.adaptive.ks) os << ' ' << k;
-    os << ' ' << p.adaptive.days << ' ';
-    serdes::WriteDouble(os, p.adaptive.discount);
-    os << '\n';
-  }
-  os << "duty ";
-  serdes::WriteDouble(os, node.duty.slot_seconds);
-  os << ' ';
-  serdes::WriteDouble(os, node.duty.active_power_w);
-  os << ' ';
-  serdes::WriteDouble(os, node.duty.sleep_power_w);
-  os << ' ';
-  serdes::WriteDouble(os, node.duty.min_duty);
-  os << ' ';
-  serdes::WriteDouble(os, node.duty.max_duty);
-  os << ' ';
-  serdes::WriteDouble(os, node.duty.target_level_fraction);
-  os << ' ';
-  serdes::WriteDouble(os, node.duty.level_gain);
-  os << '\n';
-  os << "store ";
-  serdes::WriteDouble(os, node.storage.capacity_j);
-  os << ' ';
-  serdes::WriteDouble(os, node.storage.charge_efficiency);
-  os << ' ';
-  serdes::WriteDouble(os, node.storage.leakage_w);
-  os << '\n';
-  os << "node ";
-  serdes::WriteDouble(os, node.initial_level_fraction);
-  os << ' ' << node.warmup_days << ' ';
-  serdes::WriteDouble(os, initial_level_jitter);
-  os << '\n';
-  os << "faults outage ";
-  serdes::WriteDouble(os, faults.outage_rate_per_day);
-  os << ' ';
-  serdes::WriteDouble(os, faults.outage_mean_slots);
-  os << " dropout ";
-  serdes::WriteDouble(os, faults.dropout_rate_per_day);
-  os << ' ';
-  serdes::WriteDouble(os, faults.dropout_mean_slots);
-  os << " panel ";
-  serdes::WriteDouble(os, faults.panel_decay_per_day);
-  os << " aging ";
-  serdes::WriteDouble(os, faults.battery_aging_per_day);
-  os << " recovery " << faults.recovery_window_slots << '\n';
-  os << "end-scenario\n";
-  return os.str();
+  SpecWriter writer;
+  WalkSpec(writer, *this);
+  writer.os << '\n';
+  return writer.os.str();
+}
+
+void ScenarioSpec::Hash(serdes::Fnv1a& hash) const {
+  SpecHasher hasher{hash};
+  WalkSpec(hasher, *this);
 }
 
 ScenarioSpec ParseScenarioSpec(const std::string& text) {
   std::istringstream is(text);
-  serdes::ExpectToken(is, "shep-scenario");
-  serdes::ExpectToken(is, "v2");
   ScenarioSpec spec;
-  serdes::ExpectToken(is, "name");
-  is >> spec.name;
-  SHEP_REQUIRE(!spec.name.empty(), "scenario is missing its name");
-  serdes::ExpectToken(is, "seed");
-  spec.seed = serdes::ReadU64(is);
-  serdes::ExpectToken(is, "shape");
-  spec.days = static_cast<std::size_t>(serdes::ReadU64(is));
-  spec.slots_per_day = serdes::ReadInt(is);
-  spec.nodes_per_cell = static_cast<std::size_t>(serdes::ReadU64(is));
-
-  serdes::ExpectToken(is, "sites");
-  const std::uint64_t site_count = serdes::ReadU64(is);
-  spec.sites.clear();
-  for (std::uint64_t i = 0; i < site_count; ++i) {
-    std::string code;
-    is >> code;
-    SHEP_REQUIRE(!code.empty(), "scenario lists an empty site code");
-    spec.sites.push_back(code);
-  }
-
-  serdes::ExpectToken(is, "tiers");
-  const std::uint64_t tier_count = serdes::ReadU64(is);
-  spec.storage_tiers_j.clear();
-  for (std::uint64_t i = 0; i < tier_count; ++i) {
-    spec.storage_tiers_j.push_back(serdes::ReadDouble(is));
-  }
-
-  serdes::ExpectToken(is, "predictors");
-  const std::uint64_t predictor_count = serdes::ReadU64(is);
-  spec.predictors.clear();
-  for (std::uint64_t i = 0; i < predictor_count; ++i) {
-    serdes::ExpectToken(is, "predictor");
-    PredictorSpec p;
-    std::string kind;
-    is >> kind;
-    p.kind = PredictorKindFromName(kind);
-    serdes::ExpectToken(is, "wcma");
-    p.wcma.alpha = serdes::ReadDouble(is);
-    p.wcma.days = serdes::ReadInt(is);
-    p.wcma.slots_k = serdes::ReadInt(is);
-    serdes::ExpectToken(is, "ewma");
-    p.ewma_weight = serdes::ReadDouble(is);
-    serdes::ExpectToken(is, "ar");
-    p.ar.order = serdes::ReadInt(is);
-    p.ar.days = serdes::ReadInt(is);
-    p.ar.lambda = serdes::ReadDouble(is);
-    p.ar.delta = serdes::ReadDouble(is);
-    serdes::ExpectToken(is, "adaptive");
-    const std::uint64_t alpha_count = serdes::ReadU64(is);
-    p.adaptive.alphas.clear();
-    for (std::uint64_t a = 0; a < alpha_count; ++a) {
-      p.adaptive.alphas.push_back(serdes::ReadDouble(is));
-    }
-    const std::uint64_t k_count = serdes::ReadU64(is);
-    p.adaptive.ks.clear();
-    for (std::uint64_t k = 0; k < k_count; ++k) {
-      p.adaptive.ks.push_back(serdes::ReadInt(is));
-    }
-    p.adaptive.days = serdes::ReadInt(is);
-    p.adaptive.discount = serdes::ReadDouble(is);
-    spec.predictors.push_back(p);
-  }
-
-  serdes::ExpectToken(is, "duty");
-  spec.node.duty.slot_seconds = serdes::ReadDouble(is);
-  spec.node.duty.active_power_w = serdes::ReadDouble(is);
-  spec.node.duty.sleep_power_w = serdes::ReadDouble(is);
-  spec.node.duty.min_duty = serdes::ReadDouble(is);
-  spec.node.duty.max_duty = serdes::ReadDouble(is);
-  spec.node.duty.target_level_fraction = serdes::ReadDouble(is);
-  spec.node.duty.level_gain = serdes::ReadDouble(is);
-  serdes::ExpectToken(is, "store");
-  spec.node.storage.capacity_j = serdes::ReadDouble(is);
-  spec.node.storage.charge_efficiency = serdes::ReadDouble(is);
-  spec.node.storage.leakage_w = serdes::ReadDouble(is);
-  serdes::ExpectToken(is, "node");
-  spec.node.initial_level_fraction = serdes::ReadDouble(is);
-  spec.node.warmup_days = static_cast<std::size_t>(serdes::ReadU64(is));
-  spec.initial_level_jitter = serdes::ReadDouble(is);
-  serdes::ExpectToken(is, "faults");
-  serdes::ExpectToken(is, "outage");
-  spec.faults.outage_rate_per_day = serdes::ReadDouble(is);
-  spec.faults.outage_mean_slots = serdes::ReadDouble(is);
-  serdes::ExpectToken(is, "dropout");
-  spec.faults.dropout_rate_per_day = serdes::ReadDouble(is);
-  spec.faults.dropout_mean_slots = serdes::ReadDouble(is);
-  serdes::ExpectToken(is, "panel");
-  spec.faults.panel_decay_per_day = serdes::ReadDouble(is);
-  serdes::ExpectToken(is, "aging");
-  spec.faults.battery_aging_per_day = serdes::ReadDouble(is);
-  serdes::ExpectToken(is, "recovery");
-  spec.faults.recovery_window_slots =
-      static_cast<std::size_t>(serdes::ReadU64(is));
-  serdes::ExpectToken(is, "end-scenario");
+  SpecReader reader{is};
+  WalkSpec(reader, spec);
   // Trailing junk means these are not Describe() bytes — reject rather
   // than silently ignoring what might be a second (dropped) spec.
   std::string trailing;

@@ -39,6 +39,10 @@
 
 namespace shep {
 
+namespace serdes {
+class Fnv1a;
+}  // namespace serdes
+
 /// Predictor designs a fleet can deploy.  The three WCMA entries are the
 /// same algorithm on three arithmetic backends: double-precision reference
 /// (kWcma), the Q16.16 fixed-point MCU build (kWcmaFixed), and the routine
@@ -157,9 +161,15 @@ struct ScenarioSpec {
   /// bytes alone.  Validates first: only an expandable spec serializes.
   std::string Describe() const;
 
+  /// Mixes every field of the text form into `hash`, as values rather
+  /// than text; the one field list (scenario.cpp) also drives Describe and
+  /// ParseScenarioSpec, so a field that serializes is always hashed.
+  void Hash(serdes::Fnv1a& hash) const;
+
   std::size_t cell_count() const {
     return sites.size() * predictors.size() * storage_tiers_j.size();
   }
+  /// Unchecked product; Validate rejects a spec on which it would wrap.
   std::size_t node_count() const { return cell_count() * nodes_per_cell; }
 };
 

@@ -1,7 +1,7 @@
 #include "fleet/shard_plan.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <cstdint>
 
 #include "common/check.hpp"
 #include "common/serdes.hpp"
@@ -38,88 +38,21 @@ ShardPlan BuildShardPlan(const ScenarioSpec& spec, std::size_t shard_size) {
     plan.lanes[plan.matrix.trace_lane(node)].trace_seed = node.trace_seed;
   }
 
-  // The fingerprint must cover EVERY spec field that changes simulation
-  // results, not just the matrix shape — two specs that differ only in a
-  // predictor parameter or a storage tier expand to identically-shaped
-  // matrices, and merging their partials must still fail loudly.
+  // The fingerprint covers every field of the spec's text form (the same
+  // field list Describe and ParseScenarioSpec walk): two specs that differ
+  // only in a predictor parameter or a fault rate expand to identically-
+  // shaped matrices, and merging their partials must still fail loudly.
+  // The lanes stay in too, so a DeriveSeed skew between two builds that
+  // agree on the spec is still caught.
   serdes::Fnv1a hash;
-  hash.Mix(s.name);
-  hash.Mix(s.seed);
-  hash.Mix(static_cast<std::uint64_t>(node_count));
-  hash.Mix(static_cast<std::uint64_t>(plan.matrix.cells.size()));
+  s.Hash(hash);
   hash.Mix(static_cast<std::uint64_t>(shard_size));
-  hash.Mix(static_cast<std::uint64_t>(s.days));
-  hash.Mix(static_cast<std::uint64_t>(s.slots_per_day));
-  for (const PredictorSpec& p : s.predictors) {
-    hash.Mix(static_cast<std::uint64_t>(p.kind));
-    hash.Mix(p.wcma.alpha);
-    hash.Mix(static_cast<std::uint64_t>(p.wcma.days));
-    hash.Mix(static_cast<std::uint64_t>(p.wcma.slots_k));
-    hash.Mix(p.ewma_weight);
-    hash.Mix(static_cast<std::uint64_t>(p.ar.order));
-    hash.Mix(static_cast<std::uint64_t>(p.ar.days));
-    hash.Mix(p.ar.lambda);
-    hash.Mix(p.ar.delta);
-    hash.Mix(static_cast<std::uint64_t>(p.adaptive.alphas.size()));
-    for (double a : p.adaptive.alphas) hash.Mix(a);
-    hash.Mix(static_cast<std::uint64_t>(p.adaptive.ks.size()));
-    for (int k : p.adaptive.ks) hash.Mix(static_cast<std::uint64_t>(k));
-    hash.Mix(static_cast<std::uint64_t>(p.adaptive.days));
-    hash.Mix(p.adaptive.discount);
-  }
-  hash.Mix(static_cast<std::uint64_t>(s.storage_tiers_j.size()));
-  for (double tier : s.storage_tiers_j) hash.Mix(tier);
-  hash.Mix(s.node.duty.slot_seconds);
-  hash.Mix(s.node.duty.active_power_w);
-  hash.Mix(s.node.duty.sleep_power_w);
-  hash.Mix(s.node.duty.min_duty);
-  hash.Mix(s.node.duty.max_duty);
-  hash.Mix(s.node.duty.target_level_fraction);
-  hash.Mix(s.node.duty.level_gain);
-  hash.Mix(s.node.storage.capacity_j);
-  hash.Mix(s.node.storage.charge_efficiency);
-  hash.Mix(s.node.storage.leakage_w);
-  hash.Mix(s.node.initial_level_fraction);
-  hash.Mix(static_cast<std::uint64_t>(s.node.warmup_days));
-  hash.Mix(s.initial_level_jitter);
-  // Fault knobs change every result, so two campaigns differing only in a
-  // fault rate must refuse to merge.
-  hash.Mix(s.faults.outage_rate_per_day);
-  hash.Mix(s.faults.outage_mean_slots);
-  hash.Mix(s.faults.dropout_rate_per_day);
-  hash.Mix(s.faults.dropout_mean_slots);
-  hash.Mix(s.faults.panel_decay_per_day);
-  hash.Mix(s.faults.battery_aging_per_day);
-  hash.Mix(static_cast<std::uint64_t>(s.faults.recovery_window_slots));
   for (const TraceLanePlan& lane : plan.lanes) {
     hash.Mix(lane.site_code);
     hash.Mix(lane.trace_seed);
   }
   plan.fingerprint = hash.value();
   return plan;
-}
-
-std::string ShardPlan::Describe() const {
-  const ScenarioSpec& s = matrix.spec;
-  SHEP_REQUIRE(s.name.find_first_of(" \t\n") == std::string::npos,
-               "scenario names must be whitespace-free to serialize");
-  std::ostringstream os;
-  os << "shep-shard-plan v1\n";
-  os << "scenario " << s.name << '\n';
-  os << "fingerprint " << fingerprint << '\n';
-  os << "nodes " << matrix.nodes.size() << " shard_size " << shard_size
-     << " days " << s.days << " slots_per_day " << s.slots_per_day << '\n';
-  os << "shards " << shards.size() << '\n';
-  for (const ShardRange& range : shards) {
-    os << "shard " << range.index << ' ' << range.begin_node << ' '
-       << range.end_node << '\n';
-  }
-  os << "lanes " << lanes.size() << '\n';
-  for (const TraceLanePlan& lane : lanes) {
-    os << "lane " << lane.lane << ' ' << lane.site_code << ' '
-       << lane.trace_seed << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace shep

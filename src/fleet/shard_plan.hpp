@@ -1,16 +1,17 @@
 // shard_plan.hpp — stage 1 of the distributed fleet pipeline.
 //
 // BuildShardPlan turns a ScenarioSpec into a ShardPlan: the expanded
-// matrix plus a deterministic description of (a) the fixed-size shard
-// ranges over the cell-major node list and (b) the weather-trace lanes the
-// shards read.  The plan is a pure function of (spec, shard_size) — no
-// clocks, no thread counts — so every process of a distributed run
-// rebuilds the identical plan from the spec text it is handed.
+// matrix plus (a) the fixed-size shard ranges over the cell-major node
+// list and (b) the weather-trace lanes the shards read.  The plan is a
+// pure function of (spec, shard_size) — no clocks, no thread counts — so
+// every process of a distributed run rebuilds the identical plan from the
+// spec text it is handed.
 //
-// The plan's fingerprint is folded into every FleetPartial produced by
-// RunFleetShards; MergeFleetPartials refuses partials whose fingerprint
-// disagrees, so results of a different spec, seed, or shard size can never
-// be silently merged.
+// The plan's fingerprint hashes every field of the spec's text form
+// (ScenarioSpec::Hash), the shard size and the lane table.  It is folded
+// into every FleetPartial produced by RunFleetShards; MergeFleetPartials
+// refuses partials whose fingerprint disagrees, so results of a different
+// spec, seed, or shard size can never be silently merged.
 #pragma once
 
 #include <cstddef>
@@ -49,9 +50,6 @@ struct ShardPlan {
   std::uint64_t fingerprint = 0;  ///< identity of (spec, shard_size).
   std::vector<ShardRange> shards;
   std::vector<TraceLanePlan> lanes;  ///< index == lane id.
-
-  /// Text form of the scheduling skeleton (ranges, lanes, fingerprint).
-  std::string Describe() const;
 };
 
 /// Expands `spec` and decomposes it into shards of `shard_size` nodes.

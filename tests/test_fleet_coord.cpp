@@ -135,8 +135,8 @@ std::uint32_t LivenessDeadlineMs(std::uint32_t heartbeat_ms, double node_ms,
 
 // ---- ScenarioSpec serde --------------------------------------------------
 
-/// A spec using every predictor kind and every parameter block, so the
-/// round trip covers the whole wire format.
+/// A spec using every predictor kind and every parameter block, faults
+/// included, so the round trip covers the whole wire format.
 ScenarioSpec EverythingSpec() {
   ScenarioSpec spec = CoordSpec();
   spec.predictors.clear();
@@ -162,7 +162,46 @@ ScenarioSpec EverythingSpec() {
   }
   spec.node.storage.charge_efficiency = 0.87;
   spec.node.initial_level_fraction = 0.42;
+  spec.faults.outage_rate_per_day = 0.2;
+  spec.faults.outage_mean_slots = 6.0;
+  spec.faults.dropout_rate_per_day = 0.5;
+  spec.faults.dropout_mean_slots = 4.0;
+  spec.faults.panel_decay_per_day = 0.001;
+  spec.faults.battery_aging_per_day = 0.002;
+  spec.faults.recovery_window_slots = 12;
   return spec;
+}
+
+TEST(ScenarioSpecSerde, DescribeWritesThePinnedV2Text) {
+  // The exact v2 bytes: coordinators and workers of different builds
+  // exchange this text, so a change to it is a wire-format change (and a
+  // new version token), never a side effect of refactoring the writer.
+  // Every predictor line carries every parameter block.
+  const std::string blocks =
+      " wcma 0x1.6666666666666p-1 6 3 ewma 0x1.7ae147ae147aep-2 ar 3 9 "
+      "0x1.dc28f5c28f5c3p-1 0x1.eep+6 adaptive 3 0x1p-2 0x1p-1 "
+      "0x1.ccccccccccccdp-1 3 1 2 4 7 0x1.999999999999ap-1\n";
+  std::string pinned =
+      "shep-scenario v2\n"
+      "name coordinated\n"
+      "seed 91\n"
+      "shape 20 48 2\n"
+      "sites 2 HSU PFCI\n"
+      "tiers 2 0x1.77p+10 0x1.77p+12\n"
+      "predictors 8\n";
+  for (const char* kind : {"WCMA", "FixedWCMA", "VmWCMA", "EWMA", "AR",
+                           "AdaptiveWCMA", "Persistence", "PreviousDay"}) {
+    pinned += std::string("predictor ") + kind + blocks;
+  }
+  pinned +=
+      "duty 0x1.c2p+10 0x1.eb851eb851eb8p-5 0x1.19db7358bd307p-18 "
+      "0x1.47ae147ae147bp-6 0x1p+0 0x1p-1 0x1.999999999999ap-5\n"
+      "store 0x1.f4p+8 0x1.bd70a3d70a3d7p-1 0x1.4f8b588e368f1p-17\n"
+      "node 0x1.ae147ae147ae1p-2 10 0x1.3333333333333p-3\n"
+      "faults outage 0x1.999999999999ap-3 0x1.8p+2 dropout 0x1p-1 0x1p+2 "
+      "panel 0x1.0624dd2f1a9fcp-10 aging 0x1.0624dd2f1a9fcp-9 recovery 12\n"
+      "end-scenario\n";
+  EXPECT_EQ(EverythingSpec().Describe(), pinned);
 }
 
 TEST(ScenarioSpecSerde, RoundTripIsExactAndPreservesThePlan) {
@@ -239,6 +278,25 @@ TEST(ScenarioSpecSerde, RejectsIntegersThatDoNotFitTheirField) {
     EXPECT_THROW(ParseScenarioSpec(wrapped), std::invalid_argument)
         << keyword << " +" << offset;
   }
+}
+
+TEST(ScenarioSpecSerde, RejectsANodeCountThatWraps) {
+  // 12 cells x 2^62 replicas is 3 x 2^64: node_count() wraps to 0, and a
+  // spec that passed would expand to a wrong node list (or try to push
+  // 2^62 nodes per cell).  Never expand it.
+  ScenarioSpec spec = CoordSpec();
+  ASSERT_EQ(spec.cell_count(), 12u);
+  spec.nodes_per_cell = std::size_t{1} << 62;
+  EXPECT_EQ(spec.node_count(), 0u);
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+
+  std::string text = CoordSpec().Describe();
+  const std::string shape = "\nshape 20 48 2\n";
+  const std::size_t at = text.find(shape);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, shape.size(),
+               "\nshape 20 48 " + std::to_string(spec.nodes_per_cell) + "\n");
+  EXPECT_THROW((void)ParseScenarioSpec(text), std::invalid_argument);
 }
 
 // ---- Wire protocol -------------------------------------------------------

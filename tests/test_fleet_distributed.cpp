@@ -124,7 +124,6 @@ TEST(ShardPlan, IsDeterministicAndCoversEveryNode) {
   const ShardPlan a = BuildShardPlan(spec, 5);
   const ShardPlan b = BuildShardPlan(spec, 5);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
-  EXPECT_EQ(a.Describe(), b.Describe());
 
   // Ranges tile [0, node_count) exactly.
   std::size_t next = 0;
@@ -150,34 +149,116 @@ TEST(ShardPlan, IsDeterministicAndCoversEveryNode) {
   EXPECT_NE(BuildShardPlan(reseeded, 5).fingerprint, a.fingerprint);
 }
 
-// The fingerprint must cover every result-relevant spec field — specs that
-// differ only in a predictor parameter, a storage tier, or the node config
-// expand to identically-shaped matrices, yet merging their partials has to
-// fail loudly.
+// The fingerprint must cover every field of the spec's text form — specs
+// that differ only in a predictor parameter, a storage tier, the node
+// config or a fault knob expand to identically-shaped matrices, yet
+// merging their partials has to fail loudly.  One mutation per field,
+// each keeping the spec valid; the base runs with faults on so each fault
+// knob can move alone.
 TEST(ShardPlan, FingerprintCoversResultRelevantSpecFields) {
-  const ScenarioSpec base = DistributedSpec();
+  ScenarioSpec base = DistributedSpec();
+  base.faults.outage_rate_per_day = 0.2;
+  base.faults.outage_mean_slots = 6.0;
+  base.faults.dropout_rate_per_day = 0.5;
+  base.faults.dropout_mean_slots = 4.0;
+  base.faults.panel_decay_per_day = 0.001;
+  base.faults.battery_aging_per_day = 0.002;
+  base.faults.recovery_window_slots = 12;
+  const std::string base_text = base.Describe();
   const std::uint64_t fp = BuildShardPlan(base, 5).fingerprint;
 
-  ScenarioSpec tuned = base;
-  tuned.predictors[0].wcma.alpha = 0.5;
-  EXPECT_NE(BuildShardPlan(tuned, 5).fingerprint, fp);
+  struct Mutation {
+    const char* field;
+    void (*mutate)(ScenarioSpec&);
+  };
+  const Mutation mutations[] = {
+      {"name", [](ScenarioSpec& s) { s.name = "distributed2"; }},
+      {"seed", [](ScenarioSpec& s) { ++s.seed; }},
+      {"days", [](ScenarioSpec& s) { s.days = 31; }},
+      {"slots_per_day", [](ScenarioSpec& s) { s.slots_per_day = 24; }},
+      {"nodes_per_cell", [](ScenarioSpec& s) { s.nodes_per_cell = 4; }},
+      {"sites[1]", [](ScenarioSpec& s) { s.sites[1] = "ORNL"; }},
+      {"sites count", [](ScenarioSpec& s) { s.sites.push_back("ORNL"); }},
+      {"tiers[0]", [](ScenarioSpec& s) { s.storage_tiers_j[0] = 2000.0; }},
+      {"tiers count",
+       [](ScenarioSpec& s) { s.storage_tiers_j.push_back(9000.0); }},
+      {"predictors count",
+       [](ScenarioSpec& s) { s.predictors.push_back(s.predictors[0]); }},
+      {"kind",
+       [](ScenarioSpec& s) { s.predictors[1].kind = PredictorKind::kWcmaVm; }},
+      {"wcma.alpha", [](ScenarioSpec& s) { s.predictors[0].wcma.alpha = 0.5; }},
+      {"wcma.days", [](ScenarioSpec& s) { s.predictors[0].wcma.days = 9; }},
+      {"wcma.slots_k",
+       [](ScenarioSpec& s) { s.predictors[0].wcma.slots_k = 2; }},
+      {"ewma_weight",
+       [](ScenarioSpec& s) { s.predictors[0].ewma_weight = 0.3; }},
+      {"ar.order", [](ScenarioSpec& s) { s.predictors[0].ar.order = 2; }},
+      {"ar.days", [](ScenarioSpec& s) { s.predictors[0].ar.days = 5; }},
+      {"ar.lambda", [](ScenarioSpec& s) { s.predictors[0].ar.lambda = 0.99; }},
+      {"ar.delta", [](ScenarioSpec& s) { s.predictors[0].ar.delta = 50.0; }},
+      {"adaptive.alphas[0]",
+       [](ScenarioSpec& s) { s.predictors[0].adaptive.alphas[0] = 0.2; }},
+      {"adaptive.alphas count",
+       [](ScenarioSpec& s) { s.predictors[0].adaptive.alphas.pop_back(); }},
+      {"adaptive.ks[0]",
+       [](ScenarioSpec& s) { s.predictors[0].adaptive.ks[0] = 3; }},
+      {"adaptive.ks count",
+       [](ScenarioSpec& s) { s.predictors[0].adaptive.ks.pop_back(); }},
+      {"adaptive.days",
+       [](ScenarioSpec& s) { s.predictors[0].adaptive.days = 12; }},
+      {"adaptive.discount",
+       [](ScenarioSpec& s) { s.predictors[0].adaptive.discount = 0.9; }},
+      {"duty.active_power_w",
+       [](ScenarioSpec& s) { s.node.duty.active_power_w = 0.35; }},
+      {"duty.sleep_power_w",
+       [](ScenarioSpec& s) { s.node.duty.sleep_power_w = 5.0e-6; }},
+      {"duty.min_duty", [](ScenarioSpec& s) { s.node.duty.min_duty = 0.05; }},
+      {"duty.max_duty", [](ScenarioSpec& s) { s.node.duty.max_duty = 0.9; }},
+      {"duty.target_level_fraction",
+       [](ScenarioSpec& s) { s.node.duty.target_level_fraction = 0.6; }},
+      {"duty.level_gain",
+       [](ScenarioSpec& s) { s.node.duty.level_gain = 0.1; }},
+      {"storage.capacity_j",
+       [](ScenarioSpec& s) { s.node.storage.capacity_j = 800.0; }},
+      {"storage.charge_efficiency",
+       [](ScenarioSpec& s) { s.node.storage.charge_efficiency = 0.8; }},
+      {"storage.leakage_w",
+       [](ScenarioSpec& s) { s.node.storage.leakage_w = 2.0e-5; }},
+      {"initial_level_fraction",
+       [](ScenarioSpec& s) { s.node.initial_level_fraction = 0.6; }},
+      {"warmup_days", [](ScenarioSpec& s) { s.node.warmup_days = 19; }},
+      {"initial_level_jitter",
+       [](ScenarioSpec& s) { s.initial_level_jitter = 0.1; }},
+      {"faults.outage_rate_per_day",
+       [](ScenarioSpec& s) { s.faults.outage_rate_per_day = 0.3; }},
+      {"faults.outage_mean_slots",
+       [](ScenarioSpec& s) { s.faults.outage_mean_slots = 5.0; }},
+      {"faults.dropout_rate_per_day",
+       [](ScenarioSpec& s) { s.faults.dropout_rate_per_day = 0.4; }},
+      {"faults.dropout_mean_slots",
+       [](ScenarioSpec& s) { s.faults.dropout_mean_slots = 3.0; }},
+      {"faults.panel_decay_per_day",
+       [](ScenarioSpec& s) { s.faults.panel_decay_per_day = 0.002; }},
+      {"faults.battery_aging_per_day",
+       [](ScenarioSpec& s) { s.faults.battery_aging_per_day = 0.003; }},
+      {"faults.recovery_window_slots",
+       [](ScenarioSpec& s) { s.faults.recovery_window_slots = 6; }},
+  };
+  for (const Mutation& m : mutations) {
+    ScenarioSpec mutated = base;
+    m.mutate(mutated);
+    // Describe validates, and a changed text proves the field is in it.
+    EXPECT_NE(mutated.Describe(), base_text) << m.field;
+    EXPECT_NE(BuildShardPlan(mutated, 5).fingerprint, fp) << m.field;
+  }
 
-  ScenarioSpec retiered = base;
-  retiered.storage_tiers_j[0] = 2000.0;
-  EXPECT_NE(BuildShardPlan(retiered, 5).fingerprint, fp);
-
-  ScenarioSpec reloaded = base;
-  reloaded.node.duty.active_power_w = 0.35;
-  EXPECT_NE(BuildShardPlan(reloaded, 5).fingerprint, fp);
-
-  ScenarioSpec rewarmed = base;
-  rewarmed.node.warmup_days = 21;
-  rewarmed.days = base.days + 1;  // keep the horizon valid.
-  EXPECT_NE(BuildShardPlan(rewarmed, 5).fingerprint, fp);
-
-  ScenarioSpec jittered = base;
-  jittered.initial_level_jitter = 0.1;
-  EXPECT_NE(BuildShardPlan(jittered, 5).fingerprint, fp);
+  // The one text field the plan does not run on: ExpandScenario forces
+  // duty.slot_seconds to 86400 / slots_per_day, so it leaves the
+  // fingerprint alone (slots_per_day, above, moves it).
+  ScenarioSpec reslotted = base;
+  reslotted.node.duty.slot_seconds = 900.0;
+  EXPECT_NE(reslotted.Describe(), base_text);
+  EXPECT_EQ(BuildShardPlan(reslotted, 5).fingerprint, fp);
 }
 
 TEST(FleetPartial, SerializeParseRoundTripIsBitIdentical) {

@@ -736,7 +736,7 @@ TEST(TraceSinkFleet, TraceFilesMatchPinnedDigest) {
       digest *= 1099511628211ull;  // FNV-1a 64 prime.
     }
   }
-  EXPECT_EQ(digest, 0x7df891eb4d7f23c4ull) << std::hex << "digest 0x" << digest;
+  EXPECT_EQ(digest, 0x5a73730e8994dbbcull) << std::hex << "digest 0x" << digest;
 }
 
 TEST(TraceSinkFleet, RejectsJoiningForeignRuns) {
