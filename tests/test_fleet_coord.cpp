@@ -204,6 +204,106 @@ TEST(ScenarioSpecSerde, DescribeWritesThePinnedV2Text) {
   EXPECT_EQ(EverythingSpec().Describe(), pinned);
 }
 
+TEST(FleetPartialSerde, SerializeWritesThePinnedV4Text) {
+  // One faulted shard of one costed cell: every line of the v4 text is
+  // non-empty, cycle/op moments and the fault channel included.  The wall
+  // times are set by hand because a run measures them.
+  ScenarioSpec spec = CoordSpec();
+  spec.name = "pinned";
+  spec.sites = {"HSU"};
+  spec.predictors = {spec.predictors[1]};  // FixedWCMA reports its cost.
+  spec.storage_tiers_j = {150.0};
+  spec.faults.outage_rate_per_day = 0.3;
+  spec.faults.outage_mean_slots = 6.0;
+  spec.faults.recovery_window_slots = 12;
+  const ShardPlan plan = BuildShardPlan(spec, 2);
+  ASSERT_EQ(plan.shards.size(), 1u);
+  FleetPartial partial = RunFleetShards(plan, {0});
+  partial.synth_seconds = 0.5;
+  partial.sim_seconds = 1.25;
+  const CellAccumulator& cell = partial.shards.at(0).cells.at(0).second;
+  ASSERT_TRUE(cell.has_compute_cost());
+  ASSERT_TRUE(cell.post_recovery_violation_rate.valid());
+
+  const std::string pinned =
+      "shep-fleet-partial v4\n"
+      "scenario pinned\n"
+      "fingerprint 8063032261038388920\n"
+      "nodes 2\n"
+      "predictor_runs 2\n"
+      "synth_seconds 0x1p-1\n"
+      "sim_seconds 0x1.4p+0\n"
+      "shards 1\n"
+      "shard 0 cells 1\n"
+      "cell 0\n"
+      "moments 2 0x1.070bd598abe82p-1 0x1.3cee1a819f0c3p-9 "
+      "0x1.ea7cc5ea7cc5fp-2 0x1.18d9483c196d4p-1\n"
+      "moments 2 0x1.7adef1954025ep-2 0x1.81eed5a16356p-13 "
+      "0x1.710c5c732a254p-2 0x1.84b186b756267p-2\n"
+      "moments 2 0x1.8065218048475p-1 0x1.8f3de7781c76ap-8 "
+      "0x1.64233916b7be1p-1 0x1.9ca709e9d8d09p-1\n"
+      "moments 2 0x0p+0 0x0p+0 0x0p+0 0x0p+0\n"
+      "moments 2 0x1.41570da8bb7b4p-3 0x1.a3ce92244774bp-10 "
+      "0x1.07634b7e2fd0ap-3 0x1.7b4acfd34725fp-3\n"
+      "moments 2 0x1.508e6fa39be8ep+9 0x1.88acc14b96b31p+19 0x1.38p+5 "
+      "0x1.46ce6fa39be8ep+10\n"
+      "moments 2 0x1.0301ecc07b302p+4 0x1.0c2be142ca1ebp+7 0x1p+3 "
+      "0x1.8603d980f6604p+4\n"
+      "moments 2 0x1.eb281560bc202p-1 0x1.370e018e2c417p-9 "
+      "0x1.d98513c6479dbp-1 0x1.fccb16fb30a28p-1\n"
+      "moments 2 0x1.4p-1 0x0p+0 0x1.4p-1 0x1.4p-1\n"
+      "hist 0x0p+0 0x1p+0 256 0 2 122:1 140:1\n"
+      "hist 0x0p+0 0x1.388p+14 500 0 2 0:1 32:1\n"
+      "totals 471 919 39 4\n"
+      "end\n";
+  EXPECT_EQ(partial.Serialize(), pinned);
+  EXPECT_EQ(FleetPartial::Parse(pinned).Serialize(), pinned);
+}
+
+TEST(FleetProtocol, EncodeFleetJobWritesThePinnedV2Text) {
+  // The job header around the spec: a rest-of-line trace directory (it
+  // may hold spaces) and the spec's byte count, then its Describe() text.
+  FleetWorkerJob job;
+  job.spec = CoordSpec();
+  job.shard_size = 3;
+  job.heartbeat_ms = 25;
+  job.fingerprint = 0xDEADBEEFull;
+  job.trace_dir = "traces/run 1";
+  const std::string wcma_blocks =
+      " wcma 0x1.6666666666666p-1 8 3 ewma 0x1p-1 ar 3 10 "
+      "0x1.fd70a3d70a3d7p-1 0x1.9p+6 adaptive 5 0x1.999999999999ap-4 "
+      "0x1.3333333333333p-2 0x1p-1 0x1.6666666666666p-1 "
+      "0x1.ccccccccccccdp-1 4 1 2 4 6 10 0x1.f0a3d70a3d70ap-1\n";
+  std::string persistence_blocks = wcma_blocks;
+  persistence_blocks.replace(persistence_blocks.find(" 8 3 "), 5, " 20 3 ");
+  const std::string pinned =
+      "shep-fleet-job v2\n"
+      "fingerprint 3735928559\n"
+      "shard-size 3\n"
+      "heartbeat-ms 25\n"
+      "trace-dir traces/run 1\n"
+      "spec 1132\n"
+      "shep-scenario v2\n"
+      "name coordinated\n"
+      "seed 91\n"
+      "shape 20 48 2\n"
+      "sites 2 HSU PFCI\n"
+      "tiers 2 0x1.77p+10 0x1.77p+12\n"
+      "predictors 3\n"
+      "predictor WCMA" + wcma_blocks +
+      "predictor FixedWCMA" + wcma_blocks +
+      "predictor Persistence" + persistence_blocks +
+      "duty 0x1.c2p+10 0x1.eb851eb851eb8p-5 0x1.19db7358bd307p-18 "
+      "0x1.47ae147ae147bp-6 0x1p+0 0x1p-1 0x1.999999999999ap-5\n"
+      "store 0x1.f4p+8 0x1.b333333333333p-1 0x1.4f8b588e368f1p-17\n"
+      "node 0x1p-1 10 0x1.3333333333333p-3\n"
+      "faults outage 0x0p+0 0x0p+0 dropout 0x0p+0 0x0p+0 panel 0x0p+0 "
+      "aging 0x0p+0 recovery 0\n"
+      "end-scenario\n"
+      "end-job\n";
+  EXPECT_EQ(EncodeFleetJob(job), pinned);
+}
+
 TEST(ScenarioSpecSerde, RoundTripIsExactAndPreservesThePlan) {
   const ScenarioSpec spec = EverythingSpec();
   const std::string text = spec.Describe();
