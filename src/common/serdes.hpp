@@ -1,29 +1,45 @@
-// serdes.hpp — token-level helpers shared by every exact text
-// (de)serializer in the tree.
+// serdes.hpp — the one exact text codec of the tree.
 //
-// Doubles travel as hexfloats: exact round trip for every finite double,
-// no locale or precision pitfalls ("inf"/"nan" for the non-finite values,
-// whose payloads no consumer merges on).  Readers throw
-// std::invalid_argument on malformed input, naming the offending token.
+// Every text that crosses a process or file boundary (the ScenarioSpec,
+// the CellAccumulators of a FleetPartial, the trace records and trace
+// files) uses one grammar: tokens separated by one space, lines by '\n',
+// and a final '\n'.  Doubles travel as hexfloats: exact round trip for
+// every finite double, no locale or precision pitfalls ("inf"/"nan" for
+// the non-finite values, whose payloads no consumer merges on).  Integers
+// travel as canonical decimals.  Readers throw std::invalid_argument on
+// malformed input, naming the offending token.
 //
-// Historically these lived in fleet/aggregate; they moved down to common
-// when the trace layer (src/trace) needed the same exact wire discipline
-// for per-slot telemetry records without depending on the fleet layer.
-// fleet/aggregate.hpp still re-exports them by including this header, so
-// every serializer (aggregates, FleetPartial, ScenarioSpec, the worker job
-// and the trace files) spells them shep::serdes::*.
+// A format lists its fields once, in text order, as a walk
+//   constexpr auto WalkX = [](auto& io, auto& value) { ... };
+// that Write runs with a Writer to print the text and Read runs with a
+// Reader to parse it back.  A policy has
+//   Keyword(word, new_line)  format framing; new_line starts a text line,
+//   Field(value)             one string token, integer, bool or double, or
+//                            a nested format: a value with its own
+//                            Serialize(os)/Deserialize(is), whose lines
+//                            start on a fresh line and end with '\n',
+//   List(items, visit)       the item count, then visit(item) per item.
+// A reader-side check runs right after its format's walk, in Deserialize
+// or Parse, so a nested value is checked wherever it is read.
 #pragma once
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
-#include <iosfwd>
+#include <istream>
+#include <ostream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace shep::serdes {
 
 void WriteDouble(std::ostream& os, double value);
 double ReadDouble(std::istream& is);
+/// A canonical decimal: "0" or [1-9][0-9]* that fits 64 bits.  A sign, a
+/// leading zero or anything else no writer emits throws.
+[[nodiscard]] std::uint64_t ParseU64(std::string_view token);
+/// Reads one token through ParseU64.
 std::uint64_t ReadU64(std::istream& is);
 /// ReadU64 narrowed with a range check: a value that does not fit throws
 /// instead of wrapping to a legal one (2^32 + 48 is corruption, not 48).
@@ -31,7 +47,123 @@ std::uint32_t ReadU32(std::istream& is);
 /// ReadU64 narrowed to a non-negative int, range-checked the same way.
 int ReadInt(std::istream& is);
 /// Reads one token and requires it to equal `keyword` (format framing).
-void ExpectToken(std::istream& is, const std::string& keyword);
+void ExpectToken(std::istream& is, std::string_view keyword);
+/// True when `text` reads back as one token: non-empty, no whitespace.
+bool IsToken(std::string_view text);
+
+/// Prints a walk's text to any stream.
+class Writer {
+ public:
+  explicit Writer(std::ostream& os) : os_(os) {}
+
+  void Keyword(const char* word, bool new_line) {
+    if (new_line) {
+      EndLine();
+    } else {
+      os_ << ' ';
+    }
+    os_ << word;
+    line_open_ = true;
+  }
+  void Field(double value) {
+    os_ << ' ';
+    WriteDouble(os_, value);
+  }
+  template <std::integral T>
+  void Field(T value) {
+    os_ << ' ' << +value;  // unary + prints a bool as 0 or 1.
+  }
+  /// Throws std::invalid_argument unless IsToken(token): an empty or
+  /// whitespace-bearing string would not read back as one field.
+  void Field(const std::string& token);
+  template <class T>
+    requires requires(const T& v, std::ostream& os) { v.Serialize(os); }
+  void Field(const T& value) {
+    value.Serialize(EndLine());
+  }
+  template <class T, class Visit>
+  void List(const std::vector<T>& items, Visit&& visit) {
+    os_ << ' ' << items.size();
+    for (const T& item : items) visit(item);
+  }
+
+  /// Ends the open line and returns the stream: a text ends with this,
+  /// and a nested format's lines start with it.
+  std::ostream& EndLine() {
+    if (line_open_) os_ << '\n';
+    line_open_ = false;
+    return os_;
+  }
+
+ private:
+  std::ostream& os_;
+  bool line_open_ = false;
+};
+
+/// Parses a walk's text back, range-checking every field at its width.
+class Reader {
+ public:
+  explicit Reader(std::istream& is) : is_(is) {}
+
+  void Keyword(const char* word, bool /*new_line*/) {
+    ExpectToken(is_, word);
+  }
+  void Field(std::string& token);
+  void Field(double& value) { value = ReadDouble(is_); }
+  void Field(std::uint64_t& value) { value = ReadU64(is_); }
+  void Field(std::uint32_t& value) { value = ReadU32(is_); }
+  void Field(int& value) { value = ReadInt(is_); }
+  void Field(bool& value);
+  template <class T>
+    requires requires(std::istream& is) {
+      { T::Deserialize(is) } -> std::same_as<T>;
+    }
+  void Field(T& value) {
+    value = T::Deserialize(is_);
+  }
+  /// One emplace_back per item read: the count is input, so it never sizes
+  /// an allocation (a short text ends the loop by throwing).
+  template <class T, class Visit>
+  void List(std::vector<T>& items, Visit&& visit) {
+    const std::uint64_t count = ReadU64(is_);
+    items.clear();
+    for (std::uint64_t i = 0; i < count; ++i) visit(items.emplace_back());
+  }
+
+ private:
+  std::istream& is_;
+};
+
+/// `keyword`, then each of `values`, on the current line.
+template <class Io, class... T>
+void Key(Io& io, const char* keyword, T&&... values) {
+  io.Keyword(keyword, false);
+  (io.Field(values), ...);
+}
+
+/// Like Key, but `keyword` starts a new line of the text.
+template <class Io, class... T>
+void Line(Io& io, const char* keyword, T&&... values) {
+  io.Keyword(keyword, true);
+  (io.Field(values), ...);
+}
+
+/// Prints `value` through `walk` as one whole text, final '\n' included.
+template <class T, class Walk>
+void Write(std::ostream& os, const T& value, Walk walk) {
+  Writer writer(os);
+  walk(writer, value);
+  writer.EndLine();
+}
+
+/// Parses one T through `walk`; the format's checks run on the result.
+template <class T, class Walk>
+[[nodiscard]] T Read(std::istream& is, Walk walk) {
+  Reader reader(is);
+  T value;
+  walk(reader, value);
+  return value;
+}
 
 /// FNV-1a 64-bit, behind the shard-plan fingerprint (ScenarioSpec::Hash
 /// mixes the spec's values into it) and the frame checksum.

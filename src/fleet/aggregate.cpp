@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "common/check.hpp"
+#include "common/serdes.hpp"
 #include "common/strings.hpp"
 #include "report/table.hpp"
 
@@ -17,6 +18,28 @@ namespace {
 /// histogram a CellAccumulator builds has at most a few hundred bins; the
 /// cap exists so a garbled count can never size an allocation.
 constexpr std::uint64_t kMaxSerializedBins = 1 << 16;
+
+constexpr auto WalkMoments = [](auto& io, auto& m) {
+  serdes::Line(io, "moments", m.count, m.mean, m.m2, m.min, m.max);
+};
+
+constexpr auto WalkCell = [](auto& io, auto& c) {
+  io.Field(c.violation_rate);
+  io.Field(c.mean_duty);
+  io.Field(c.wasted_fraction);
+  io.Field(c.min_soc);
+  io.Field(c.mape);
+  io.Field(c.cycles_per_wakeup);
+  io.Field(c.ops_per_wakeup);
+  io.Field(c.availability);
+  io.Field(c.post_recovery_violation_rate);
+  // FixedHistogram writes its own line: its sparse "index:count" tokens
+  // are no plain fields.
+  io.Field(c.violation_hist);
+  io.Field(c.cycles_hist);
+  serdes::Line(io, "totals", c.violations, c.scored_slots, c.downtime_slots,
+               c.recoveries);
+};
 
 }  // namespace
 
@@ -51,31 +74,17 @@ void StreamingMoments::Merge(const StreamingMoments& other) {
 }
 
 void StreamingMoments::Serialize(std::ostream& os) const {
-  os << "moments " << count << ' ';
-  serdes::WriteDouble(os, mean);
-  os << ' ';
-  serdes::WriteDouble(os, m2);
-  os << ' ';
-  serdes::WriteDouble(os, min);
-  os << ' ';
-  serdes::WriteDouble(os, max);
-  os << '\n';
+  serdes::Write(os, *this, WalkMoments);
 }
 
 StreamingMoments StreamingMoments::Deserialize(std::istream& is) {
-  serdes::ExpectToken(is, "moments");
-  StreamingMoments m;
-  m.count = static_cast<std::size_t>(serdes::ReadU64(is));
-  m.mean = serdes::ReadDouble(is);
-  m.m2 = serdes::ReadDouble(is);
+  const auto m = serdes::Read<StreamingMoments>(is, WalkMoments);
   // Add/Merge can only produce m2 >= 0 (WelfordMoments relies on that to
-  // skip clamping in variance()); a negative value here is a corrupted or
-  // mis-produced partial and would surface as NaN stddevs downstream, so
-  // reject it at the process boundary like any other malformed token.
+  // skip clamping in variance()); a negative or NaN value is a corrupted
+  // or mis-produced partial and would surface as NaN stddevs downstream,
+  // so reject it at the process boundary like any malformed token.
   SHEP_REQUIRE(m.m2 >= 0.0,
                "moments m2 must be non-negative in a serialized partial");
-  m.min = serdes::ReadDouble(is);
-  m.max = serdes::ReadDouble(is);
   return m;
 }
 
@@ -111,50 +120,43 @@ void FixedHistogram::Merge(const FixedHistogram& other) {
 }
 
 void FixedHistogram::Serialize(std::ostream& os) const {
-  os << "hist ";
-  serdes::WriteDouble(os, lo_);
-  os << ' ';
-  serdes::WriteDouble(os, hi_);
-  os << ' ' << bins_.size() << ' ' << nan_count_;
   // Sparse non-zero bins ("index:count"): cells concentrate their mass in
   // a handful of bins, so this keeps partials small; total_ is recomputed
   // on parse rather than trusted.
   std::size_t nonzero = 0;
   for (std::uint64_t b : bins_) nonzero += b != 0 ? 1 : 0;
-  os << ' ' << nonzero;
+  serdes::Writer writer(os);
+  serdes::Line(writer, "hist", lo_, hi_, bins_.size(), nan_count_, nonzero);
   for (std::size_t i = 0; i < bins_.size(); ++i) {
     if (bins_[i] != 0) os << ' ' << i << ':' << bins_[i];
   }
-  os << '\n';
+  writer.EndLine();
 }
 
 FixedHistogram FixedHistogram::Deserialize(std::istream& is) {
-  serdes::ExpectToken(is, "hist");
-  const double lo = serdes::ReadDouble(is);
-  const double hi = serdes::ReadDouble(is);
-  const std::uint64_t bin_count = serdes::ReadU64(is);
+  double lo = 0.0;
+  double hi = 0.0;
+  std::uint64_t bin_count = 0;
+  std::uint64_t nan_count = 0;
+  std::uint64_t nonzero = 0;
+  serdes::Reader reader(is);
+  serdes::Line(reader, "hist", lo, hi, bin_count, nan_count, nonzero);
   SHEP_REQUIRE(bin_count <= kMaxSerializedBins,
                "histogram bin count exceeds the serialized cap");
   FixedHistogram hist(lo, hi, static_cast<std::size_t>(bin_count));
-  hist.nan_count_ = serdes::ReadU64(is);
-  const std::uint64_t nonzero = serdes::ReadU64(is);
+  hist.nan_count_ = nan_count;
   bool any = false;
-  std::size_t last = 0;
+  std::uint64_t last = 0;
   for (std::uint64_t n = 0; n < nonzero; ++n) {
     std::string token;
     is >> token;
     const auto colon = token.find(':');
-    SHEP_REQUIRE(colon != std::string::npos && colon > 0 &&
-                     colon + 1 < token.size(),
+    SHEP_REQUIRE(colon != std::string::npos,
                  "malformed histogram bin entry: " + token);
-    const auto index = ParseInt(token.substr(0, colon));
-    const auto count = ParseInt(token.substr(colon + 1));
-    // ParseInt accepts a sign, so reject non-positive counts explicitly —
-    // a negative count cast to uint64 would fabricate a huge bin mass.
-    SHEP_REQUIRE(index.has_value() && count.has_value() && *index >= 0 &&
-                     *count > 0,
-                 "malformed histogram bin entry: " + token);
-    const auto i = static_cast<std::size_t>(*index);
+    const std::string_view entry = token;
+    const std::uint64_t i = serdes::ParseU64(entry.substr(0, colon));
+    const std::uint64_t count = serdes::ParseU64(entry.substr(colon + 1));
+    SHEP_REQUIRE(count > 0, "histogram bin entry with a zero count: " + token);
     SHEP_REQUIRE(i < hist.bins_.size(),
                  "histogram bin index out of range: " + token);
     // Strictly ascending indices: a duplicate would overwrite the bin yet
@@ -164,8 +166,8 @@ FixedHistogram FixedHistogram::Deserialize(std::istream& is) {
                      token);
     any = true;
     last = i;
-    hist.bins_[i] = static_cast<std::uint64_t>(*count);
-    hist.total_ += static_cast<std::uint64_t>(*count);
+    hist.bins_[i] = count;
+    hist.total_ += count;
   }
   return hist;
 }
@@ -255,40 +257,11 @@ void CellAccumulator::Merge(const CellAccumulator& other) {
 }
 
 void CellAccumulator::Serialize(std::ostream& os) const {
-  violation_rate.Serialize(os);
-  mean_duty.Serialize(os);
-  wasted_fraction.Serialize(os);
-  min_soc.Serialize(os);
-  mape.Serialize(os);
-  cycles_per_wakeup.Serialize(os);
-  ops_per_wakeup.Serialize(os);
-  availability.Serialize(os);
-  post_recovery_violation_rate.Serialize(os);
-  violation_hist.Serialize(os);
-  cycles_hist.Serialize(os);
-  os << "totals " << violations << ' ' << scored_slots << ' '
-     << downtime_slots << ' ' << recoveries << '\n';
+  serdes::Write(os, *this, WalkCell);
 }
 
 CellAccumulator CellAccumulator::Deserialize(std::istream& is) {
-  CellAccumulator acc;
-  acc.violation_rate = StreamingMoments::Deserialize(is);
-  acc.mean_duty = StreamingMoments::Deserialize(is);
-  acc.wasted_fraction = StreamingMoments::Deserialize(is);
-  acc.min_soc = StreamingMoments::Deserialize(is);
-  acc.mape = StreamingMoments::Deserialize(is);
-  acc.cycles_per_wakeup = StreamingMoments::Deserialize(is);
-  acc.ops_per_wakeup = StreamingMoments::Deserialize(is);
-  acc.availability = StreamingMoments::Deserialize(is);
-  acc.post_recovery_violation_rate = StreamingMoments::Deserialize(is);
-  acc.violation_hist = FixedHistogram::Deserialize(is);
-  acc.cycles_hist = FixedHistogram::Deserialize(is);
-  serdes::ExpectToken(is, "totals");
-  acc.violations = serdes::ReadU64(is);
-  acc.scored_slots = serdes::ReadU64(is);
-  acc.downtime_slots = serdes::ReadU64(is);
-  acc.recoveries = serdes::ReadU64(is);
-  return acc;
+  return serdes::Read<CellAccumulator>(is, WalkCell);
 }
 
 namespace {

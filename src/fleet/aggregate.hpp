@@ -23,11 +23,6 @@
 #include <string>
 #include <vector>
 
-// The serdes hexfloat helpers moved to common/serdes.hpp (the trace layer
-// shares them); this include keeps every fleet serializer spelling them
-// shep::serdes::* unchanged.
-#include "common/serdes.hpp"
-
 #include "common/mathutil.hpp"
 #include "fleet/scenario.hpp"
 #include "mgmt/node_sim.hpp"

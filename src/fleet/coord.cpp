@@ -43,6 +43,15 @@ constexpr std::size_t kMaxInflightPerWorker = 2;
 
 constexpr std::string_view kFrameTrailer = "end-frame\n";
 
+/// The job's plain-token lines; its trace directory and spec follow.
+constexpr auto WalkJobHeader = [](auto& io, auto& job) {
+  serdes::Line(io, "shep-fleet-job");
+  serdes::Key(io, "v2");
+  serdes::Line(io, "fingerprint", job.fingerprint);
+  serdes::Line(io, "shard-size", job.shard_size);
+  serdes::Line(io, "heartbeat-ms", job.heartbeat_ms);
+};
+
 }  // namespace
 
 std::string EncodeFleetJob(const FleetWorkerJob& job) {
@@ -52,28 +61,19 @@ std::string EncodeFleetJob(const FleetWorkerJob& job) {
   SHEP_REQUIRE(spec_text.size() <= kMaxJobSpecBytes,
                "fleet job spec text exceeds the job size cap");
   std::ostringstream os;
-  os << "shep-fleet-job v2\n";
-  os << "fingerprint " << job.fingerprint << '\n';
-  os << "shard-size " << job.shard_size << '\n';
-  os << "heartbeat-ms " << job.heartbeat_ms << '\n';
+  serdes::Writer writer(os);
+  WalkJobHeader(writer, job);
   // The directory is the rest of the line ("-" = telemetry off), so paths
-  // with spaces survive.
-  os << "trace-dir " << (job.trace_dir.empty() ? "-" : job.trace_dir) << '\n';
+  // with spaces survive; the spec follows as its byte count and its text.
+  writer.EndLine() << "trace-dir "
+                   << (job.trace_dir.empty() ? "-" : job.trace_dir) << '\n';
   os << "spec " << spec_text.size() << '\n' << spec_text;
   os << "end-job\n";
   return os.str();
 }
 
 FleetWorkerJob ParseFleetJob(std::istream& in) {
-  serdes::ExpectToken(in, "shep-fleet-job");
-  serdes::ExpectToken(in, "v2");
-  FleetWorkerJob job;
-  serdes::ExpectToken(in, "fingerprint");
-  job.fingerprint = serdes::ReadU64(in);
-  serdes::ExpectToken(in, "shard-size");
-  job.shard_size = static_cast<std::size_t>(serdes::ReadU64(in));
-  serdes::ExpectToken(in, "heartbeat-ms");
-  job.heartbeat_ms = serdes::ReadU32(in);
+  auto job = serdes::Read<FleetWorkerJob>(in, WalkJobHeader);
   SHEP_REQUIRE(job.heartbeat_ms > 0, "fleet job heartbeat must be positive");
   serdes::ExpectToken(in, "trace-dir");
   in >> std::ws;

@@ -86,6 +86,9 @@ void ScenarioSpec::Validate() const {
   // Validation must be exhaustive: every way a spec could fail downstream
   // is rejected here, before any worker process is spawned or any shard
   // runs, instead of part-way through a campaign.
+  // The name travels as one token of the text form and of trace files.
+  SHEP_REQUIRE(serdes::IsToken(name),
+               "scenario name must be non-empty and whitespace-free");
   SHEP_REQUIRE(!sites.empty(), "scenario needs at least one site");
   SHEP_REQUIRE(slots_per_day > 0 && kSecondsPerDay % slots_per_day == 0,
                "slots_per_day must divide the day");
@@ -132,32 +135,50 @@ void ScenarioSpec::Validate() const {
 
 namespace {
 
+using serdes::Key;
+using serdes::Line;
+
 // ---- The text form's one field list --------------------------------------
 //
-// WalkSpec visits every field of a ScenarioSpec in text order, and three
-// policies drive it: SpecWriter prints the text, SpecReader parses it back
-// and SpecHasher mixes the values into a plan fingerprint.  Adding a field
-// here serializes, parses and fingerprints it in one edit.  A policy has
-//   Keyword(word, new_line)  format framing; new_line starts a text line,
-//   Field(value)             one string, integer, double or PredictorKind,
-//   List(items, visit)       the item count, then visit(item) per item.
+// WalkSpec visits every field of a ScenarioSpec in text order (the walk
+// grammar is in common/serdes.hpp): serdes::Writer prints the text,
+// serdes::Reader parses it back and SpecHasher mixes the values into a
+// plan fingerprint.  Adding a field here serializes, parses and
+// fingerprints it in one edit.
 
-/// `keyword`, then each of `values`, on the current line.
-template <class Io, class... T>
-void Key(Io& io, const char* keyword, T&&... values) {
-  io.Keyword(keyword, false);
-  (io.Field(values), ...);
+/// Mixes the walked values, not their text, into a fingerprint.
+struct SpecHasher {
+  serdes::Fnv1a& hash;
+
+  void Keyword(const char* /*word*/, bool /*new_line*/) {}
+  void Field(const std::string& value) { hash.Mix(value); }
+  template <std::integral T>
+  void Field(T value) {
+    hash.Mix(static_cast<std::uint64_t>(value));
+  }
+  void Field(double value) { hash.Mix(value); }
+  template <class T, class Visit>
+  void List(const std::vector<T>& items, Visit&& visit) {
+    hash.Mix(static_cast<std::uint64_t>(items.size()));
+    for (const T& item : items) visit(item);
+  }
+};
+
+// A kind travels by display name, so the text survives reordering the
+// enum; the fingerprint mixes the enum value.
+void KindField(serdes::Writer& io, PredictorKind kind) {
+  io.Field(std::string(PredictorKindName(kind)));
+}
+void KindField(serdes::Reader& io, PredictorKind& kind) {
+  std::string name;
+  io.Field(name);
+  kind = PredictorKindFromName(name);
+}
+void KindField(SpecHasher& io, PredictorKind kind) {
+  io.Field(static_cast<std::uint64_t>(kind));
 }
 
-/// Like Key, but `keyword` starts a new line of the text.
-template <class Io, class... T>
-void Line(Io& io, const char* keyword, T&&... values) {
-  io.Keyword(keyword, true);
-  (io.Field(values), ...);
-}
-
-template <class Io, class Spec>
-void WalkSpec(Io& io, Spec& s) {
+constexpr auto WalkSpec = [](auto& io, auto& s) {
   const auto field = [&io](auto& value) { io.Field(value); };
   // v2: the spec gained the faults block (deterministic fault injection);
   // v1 bytes would mis-align on parse, so the version token rejects them.
@@ -174,7 +195,8 @@ void WalkSpec(Io& io, Spec& s) {
   io.List(s.predictors, [&](auto& p) {
     // Every kind serializes every parameter block: the few unused doubles
     // cost a handful of bytes and keep the reader branch-free.
-    Line(io, "predictor", p.kind);
+    Line(io, "predictor");
+    KindField(io, p.kind);
     Key(io, "wcma", p.wcma.alpha, p.wcma.days, p.wcma.slots_k);
     Key(io, "ewma", p.ewma_weight);
     Key(io, "ar", p.ar.order, p.ar.days, p.ar.lambda, p.ar.delta);
@@ -201,99 +223,15 @@ void WalkSpec(Io& io, Spec& s) {
   Key(io, "aging", faults.battery_aging_per_day);
   Key(io, "recovery", faults.recovery_window_slots);
   Line(io, "end-scenario");
-}
-
-/// Tokens separated by one space, lines by '\n'; doubles as hexfloats.
-struct SpecWriter {
-  std::ostringstream os;
-
-  void Keyword(const char* word, bool new_line) {
-    if (!new_line) {
-      os << ' ';
-    } else if (os.tellp() > 0) {
-      os << '\n';
-    }
-    os << word;
-  }
-  void Field(double value) {
-    os << ' ';
-    serdes::WriteDouble(os, value);
-  }
-  void Field(PredictorKind kind) { os << ' ' << PredictorKindName(kind); }
-  template <class T>
-  void Field(const T& value) {  // strings and integers.
-    static_assert(!std::is_floating_point_v<T>,
-                  "floating-point fields travel through WriteDouble");
-    os << ' ' << value;
-  }
-  template <class T, class Visit>
-  void List(const std::vector<T>& items, Visit&& visit) {
-    os << ' ' << items.size();
-    for (const T& item : items) visit(item);
-  }
-};
-
-struct SpecReader {
-  std::istream& is;
-
-  void Keyword(const char* word, bool /*new_line*/) {
-    serdes::ExpectToken(is, word);
-  }
-  void Field(std::string& value) {
-    is >> value;
-    SHEP_REQUIRE(!value.empty(), "unexpected end of serialized input");
-  }
-  void Field(int& value) { value = serdes::ReadInt(is); }
-  template <std::unsigned_integral U>
-  void Field(U& value) {
-    value = static_cast<U>(serdes::ReadU64(is));
-  }
-  void Field(double& value) { value = serdes::ReadDouble(is); }
-  void Field(PredictorKind& kind) {
-    std::string name;
-    Field(name);
-    kind = PredictorKindFromName(name);
-  }
-  /// One emplace_back per item read: the count is input, so it never sizes
-  /// an allocation (a short text ends the loop by throwing).
-  template <class T, class Visit>
-  void List(std::vector<T>& items, Visit&& visit) {
-    const std::uint64_t count = serdes::ReadU64(is);
-    items.clear();
-    for (std::uint64_t i = 0; i < count; ++i) visit(items.emplace_back());
-  }
-};
-
-struct SpecHasher {
-  serdes::Fnv1a& hash;
-
-  void Keyword(const char* /*word*/, bool /*new_line*/) {}
-  void Field(const std::string& value) { hash.Mix(value); }
-  template <std::integral T>
-  void Field(T value) {
-    hash.Mix(static_cast<std::uint64_t>(value));
-  }
-  void Field(double value) { hash.Mix(value); }
-  void Field(PredictorKind kind) {
-    hash.Mix(static_cast<std::uint64_t>(kind));
-  }
-  template <class T, class Visit>
-  void List(const std::vector<T>& items, Visit&& visit) {
-    hash.Mix(static_cast<std::uint64_t>(items.size()));
-    for (const T& item : items) visit(item);
-  }
 };
 
 }  // namespace
 
 std::string ScenarioSpec::Describe() const {
   Validate();  // only an expandable spec may cross a process boundary.
-  SHEP_REQUIRE(name.find_first_of(" \t\n") == std::string::npos,
-               "scenario names must be whitespace-free to serialize");
-  SpecWriter writer;
-  WalkSpec(writer, *this);
-  writer.os << '\n';
-  return writer.os.str();
+  std::ostringstream os;
+  serdes::Write(os, *this, WalkSpec);
+  return os.str();
 }
 
 void ScenarioSpec::Hash(serdes::Fnv1a& hash) const {
@@ -303,9 +241,7 @@ void ScenarioSpec::Hash(serdes::Fnv1a& hash) const {
 
 ScenarioSpec ParseScenarioSpec(const std::string& text) {
   std::istringstream is(text);
-  ScenarioSpec spec;
-  SpecReader reader{is};
-  WalkSpec(reader, spec);
+  auto spec = serdes::Read<ScenarioSpec>(is, WalkSpec);
   // Trailing junk means these are not Describe() bytes — reject rather
   // than silently ignoring what might be a second (dropped) spec.
   std::string trailing;

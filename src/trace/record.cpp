@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "common/check.hpp"
+#include "common/serdes.hpp"
 
 namespace shep {
 
@@ -13,11 +14,15 @@ constexpr std::uint32_t kAllTriggers =
     kTraceTriggerViolationBurst | kTraceTriggerSocLowWater |
     kTraceTriggerDivergence | kTraceTriggerOutage;
 
-bool ReadFlag(std::istream& is) {
-  const std::uint64_t value = serdes::ReadU64(is);
-  SHEP_REQUIRE(value <= 1, "serialized flag must be 0 or 1");
-  return value == 1;
-}
+constexpr auto WalkRecord = [](auto& io, auto& r) {
+  serdes::Line(io, "slot", r.node, r.cell, r.slot, r.trigger_mask,
+               r.violated, r.soc, r.predicted_w, r.actual_w, r.duty);
+};
+
+constexpr auto WalkDayRecord = [](auto& io, auto& r) {
+  serdes::Line(io, "day", r.node, r.cell, r.day, r.slots, r.violations,
+               r.min_soc, r.mean_duty, r.max_abs_error_w);
+};
 
 }  // namespace
 
@@ -57,59 +62,24 @@ std::string TraceTriggerMaskName(std::uint32_t mask) {
 }
 
 void TraceRecord::Serialize(std::ostream& os) const {
-  os << "slot " << node << ' ' << cell << ' ' << slot << ' ' << trigger_mask
-     << ' ' << (violated ? 1 : 0) << ' ';
-  serdes::WriteDouble(os, soc);
-  os << ' ';
-  serdes::WriteDouble(os, predicted_w);
-  os << ' ';
-  serdes::WriteDouble(os, actual_w);
-  os << ' ';
-  serdes::WriteDouble(os, duty);
-  os << '\n';
+  serdes::Write(os, *this, WalkRecord);
 }
 
 TraceRecord TraceRecord::Deserialize(std::istream& is) {
-  serdes::ExpectToken(is, "slot");
-  TraceRecord r;
-  r.node = serdes::ReadU64(is);
-  r.cell = serdes::ReadU64(is);
-  r.slot = serdes::ReadU32(is);
-  r.trigger_mask = serdes::ReadU32(is);
+  const auto r = serdes::Read<TraceRecord>(is, WalkRecord);
   SHEP_REQUIRE((r.trigger_mask & ~kAllTriggers) == 0,
                "trace record carries unknown trigger bits");
-  r.violated = ReadFlag(is);
-  r.soc = serdes::ReadDouble(is);
-  r.predicted_w = serdes::ReadDouble(is);
-  r.actual_w = serdes::ReadDouble(is);
-  r.duty = serdes::ReadDouble(is);
   return r;
 }
 
 void TraceDayRecord::Serialize(std::ostream& os) const {
-  os << "day " << node << ' ' << cell << ' ' << day << ' ' << slots << ' '
-     << violations << ' ';
-  serdes::WriteDouble(os, min_soc);
-  os << ' ';
-  serdes::WriteDouble(os, mean_duty);
-  os << ' ';
-  serdes::WriteDouble(os, max_abs_error_w);
-  os << '\n';
+  serdes::Write(os, *this, WalkDayRecord);
 }
 
 TraceDayRecord TraceDayRecord::Deserialize(std::istream& is) {
-  serdes::ExpectToken(is, "day");
-  TraceDayRecord r;
-  r.node = serdes::ReadU64(is);
-  r.cell = serdes::ReadU64(is);
-  r.day = serdes::ReadU32(is);
-  r.slots = serdes::ReadU32(is);
-  r.violations = serdes::ReadU32(is);
+  const auto r = serdes::Read<TraceDayRecord>(is, WalkDayRecord);
   SHEP_REQUIRE(r.violations <= r.slots,
                "day record counts more violations than slots");
-  r.min_soc = serdes::ReadDouble(is);
-  r.mean_duty = serdes::ReadDouble(is);
-  r.max_abs_error_w = serdes::ReadDouble(is);
   return r;
 }
 

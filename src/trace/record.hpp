@@ -13,17 +13,15 @@
 //    slot the policy did NOT keep, so the timeline has no blind gaps —
 //    just lower resolution away from the interesting windows.
 //
-// Both serialize through the shared serdes hexfloat helpers: a record that
-// crossed a file boundary parses back BIT-identically, the same exactness
-// contract the fleet partials carry (pinned by tests/test_trace_records.cpp
-// at the representation's edges).
+// Both serialize through the shared serdes codec (hexfloat doubles): a
+// record that crossed a file boundary parses back BIT-identically, the same
+// exactness contract the fleet partials carry (pinned by
+// tests/test_trace_records.cpp at the representation's edges).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-
-#include "common/serdes.hpp"
 
 namespace shep {
 

@@ -12,69 +12,51 @@
 
 namespace shep {
 
+namespace {
+
+using serdes::Key;
+using serdes::Line;
+
+constexpr auto WalkTraceFile = [](auto& io, auto& f) {
+  const auto field = [&io](auto& value) { io.Field(value); };
+  Line(io, "shep-trace");
+  Key(io, "v1");
+  Line(io, "scenario", f.scenario_name);
+  Line(io, "fingerprint", f.fingerprint);
+  Line(io, "shard", f.shard);
+  Line(io, "slots_per_day", f.slots_per_day);
+  Line(io, "days", f.days);
+  Line(io, "cells");
+  io.List(f.cells, [&io](auto& cell) {
+    Line(io, "cell", cell.cell, cell.site_code, cell.predictor_label,
+         cell.storage_j);
+  });
+  Line(io, "records");
+  io.List(f.records, field);
+  Line(io, "day_records");
+  io.List(f.day_records, field);
+  Line(io, "dropped", f.dropped_events);
+  Line(io, "end");
+};
+
+}  // namespace
+
 void TraceShardFile::Serialize(std::ostream& os) const {
-  SHEP_REQUIRE(scenario_name.find_first_of(" \t\n") == std::string::npos,
-               "scenario names must be whitespace-free to serialize");
-  os << "shep-trace v1\n";
-  os << "scenario " << scenario_name << '\n';
-  os << "fingerprint " << fingerprint << '\n';
-  os << "shard " << shard << '\n';
-  os << "slots_per_day " << slots_per_day << '\n';
-  os << "days " << days << '\n';
-  os << "cells " << cells.size() << '\n';
-  for (const TraceCellInfo& cell : cells) {
-    SHEP_REQUIRE(cell.site_code.find_first_of(" \t\n") == std::string::npos &&
-                     cell.predictor_label.find_first_of(" \t\n") ==
-                         std::string::npos,
-                 "cell labels must be whitespace-free to serialize");
-    os << "cell " << cell.cell << ' ' << cell.site_code << ' '
-       << cell.predictor_label << ' ';
-    serdes::WriteDouble(os, cell.storage_j);
-    os << '\n';
-  }
-  os << "records " << records.size() << '\n';
-  for (const TraceRecord& r : records) r.Serialize(os);
-  os << "day_records " << day_records.size() << '\n';
-  for (const TraceDayRecord& r : day_records) r.Serialize(os);
-  os << "dropped " << dropped_events << '\n';
-  os << "end\n";
+  serdes::Write(os, *this, WalkTraceFile);
 }
 
 TraceShardFile TraceShardFile::Parse(std::istream& is) {
-  serdes::ExpectToken(is, "shep-trace");
-  serdes::ExpectToken(is, "v1");
-  TraceShardFile file;
-  serdes::ExpectToken(is, "scenario");
-  is >> file.scenario_name;
-  SHEP_REQUIRE(!file.scenario_name.empty(),
-               "trace file is missing its scenario name");
-  serdes::ExpectToken(is, "fingerprint");
-  file.fingerprint = serdes::ReadU64(is);
-  serdes::ExpectToken(is, "shard");
-  file.shard = serdes::ReadU64(is);
-  serdes::ExpectToken(is, "slots_per_day");
-  file.slots_per_day = serdes::ReadU32(is);
-  serdes::ExpectToken(is, "days");
-  file.days = serdes::ReadU32(is);
-  // Every record below is bounded by this horizon, so a reader's 32-bit
-  // slot arithmetic (day × slots_per_day + slots_per_day) cannot wrap.
+  auto file = serdes::Read<TraceShardFile>(is, WalkTraceFile);
+  // Every record is bounded by this horizon, so a reader's 32-bit slot
+  // arithmetic (day × slots_per_day + slots_per_day) cannot wrap.
   const std::uint64_t horizon =
       std::uint64_t{file.days} * file.slots_per_day;
   SHEP_REQUIRE(horizon <= std::numeric_limits<std::uint32_t>::max(),
                "trace file horizon (days x slots_per_day) does not fit 32 "
                "bits: " + std::to_string(horizon));
-  serdes::ExpectToken(is, "cells");
-  const std::uint64_t cell_count = serdes::ReadU64(is);
-  for (std::uint64_t c = 0; c < cell_count; ++c) {
-    serdes::ExpectToken(is, "cell");
-    TraceCellInfo cell;
-    cell.cell = serdes::ReadU64(is);
-    SHEP_REQUIRE(c == 0 || file.cells.back().cell < cell.cell,
+  for (std::size_t c = 1; c < file.cells.size(); ++c) {
+    SHEP_REQUIRE(file.cells[c - 1].cell < file.cells[c].cell,
                  "trace cells must be ascending by id");
-    is >> cell.site_code >> cell.predictor_label;
-    SHEP_REQUIRE(static_cast<bool>(is), "truncated trace cell entry");
-    cell.storage_j = serdes::ReadDouble(is);
-    file.cells.push_back(std::move(cell));
   }
   // Cells are ascending by id (checked above), so a lookup is a search.
   auto require_declared = [&file](std::uint64_t cell) {
@@ -87,20 +69,13 @@ TraceShardFile TraceShardFile::Parse(std::istream& is) {
                  "trace record references a cell the file does not "
                  "declare: " + std::to_string(cell));
   };
-  serdes::ExpectToken(is, "records");
-  const std::uint64_t record_count = serdes::ReadU64(is);
-  for (std::uint64_t r = 0; r < record_count; ++r) {
-    const TraceRecord record = TraceRecord::Deserialize(is);
+  for (const TraceRecord& record : file.records) {
     SHEP_REQUIRE(record.slot < horizon,
                  "trace slot record past the file's horizon: slot " +
                      std::to_string(record.slot));
     require_declared(record.cell);
-    file.records.push_back(record);
   }
-  serdes::ExpectToken(is, "day_records");
-  const std::uint64_t day_count = serdes::ReadU64(is);
-  for (std::uint64_t r = 0; r < day_count; ++r) {
-    const TraceDayRecord record = TraceDayRecord::Deserialize(is);
+  for (const TraceDayRecord& record : file.day_records) {
     SHEP_REQUIRE(record.day < file.days,
                  "trace day record past the file's days: day " +
                      std::to_string(record.day));
@@ -108,11 +83,7 @@ TraceShardFile TraceShardFile::Parse(std::istream& is) {
                  "trace day record summarizes more slots than a day has: " +
                      std::to_string(record.slots));
     require_declared(record.cell);
-    file.day_records.push_back(record);
   }
-  serdes::ExpectToken(is, "dropped");
-  file.dropped_events = serdes::ReadU64(is);
-  serdes::ExpectToken(is, "end");
   return file;
 }
 

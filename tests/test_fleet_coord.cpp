@@ -741,6 +741,24 @@ TEST(RunFleetCoordinated, ThrowsWhenEveryWorkerIsUnusable) {
                std::runtime_error);
 }
 
+TEST(RunFleetCoordinated, RejectsAnUnserializableNameBeforeSpawning) {
+  // Describe would write an empty name as "name \n", which no worker can
+  // parse back; the spec is refused before any worker starts.
+  std::size_t spawned = 0;
+  FleetCoordOptions options = BaseOptions();
+  options.worker_path = "/does/not/matter";  // never reached.
+  options.on_spawn = [&spawned](std::size_t, long) { ++spawned; };
+  for (const char* name : {"", "two words", "tab\tname"}) {
+    ScenarioSpec spec = CoordSpec();
+    spec.name = name;
+    EXPECT_THROW(spec.Validate(), std::invalid_argument) << name;
+    EXPECT_THROW((void)spec.Describe(), std::invalid_argument) << name;
+    EXPECT_THROW(RunFleetCoordinated(spec, options), std::invalid_argument)
+        << name;
+  }
+  EXPECT_EQ(spawned, 0u);
+}
+
 TEST(RunFleetCoordinated, ValidatesItsConfiguration) {
   FleetCoordOptions no_path;
   EXPECT_THROW(RunFleetCoordinated(CoordSpec(), no_path),

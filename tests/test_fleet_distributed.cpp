@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/serdes.hpp"
 #include "common/threadpool.hpp"
 #include "fleet/forecast_replay.hpp"
 #include "fleet/partial.hpp"

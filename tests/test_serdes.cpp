@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/serdes.hpp"
 #include "fleet/aggregate.hpp"
 
 namespace shep {
@@ -142,6 +143,40 @@ TEST(SerdesInteger, NarrowReadersRangeCheckInsteadOfWrapping) {
   EXPECT_THROW(i32("-1"), std::invalid_argument);
 }
 
+TEST(SerdesInteger, AcceptsOnlyCanonicalDecimals) {
+  // The writers print integers with operator<<, so "0" or [1-9][0-9]* is
+  // every spelling they emit; any other spelling would parse and then
+  // re-serialize to different bytes.
+  auto u64 = [](const std::string& text) {
+    std::istringstream is(text);
+    return serdes::ReadU64(is);
+  };
+  EXPECT_EQ(u64("0"), 0u);
+  EXPECT_EQ(u64("10"), 10u);
+  EXPECT_EQ(u64("18446744073709551615"), 18446744073709551615ull);
+  for (const char* bad : {"+1", "00", "01", "-0", "-1", "1x", "0x10",
+                          "18446744073709551616", ""}) {
+    EXPECT_THROW(u64(bad), std::invalid_argument) << bad;
+  }
+  // The narrow readers inherit the rule.
+  std::istringstream u32("+7");
+  EXPECT_THROW(serdes::ReadU32(u32), std::invalid_argument);
+  std::istringstream i32("07");
+  EXPECT_THROW(serdes::ReadInt(i32), std::invalid_argument);
+
+  // FixedHistogram's sparse "index:count" entries parse by the same rule.
+  auto hist = [](const std::string& entry) {
+    std::istringstream is("hist 0x0p+0 0x1p+0 10 0 1 " + entry);
+    return FixedHistogram::Deserialize(is);
+  };
+  EXPECT_EQ(hist("3:2").bins()[3], 2u);
+  EXPECT_EQ(hist("0:1").bins()[0], 1u);
+  for (const char* bad : {"+3:1", "03:1", "3:01", "3:+1", ":1", "3:", "3",
+                          "3:-1", "3:1:1"}) {
+    EXPECT_THROW(hist(bad), std::invalid_argument) << bad;
+  }
+}
+
 TEST(SerdesMoments, ExtremeFiniteSamplesSurviveTheWire) {
   // Samples spanning the full finite range: the mean stays finite, m2
   // overflows to +inf (a value hexfloat text must carry), and the extrema
@@ -248,6 +283,58 @@ TEST(SerdesCell, EdgeValueCellRoundTripsThroughText) {
   EXPECT_TRUE(BitIdentical(acc.availability.mean, back.availability.mean));
   EXPECT_TRUE(BitIdentical(acc.post_recovery_violation_rate.mean,
                            back.post_recovery_violation_rate.mean));
+}
+
+std::string CellText(const CellAccumulator& acc) {
+  std::ostringstream os;
+  acc.Serialize(os);
+  return os.str();
+}
+
+TEST(SerdesCell, EveryChannelSurvivesMergeAndText) {
+  // A costed, faulted node fills every channel of a cell, so a field that
+  // the text form carries but Merge drops (or the reverse) changes bytes.
+  NodeSimResult result;
+  result.violation_rate = 0.125;
+  result.mean_duty = 0.4;
+  result.harvested_j = 900.0;
+  result.overflow_j = 30.0;
+  result.min_level_fraction = 0.05;
+  result.mape = 0.2;
+  result.mape_points = 40;
+  result.violations = 6;
+  result.slots = 48;
+  result.has_compute_cost = true;
+  result.compute.cycles = 70000.0;
+  result.compute.ops = 9000;
+  result.compute.predictions = 48;
+  result.faulted = true;
+  result.downtime_slots = 5;
+  result.recoveries = 2;
+  result.post_recovery_slots = 8;
+  result.post_recovery_violations = 3;
+  CellAccumulator acc;
+  acc.Add(result);
+  result.violation_rate = 0.5;
+  result.compute.cycles = 90000.0;
+  acc.Add(result);
+  acc.violation_hist.Add(std::numeric_limits<double>::quiet_NaN());
+  ASSERT_TRUE(acc.mape.valid());
+  ASSERT_TRUE(acc.has_compute_cost());
+  ASSERT_TRUE(acc.has_fault_stats());
+  ASSERT_TRUE(acc.post_recovery_violation_rate.valid());
+  ASSERT_GT(acc.cycles_hist.total(), 0u);
+  ASSERT_GT(acc.violation_hist.nan_count(), 0u);
+
+  const std::string text = CellText(acc);
+  CellAccumulator merged;
+  merged.Merge(acc);
+  EXPECT_EQ(CellText(merged), text);
+
+  std::istringstream is(text);
+  EXPECT_EQ(CellText(CellAccumulator::Deserialize(is)), text);
+  std::string rest;
+  EXPECT_FALSE(is >> rest) << rest;  // the cell reads exactly its text.
 }
 
 }  // namespace
