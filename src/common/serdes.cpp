@@ -1,9 +1,10 @@
 #include "common/serdes.hpp"
 
-#include <cerrno>
+#include <algorithm>
+#include <bit>
 #include <charconv>
-#include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 
 #include "common/check.hpp"
@@ -19,29 +20,57 @@ std::string ReadToken(std::istream& is) {
   return token;
 }
 
+/// Room for the longest spelling, "-0x1.fffffffffffffp+1023".
+constexpr std::size_t kDoubleChars = 32;
+
+/// The one spelling of `value`: glibc printf's "%a", which std::hexfloat
+/// prints too.  It is exact for every finite double; infinities and NaNs
+/// spell "inf"/"nan" (no NaN payload: no serialized field ever merges on
+/// one).  Built from the bits rather than by printf, whose cost per token
+/// would show in every spec parse, or by to_chars, whose subnormal
+/// spelling differs between libstdc++ releases.
+std::string_view SpellDouble(double value, char (&buf)[kDoubleChars]) {
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  const int biased = static_cast<int>(bits >> 52 & 0x7FF);
+  std::uint64_t fraction = bits & ((std::uint64_t{1} << 52) - 1);
+  char* out = buf;
+  if (bits >> 63 != 0) *out++ = '-';
+  if (biased == 0x7FF) {
+    out = std::copy_n(fraction != 0 ? "nan" : "inf", 3, out);
+    return {buf, static_cast<std::size_t>(out - buf)};
+  }
+  // Zero is 0x0p+0; a subnormal keeps its leading 0 and exponent -1022.
+  const int exponent =
+      biased != 0 ? biased - 1023 : (fraction != 0 ? -1022 : 0);
+  out = std::copy_n(biased != 0 ? "0x1" : "0x0", 3, out);
+  if (fraction != 0) *out++ = '.';
+  // The 13 fraction digits, most significant first, up to the last non-zero.
+  for (int shift = 48; fraction != 0; shift -= 4) {
+    *out++ = "0123456789abcdef"[fraction >> shift];
+    fraction &= (std::uint64_t{1} << shift) - 1;
+  }
+  *out++ = 'p';
+  *out++ = exponent < 0 ? '-' : '+';
+  out = std::to_chars(out, std::end(buf), exponent < 0 ? -exponent : exponent)
+            .ptr;
+  return {buf, static_cast<std::size_t>(out - buf)};
+}
+
 }  // namespace
 
 void WriteDouble(std::ostream& os, double value) {
-  // Hexfloat is exact for every finite double; infinities and NaNs print
-  // as "inf"/"nan", which strtod parses back (NaN payloads don't matter —
-  // no serialized field ever merges on one).
-  const auto flags = os.flags();
-  os << std::hexfloat << value;
-  os.flags(flags);
+  char buf[kDoubleChars];
+  os << SpellDouble(value, buf);
 }
 
 double ReadDouble(std::istream& is) {
   const std::string token = ReadToken(is);
-  const char* begin = token.c_str();
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(begin, &end);
-  // Reject overflowed decimals ("1e999" → ±HUGE_VAL + ERANGE): no
-  // Serialize call emits them (hexfloat never overflows strtod), so one
-  // in the wire text is corruption, not data.  Underflow (ERANGE with a
-  // tiny result) stays accepted — subnormal hexfloats parse exactly.
-  SHEP_REQUIRE(end == begin + token.size() &&
-                   !(errno == ERANGE && std::abs(value) == HUGE_VAL),
+  const double value = std::strtod(token.c_str(), nullptr);
+  // Only WriteDouble's own spelling of the parsed value reads back, so a
+  // decimal, an overflow, trailing junk or a double streamed bare by any
+  // writer ("0" for 0x0p+0) all throw here instead of changing bytes.
+  char buf[kDoubleChars];
+  SHEP_REQUIRE(SpellDouble(value, buf) == token,
                "malformed serialized double: " + token);
   return value;
 }

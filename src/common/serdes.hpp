@@ -4,10 +4,13 @@
 // the CellAccumulators of a FleetPartial, the trace records and trace
 // files) uses one grammar: tokens separated by one space, lines by '\n',
 // and a final '\n'.  Doubles travel as hexfloats: exact round trip for
-// every finite double, no locale or precision pitfalls ("inf"/"nan" for
-// the non-finite values, whose payloads no consumer merges on).  Integers
-// travel as canonical decimals.  Readers throw std::invalid_argument on
-// malformed input, naming the offending token.
+// every finite double, no precision pitfalls ("inf"/"nan" for the
+// non-finite values, whose payloads no consumer merges on).  Integers
+// travel as canonical decimals.  Every token has one spelling, and a reader
+// accepts only that one: it throws std::invalid_argument, naming the
+// token, on anything a writer would not print back byte for byte.  That is
+// the check that every double goes through WriteDouble — one streamed bare
+// ("0", "0.5") by any writer cannot be read back.
 //
 // A format lists its fields once, in text order, as a walk
 //   constexpr auto WalkX = [](auto& io, auto& value) { ... };
@@ -34,7 +37,10 @@
 
 namespace shep::serdes {
 
+/// Prints `value` as printf's "%a" hexfloat ("0x1.8p+1", "-0x0p+0", "inf").
 void WriteDouble(std::ostream& os, double value);
+/// Reads one token that WriteDouble of its value prints back byte for byte;
+/// any other spelling of a double ("1.5", "0X1P+0", "+0x1p+0") throws.
 double ReadDouble(std::istream& is);
 /// A canonical decimal: "0" or [1-9][0-9]* that fits 64 bits.  A sign, a
 /// leading zero or anything else no writer emits throws.

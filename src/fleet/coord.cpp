@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -57,14 +58,17 @@ constexpr auto WalkJobHeader = [](auto& io, auto& job) {
 std::string EncodeFleetJob(const FleetWorkerJob& job) {
   SHEP_REQUIRE(job.trace_dir.find('\n') == std::string::npos,
                "trace directory must not contain a newline");
+  SHEP_REQUIRE(job.trace_dir != "-",
+               "trace directory `-` would read back as telemetry off");
   const std::string spec_text = job.spec.Describe();
   SHEP_REQUIRE(spec_text.size() <= kMaxJobSpecBytes,
                "fleet job spec text exceeds the job size cap");
   std::ostringstream os;
   serdes::Writer writer(os);
   WalkJobHeader(writer, job);
-  // The directory is the rest of the line ("-" = telemetry off), so paths
-  // with spaces survive; the spec follows as its byte count and its text.
+  // The directory is the rest of the line after one space ("-" = telemetry
+  // off), so paths with spaces, leading ones too, survive; the spec follows
+  // as its byte count and its text.
   writer.EndLine() << "trace-dir "
                    << (job.trace_dir.empty() ? "-" : job.trace_dir) << '\n';
   os << "spec " << spec_text.size() << '\n' << spec_text;
@@ -76,7 +80,8 @@ FleetWorkerJob ParseFleetJob(std::istream& in) {
   auto job = serdes::Read<FleetWorkerJob>(in, WalkJobHeader);
   SHEP_REQUIRE(job.heartbeat_ms > 0, "fleet job heartbeat must be positive");
   serdes::ExpectToken(in, "trace-dir");
-  in >> std::ws;
+  SHEP_REQUIRE(in.get() == ' ',
+               "fleet job trace directory must follow one space");
   std::string dir;
   std::getline(in, dir);
   SHEP_REQUIRE(!dir.empty(), "fleet job is missing the trace directory");
@@ -188,6 +193,26 @@ struct CoordState {
   FleetCoordStats stats;
 };
 
+/// A frame header's shard, byte count and checksum: exactly three canonical
+/// decimals one space apart, as EncodeFleetFrame writes them after
+/// "frame ".  Empty on any other text.
+std::optional<std::array<std::uint64_t, 3>> ParseFrameHeader(
+    std::string_view fields) {
+  std::array<std::uint64_t, 3> values{};
+  try {
+    for (std::uint64_t& value : values) {
+      const std::size_t space =
+          &value == &values.back() ? fields.npos : fields.find(' ');
+      value = serdes::ParseU64(fields.substr(0, space));
+      fields = space == fields.npos ? std::string_view()
+                                    : fields.substr(space + 1);
+    }
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+  return values;
+}
+
 /// Checks one complete frame (checksum, parse, fingerprint, exactly the
 /// announced shard) and records it; false when the frame lies.  A valid
 /// frame counts only when its sender owes the shard; any other is dropped.
@@ -243,16 +268,13 @@ void ConsumeInbox(CoordState& state, WorkerProc& worker) {
     } else if (line.starts_with("frame ")) {
       // The header is checked before its byte count decides how much to
       // buffer: a garbled or oversized header is a lie like any other.
-      std::istringstream header{std::string(line.substr(6))};
-      std::uint64_t shard = 0, bytes = 0, checksum = 0;
-      header >> shard >> bytes >> checksum;
-      const bool parsed = !header.fail();
-      header >> std::ws;
-      if (!parsed || !header.eof() || shard >= state.plan->shards.size() ||
-          bytes > state.max_frame_bytes) {
+      const auto header = ParseFrameHeader(line.substr(6));
+      if (!header || (*header)[0] >= state.plan->shards.size() ||
+          (*header)[1] > state.max_frame_bytes) {
         condemn();
         break;
       }
+      const auto [shard, bytes, checksum] = *header;
       const std::size_t frame_end = next + bytes + kFrameTrailer.size();
       if (in.size() < frame_end) break;  // the payload is still arriving.
       if (in.substr(next + bytes, kFrameTrailer.size()) != kFrameTrailer) {

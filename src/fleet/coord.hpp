@@ -100,7 +100,9 @@ struct FleetWorkerJob {
 
 /// Text form of a job, written to the worker's stdin before any command.
 /// The spec travels as its exact Describe() text, byte-counted so the
-/// reader never guesses where it ends.
+/// reader never guesses where it ends.  Throws std::invalid_argument on a
+/// trace directory that would not read back as itself: one holding a
+/// newline, or "-", the spelling of telemetry off.
 std::string EncodeFleetJob(const FleetWorkerJob& job);
 
 /// Inverse of EncodeFleetJob, read through the job's last newline so the

@@ -53,6 +53,10 @@ FleetPartial FleetPartial::Parse(const std::string& text) {
     SHEP_REQUIRE(partial.shards[s - 1].shard < partial.shards[s].shard,
                  "partial shards must be ascending by index");
   }
+  // Each token reads back only in its one spelling; this also refuses what
+  // lies between them (whitespace runs, tabs, a missing final newline).
+  SHEP_REQUIRE(partial.Serialize() == text,
+               "partial text is not the Serialize() text of its partial");
   return partial;
 }
 

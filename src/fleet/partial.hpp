@@ -54,8 +54,8 @@ struct FleetPartial {
   /// Text form; exact (see file comment).
   std::string Serialize() const;
 
-  /// Inverse of Serialize.  Throws std::invalid_argument on malformed
-  /// input.
+  /// Inverse of Serialize.  Throws std::invalid_argument on any text that
+  /// is not exactly the Serialize() text of the partial it parses to.
   [[nodiscard]] static FleetPartial Parse(const std::string& text);
 };
 

@@ -248,6 +248,10 @@ ScenarioSpec ParseScenarioSpec(const std::string& text) {
   SHEP_REQUIRE(!(is >> trailing),
                "trailing content after end-scenario: " + trailing);
   spec.Validate();  // reject bytes no Describe() could have produced.
+  // Each token reads back only in its one spelling; this also refuses what
+  // lies between them (whitespace runs, tabs, a missing final newline).
+  SHEP_REQUIRE(spec.Describe() == text,
+               "scenario text is not the Describe() text of its spec");
   return spec;
 }
 

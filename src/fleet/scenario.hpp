@@ -173,8 +173,9 @@ struct ScenarioSpec {
   std::size_t node_count() const { return cell_count() * nodes_per_cell; }
 };
 
-/// Inverse of ScenarioSpec::Describe.  Throws std::invalid_argument on
-/// malformed input; round-trips every field bit-exactly.
+/// Inverse of ScenarioSpec::Describe.  Throws std::invalid_argument on any
+/// text that is not exactly the Describe() text of the spec it parses to;
+/// round-trips every field bit-exactly.
 [[nodiscard]] ScenarioSpec ParseScenarioSpec(const std::string& text);
 
 /// Inverse of PredictorKindName ("WCMA" -> kWcma, ...).  Throws

@@ -418,7 +418,19 @@ TEST(FleetProtocol, JobRoundTripsAndFramesChecksum) {
   EXPECT_EQ(parsed.trace_dir, job.trace_dir);
   EXPECT_EQ(in.peek(), EOF);  // the job's last newline is consumed too.
 
-  // No trace dir travels as "-" and comes back empty.
+  // A leading space is part of the directory: one space separates it.
+  job.trace_dir = " leading space";
+  std::istringstream leading(EncodeFleetJob(job));
+  EXPECT_EQ(ParseFleetJob(leading).trace_dir, job.trace_dir);
+
+  // No trace dir travels as "-" and comes back empty, so a directory
+  // named "-" cannot travel at all.
+  job.trace_dir = "-";
+  EXPECT_THROW(EncodeFleetJob(job), std::invalid_argument);
+  FleetCoordOptions dash = BaseOptions();
+  dash.worker_path = "/does/not/exist";  // a spawn would throw runtime_error.
+  dash.trace_dir = "-";
+  EXPECT_THROW(RunFleetCoordinated(CoordSpec(), dash), std::invalid_argument);
   job.trace_dir.clear();
   std::istringstream in2(EncodeFleetJob(job));
   EXPECT_TRUE(ParseFleetJob(in2).trace_dir.empty());
@@ -566,32 +578,30 @@ $line"
   fi
 done)sh";
 
-TEST(RunFleetCoordinated, DropsValidFramesTheSenderDoesNotOwe) {
-  SHEP_SKIP_WITHOUT_WORKER();
-  // Every frame arrives twice.  The first copy settles the shard, so the
-  // second names a shard its sender no longer owes: it must be dropped
-  // and counted, without condemning the sender or reaching the merge.
-  FleetCoordOptions options = BaseOptions();
-  options.worker_args = {"-c", kSendEveryFrameTwice, options.worker_path};
-  options.worker_path = "/bin/sh";
-  // The coordinator SIGKILLs each shell, which orphans the worker and the
-  // filter behind it.  As their subreaper this process can see them exit.
-  struct Subreaper {
-    Subreaper() { EXPECT_EQ(prctl(PR_SET_CHILD_SUBREAPER, 1), 0); }
-    ~Subreaper() { prctl(PR_SET_CHILD_SUBREAPER, 0); }
-  } subreaper;
-  FleetCoordStats stats;
-  const FleetSummary summary =
-      RunFleetCoordinated(CoordSpec(), options, &stats);
-  ExpectSummaryBitIdentical(summary, Monolithic());
-  EXPECT_EQ(stats.frames_accepted,
-            BuildShardPlan(CoordSpec(), kShardSize).shards.size());
-  EXPECT_EQ(stats.duplicate_frames, stats.frames_accepted);
-  EXPECT_EQ(stats.workers_killed, 0u);
-  EXPECT_EQ(stats.corrupt_frames, 0u);
+/// `sh -c` script: runs the real worker ("$0") and rewrites the shard of
+/// its second frame header to "+N": the same shard, in a spelling
+/// EncodeFleetFrame never writes.
+constexpr const char* kSignTheSecondFramesShard = R"sh(
+"$0" | while IFS= read -r line; do
+  case $line in
+    'frame '*)
+      frames=$((frames + 1))
+      if [ "$frames" -eq 2 ]; then line="frame +${line#frame }"; fi ;;
+  esac
+  printf '%s\n' "$line"
+done)sh";
 
-  // Every orphan exits once its stdin closes: reap until none is left.
-  // Each spawn leaves at least its worker to reap here.
+/// The coordinator SIGKILLs a `/bin/sh -c` wrapper, which orphans the
+/// worker and the filter behind it.  As their subreaper this process can
+/// see them exit.
+struct Subreaper {
+  Subreaper() { EXPECT_EQ(prctl(PR_SET_CHILD_SUBREAPER, 1), 0); }
+  ~Subreaper() { prctl(PR_SET_CHILD_SUBREAPER, 0); }
+};
+
+/// Every orphan exits once its stdin closes: reaps until none is left, and
+/// returns how many there were.
+std::size_t ReapOrphans() {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
   std::size_t orphans = 0;
@@ -604,7 +614,29 @@ TEST(RunFleetCoordinated, DropsValidFramesTheSenderDoesNotOwe) {
   }
   EXPECT_EQ(reaped, -1);
   EXPECT_EQ(errno, ECHILD) << "a worker or filter outlived the run";
-  EXPECT_GE(orphans, stats.workers_spawned);
+  return orphans;
+}
+
+TEST(RunFleetCoordinated, DropsValidFramesTheSenderDoesNotOwe) {
+  SHEP_SKIP_WITHOUT_WORKER();
+  // Every frame arrives twice.  The first copy settles the shard, so the
+  // second names a shard its sender no longer owes: it must be dropped
+  // and counted, without condemning the sender or reaching the merge.
+  FleetCoordOptions options = BaseOptions();
+  options.worker_args = {"-c", kSendEveryFrameTwice, options.worker_path};
+  options.worker_path = "/bin/sh";
+  const Subreaper subreaper;
+  FleetCoordStats stats;
+  const FleetSummary summary =
+      RunFleetCoordinated(CoordSpec(), options, &stats);
+  ExpectSummaryBitIdentical(summary, Monolithic());
+  EXPECT_EQ(stats.frames_accepted,
+            BuildShardPlan(CoordSpec(), kShardSize).shards.size());
+  EXPECT_EQ(stats.duplicate_frames, stats.frames_accepted);
+  EXPECT_EQ(stats.workers_killed, 0u);
+  EXPECT_EQ(stats.corrupt_frames, 0u);
+  // Each spawn leaves at least its worker to reap here.
+  EXPECT_GE(ReapOrphans(), stats.workers_spawned);
 }
 
 TEST(RunFleetCoordinated, ReapsAWorkerSpinningInsideAShardOnLiveness) {
@@ -816,17 +848,26 @@ TEST(FleetProtocol, JobRejectsAnOutOfRangeOrZeroHeartbeat) {
 
 TEST(RunFleetCoordinated, GarbledFrameHeaderCondemnsTheWorker) {
   SHEP_SKIP_WITHOUT_WORKER();
-  FleetCoordOptions options = BaseOptions();
-  // Each spawn's SECOND frame header announces 2^64-1 payload bytes.  The
-  // reader must count a corrupt frame and condemn the worker instead of
-  // trying to buffer what the header claims.
-  options.worker_args = {"--garble-header", "2"};
-  FleetCoordStats stats;
-  const FleetSummary summary =
-      RunFleetCoordinated(CoordSpec(), options, &stats);
-  ExpectSummaryBitIdentical(summary, Monolithic());
-  EXPECT_GE(stats.corrupt_frames, 1u);
-  EXPECT_GE(stats.workers_killed, 1u);
+  // Each spawn's SECOND frame header lies: it announces 2^64-1 payload
+  // bytes, or (behind a filter) spells its shard "+N".  The reader must
+  // count a corrupt frame and condemn the worker instead of trying to
+  // buffer what the header claims or reading a number no worker writes.
+  FleetCoordOptions huge = BaseOptions();
+  huge.worker_args = {"--garble-header", "2"};
+  FleetCoordOptions sign = BaseOptions();
+  sign.worker_args = {"-c", kSignTheSecondFramesShard, sign.worker_path};
+  sign.worker_path = "/bin/sh";
+  const Subreaper subreaper;
+  for (const FleetCoordOptions& options : {huge, sign}) {
+    FleetCoordStats stats;
+    const FleetSummary summary =
+        RunFleetCoordinated(CoordSpec(), options, &stats);
+    ExpectSummaryBitIdentical(summary, Monolithic());
+    EXPECT_GE(stats.corrupt_frames, 1u) << options.worker_args[0];
+    EXPECT_GE(stats.workers_killed, 1u) << options.worker_args[0];
+  }
+  // The filtered spawns leave their workers to reap here.
+  EXPECT_GE(ReapOrphans(), 1u);
 }
 
 // ---- Lane-affinity dispatch ----------------------------------------------

@@ -382,10 +382,10 @@ TEST(FleetPartial, ParseRejectsCorruptedAggregates) {
   EXPECT_THROW(serdes::ReadU64(overflow), std::invalid_argument);
 
   // Double overflow must not become infinity silently (no Serialize call
-  // ever emits an overflowing decimal — hexfloat round-trips exactly).
+  // ever emits a decimal — hexfloat round-trips exactly).
   std::istringstream double_overflow("1e999");
   EXPECT_THROW(serdes::ReadDouble(double_overflow), std::invalid_argument);
-  // Subnormals still parse exactly: underflow ERANGE is not corruption.
+  // Subnormals still parse exactly.
   std::ostringstream tiny;
   serdes::WriteDouble(tiny, 5e-324);  // smallest positive denormal.
   std::istringstream tiny_in(tiny.str());

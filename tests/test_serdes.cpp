@@ -13,12 +13,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "common/serdes.hpp"
 #include "fleet/aggregate.hpp"
 
@@ -108,6 +110,33 @@ TEST(SerdesDouble, DeterministicBitPatternSweepRoundTripsExactly) {
   EXPECT_GT(finite_seen, 1900);  // the sweep actually exercised the space.
 }
 
+TEST(SerdesDouble, SpellsEveryDoubleAsPrintfHexfloat) {
+  // WriteDouble builds glibc's "%a" from the bits; the two must agree on
+  // every class of double: zero, subnormal, normal and non-finite, either
+  // sign, at every exponent.
+  auto written = [](double value) {
+    std::ostringstream os;
+    serdes::WriteDouble(os, value);
+    return os.str();
+  };
+  auto printed = [](double value) {
+    char buf[64];
+    return std::string(buf, static_cast<std::size_t>(std::snprintf(
+                                buf, sizeof buf, "%a", value)));
+  };
+  std::uint64_t state = 0x243F6A8885A308D3ull;
+  for (std::uint64_t exponent = 0; exponent < 2048; ++exponent) {
+    for (std::uint64_t fraction :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{0xFFFFFFFFFFFFF},
+          std::uint64_t{0x8000000000000}, SplitMix64(state) >> 12}) {
+      for (std::uint64_t sign : {std::uint64_t{0}, std::uint64_t{1} << 63}) {
+        const double v = std::bit_cast<double>(sign | exponent << 52 | fraction);
+        ASSERT_EQ(written(v), printed(v)) << printed(v);
+      }
+    }
+  }
+}
+
 TEST(SerdesDouble, RejectsMalformedAndOverflowingTokens) {
   auto read = [](const std::string& text) {
     std::istringstream is(text);
@@ -119,6 +148,19 @@ TEST(SerdesDouble, RejectsMalformedAndOverflowingTokens) {
   // overflows strtod), so it is corruption.
   EXPECT_THROW(read("1e999"), std::invalid_argument);
   EXPECT_THROW(read(""), std::invalid_argument);
+  // Every other spelling of a double WriteDouble would print differently:
+  // decimals, upper case, a non-normalized mantissa, a "p-0" exponent, a
+  // mantissa past 13 hex digits (strtod would round it), a sign.
+  for (const char* other :
+       {"-1", "1.5", "18446744073709551615", "0X1P+0", "0x5.77p+10",
+        "0x1p-0", "0x1.47ae147eae147bp-6", "+0x1p+0", "infinity"}) {
+    EXPECT_THROW(read(other), std::invalid_argument) << other;
+  }
+  // WriteDouble's own spellings read back, the non-finite ones included.
+  EXPECT_TRUE(std::isnan(read("nan")));
+  EXPECT_TRUE(BitIdentical(std::numeric_limits<double>::infinity(),
+                           read("inf")));
+  EXPECT_TRUE(BitIdentical(-0.0, read("-0x0p+0")));
   // Subnormal underflow stays accepted (parses exactly).
   EXPECT_TRUE(BitIdentical(std::numeric_limits<double>::denorm_min(),
                            read("0x0.0000000000001p-1022")));

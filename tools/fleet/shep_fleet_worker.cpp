@@ -42,10 +42,12 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/serdes.hpp"
 #include "common/strings.hpp"
 #include "fleet/coord.hpp"
 #include "fleet/forecast_replay.hpp"
@@ -180,8 +182,13 @@ int main(int argc, char** argv) {
   std::string line;
   while (std::getline(std::cin, line)) {
     if (line.rfind("run ", 0) != 0) Fail("unknown command: " + line);
-    const std::optional<long long> shard = shep::ParseInt(line.substr(4));
-    if (!shard || static_cast<std::size_t>(*shard) >= plan.shards.size()) {
+    // A canonical decimal only: "+3" or "007" is not a shard number.
+    std::size_t shard = plan.shards.size();  // refused unless parsed.
+    try {
+      shard = shep::serdes::ParseU64(std::string_view(line).substr(4));
+    } catch (const std::invalid_argument&) {
+    }
+    if (shard >= plan.shards.size()) {
       Fail("run command names a shard outside the plan: " + line);
     }
 
@@ -189,7 +196,7 @@ int main(int argc, char** argv) {
     ++shards_run;
     try {
       const shep::FleetPartial partial = shep::RunFleetShards(
-          plan, {static_cast<std::size_t>(*shard)}, run_options);
+          plan, {shard}, run_options);
       payload = partial.Serialize();
     } catch (const std::exception& e) {
       Fail(e.what());
@@ -199,11 +206,9 @@ int main(int argc, char** argv) {
     std::string frame;
     if (flags.garble_frame == frame_index) {
       payload[0] = '#';  // honest checksum over an unparseable payload.
-      frame = shep::EncodeFleetFrame(static_cast<std::size_t>(*shard),
-                                     payload);
+      frame = shep::EncodeFleetFrame(shard, payload);
     } else {
-      frame = shep::EncodeFleetFrame(static_cast<std::size_t>(*shard),
-                                     payload);
+      frame = shep::EncodeFleetFrame(shard, payload);
       if (flags.corrupt_frame == frame_index) {
         // Garble the payload INSIDE the already-checksummed frame: the
         // header's byte count still matches, the checksum does not.
@@ -213,7 +218,7 @@ int main(int argc, char** argv) {
         // Everything after the frame line stays honest; only the byte
         // count lies, by more than any allocation could satisfy.
         const std::string header =
-            "frame " + std::to_string(*shard) + ' ' +
+            "frame " + std::to_string(shard) + ' ' +
             std::to_string(std::numeric_limits<std::uint64_t>::max()) + " 0";
         frame.replace(0, frame.find('\n'), header);
       }

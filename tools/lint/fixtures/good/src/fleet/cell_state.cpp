@@ -1,7 +1,6 @@
-// GOOD: doubles flow through the serdes hexfloat helper inside Serialize;
-// the bare `<<` uses are integers and separators.  The memo table is
-// unordered but carries a justified waiver: it is looked up by key only,
-// never iterated, so its order can't reach an accumulator.
+// GOOD: the memo table is unordered but carries a justified waiver: it is
+// looked up by key only, never iterated, so its order can't reach an
+// accumulator.
 #include "fleet/cell_state.hpp"
 
 #include <ostream>

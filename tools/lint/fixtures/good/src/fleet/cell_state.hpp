@@ -1,4 +1,4 @@
-// GOOD: fleet-layer state with hexfloat-clean serialization entry points.
+// GOOD: fleet-layer state whose parse/merge entry points are [[nodiscard]].
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,5 @@
 // GOOD: trace-layer telemetry record staying inside its DAG slice
-// (common + report) with hexfloat-clean serialization entry points.
+// (common + report), with a [[nodiscard]] Deserialize entry point.
 #pragma once
 
 #include <cstdint>

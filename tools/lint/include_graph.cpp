@@ -139,27 +139,6 @@ std::vector<IncludeRef> ExtractIncludes(const SourceFile& file) {
   return refs;
 }
 
-std::string ResolveInclude(const std::map<std::string, SourceFile>& files,
-                           const std::string& from,
-                           const std::string& include) {
-  const std::string as_src = "src/" + include;
-  if (files.count(as_src)) return as_src;
-  std::string dir = from;
-  const std::size_t slash = dir.rfind('/');
-  dir = slash == std::string::npos ? std::string() : dir.substr(0, slash);
-  // The includer's own directory, then each ancestor down to (but never
-  // including) the repo root: tools/<tool>/test/ files include headers
-  // from tools/<tool>/ via the target's include dirs.
-  while (!dir.empty()) {
-    const std::string candidate = dir + "/" + include;
-    if (files.count(candidate)) return candidate;
-    const std::size_t up = dir.rfind('/');
-    if (up == std::string::npos) break;
-    dir = dir.substr(0, up);
-  }
-  return {};
-}
-
 std::optional<std::string> LayerOfPath(const std::string& repo_relative) {
   static constexpr std::string_view kSrc = "src/";
   if (repo_relative.rfind(kSrc, 0) != 0) return std::nullopt;

@@ -76,17 +76,6 @@ struct IncludeRef {
 /// system headers and carry no layer information).
 std::vector<IncludeRef> ExtractIncludes(const SourceFile& file);
 
-/// Resolves a quoted include of `from` to the repo-relative path of a
-/// scanned file: layer-style ("fleet/aggregate.hpp" -> "src/fleet/..."),
-/// local ("repro_common.hpp" -> sibling of `from`), or — for consumer
-/// trees like tools/<tool>/test/ that add parent include dirs — a file in
-/// an ancestor directory of `from` (never the repo root itself, so layer
-/// headers cannot be reached by spelling out "src/...").  Empty when the
-/// target is not part of the scanned tree.
-std::string ResolveInclude(const std::map<std::string, SourceFile>& files,
-                           const std::string& from,
-                           const std::string& include);
-
 /// Maps a repo-relative path to its layer: "src/<layer>/..." -> <layer>;
 /// anything else (tests/, bench/, examples/, tools/) has no layer.
 std::optional<std::string> LayerOfPath(const std::string& repo_relative);

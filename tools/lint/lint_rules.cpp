@@ -17,7 +17,6 @@ const char* kRuleRand = "determinism-rand";
 const char* kRuleTime = "determinism-time";
 const char* kRuleEnv = "determinism-env";
 const char* kRuleUnordered = "determinism-unordered";
-const char* kRuleSerializeFloat = "serialize-float";
 const char* kRuleNodiscard = "nodiscard";
 const char* kRuleSuppression = "suppression";
 
@@ -32,71 +31,11 @@ struct Candidate {
 struct TreeContext {
   fs::path root;
   const LayerDag* dag = nullptr;
-  /// All scanned files keyed by repo-relative path ("src/fleet/runner.cpp").
-  std::map<std::string, SourceFile> files;
-  /// Memoized float-identifier sets (see FloatIdents).
-  std::map<std::string, std::set<std::string>> float_idents;
-};
-
-/// Blanked code lines joined into one string, with byte offsets of each
-/// line so regex match positions convert back to 1-based line numbers.
-struct JoinedCode {
-  std::string text;
-  std::vector<std::size_t> line_start;
-
-  static JoinedCode From(const SourceFile& file) {
-    JoinedCode joined;
-    for (const std::string& line : file.code) {
-      joined.line_start.push_back(joined.text.size());
-      joined.text += line;
-      joined.text += '\n';
-    }
-    return joined;
-  }
-
-  std::size_t LineOf(std::size_t pos) const {
-    const auto it = std::upper_bound(line_start.begin(), line_start.end(), pos);
-    return static_cast<std::size_t>(it - line_start.begin());
-  }
 };
 
 std::string DirName(const std::string& rel) {
   const std::size_t slash = rel.rfind('/');
   return slash == std::string::npos ? std::string() : rel.substr(0, slash);
-}
-
-/// Identifiers declared `double`/`float` in `rel` or anything it
-/// transitively includes.  This is the set the serialize-float rule treats
-/// as "floating-point valued": members like WelfordMoments::mean live in a
-/// header two includes away from the Serialize body that streams them, so
-/// the collection must follow the include graph.
-const std::set<std::string>& FloatIdents(TreeContext& ctx,
-                                         const std::string& rel,
-                                         std::set<std::string>& visiting) {
-  const auto memo = ctx.float_idents.find(rel);
-  if (memo != ctx.float_idents.end()) return memo->second;
-  static const std::set<std::string> kEmpty;
-  if (visiting.count(rel)) return kEmpty;  // include cycle guard.
-  visiting.insert(rel);
-
-  static const std::regex kDecl(R"(\b(?:double|float)\s+([A-Za-z_]\w*))");
-  std::set<std::string> idents;
-  const SourceFile& file = ctx.files.at(rel);
-  for (const std::string& line : file.code) {
-    for (std::sregex_iterator it(line.begin(), line.end(), kDecl), end;
-         it != end; ++it) {
-      idents.insert((*it)[1].str());
-    }
-  }
-  for (const IncludeRef& inc : ExtractIncludes(file)) {
-    const std::string target = ResolveInclude(ctx.files, rel, inc.path);
-    if (!target.empty()) {
-      const std::set<std::string>& sub = FloatIdents(ctx, target, visiting);
-      idents.insert(sub.begin(), sub.end());
-    }
-  }
-  visiting.erase(rel);
-  return ctx.float_idents.emplace(rel, std::move(idents)).first->second;
 }
 
 // ---------------------------------------------------------------------------
@@ -193,98 +132,6 @@ void CheckDeterminism(const SourceFile& file, std::vector<Candidate>& out) {
                      "accident; folding it into an accumulator or stream "
                      "breaks bit-identity — use std::map/std::vector or "
                      "iterate a sorted key list"});
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// serialize-float
-// ---------------------------------------------------------------------------
-
-/// Returns [begin, end) byte ranges of the bodies of functions named
-/// Serialize or Describe (definitions only — a trailing `;` after the
-/// parameter list means a declaration).
-std::vector<std::pair<std::size_t, std::size_t>> SerializeBodies(
-    const JoinedCode& joined) {
-  static const std::regex kName(R"(\b(Serialize|Describe)\s*\()");
-  std::vector<std::pair<std::size_t, std::size_t>> bodies;
-  const std::string& text = joined.text;
-  for (std::sregex_iterator it(text.begin(), text.end(), kName), end;
-       it != end; ++it) {
-    std::size_t pos = static_cast<std::size_t>(it->position()) + it->length();
-    int paren = 1;  // we are just past the '('.
-    while (pos < text.size() && paren > 0) {
-      if (text[pos] == '(') ++paren;
-      if (text[pos] == ')') --paren;
-      ++pos;
-    }
-    // Skip cv-qualifiers etc. between the signature and the body.
-    while (pos < text.size() && text[pos] != '{' && text[pos] != ';' &&
-           text[pos] != '(') {
-      ++pos;
-    }
-    if (pos >= text.size() || text[pos] != '{') continue;  // declaration.
-    const std::size_t body_begin = pos + 1;
-    int brace = 1;
-    ++pos;
-    while (pos < text.size() && brace > 0) {
-      if (text[pos] == '{') ++brace;
-      if (text[pos] == '}') --brace;
-      ++pos;
-    }
-    bodies.emplace_back(body_begin, pos);
-  }
-  return bodies;
-}
-
-void CheckSerializeFloat(TreeContext& ctx, const SourceFile& file,
-                         std::vector<Candidate>& out) {
-  const JoinedCode joined = JoinedCode::From(file);
-  const auto bodies = SerializeBodies(joined);
-  if (bodies.empty()) return;
-  std::set<std::string> visiting;
-  const std::set<std::string>& floats = FloatIdents(ctx, file.path, visiting);
-
-  // `<< 1.5`, `<< .5f`, `<< 2e-3` — a literal double streamed bare.
-  static const std::regex kFloatLiteral(
-      R"(<<\s*[-+]?(?:\d+\.\d*|\.\d+|\d+(?:\.\d*)?[eE][-+]?\d+)[fFlL]?)");
-  // `<< mean`, `<< other.m2`, `<< range->lo_` — take the chain's last
-  // member and test it against the float-identifier set.
-  static const std::regex kIdentChain(
-      R"(<<\s*([A-Za-z_]\w*(?:(?:\.|->)[A-Za-z_]\w*)*))");
-
-  for (const auto& [begin, end] : bodies) {
-    const std::string body = joined.text.substr(begin, end - begin);
-    for (std::sregex_iterator it(body.begin(), body.end(), kFloatLiteral),
-         last;
-         it != last; ++it) {
-      out.push_back(
-          {joined.LineOf(begin + static_cast<std::size_t>(it->position())),
-           kRuleSerializeFloat,
-           "floating-point literal streamed bare inside a "
-           "Serialize/Describe body; write it through serdes::WriteDouble "
-           "(hexfloat) so the round trip stays bit-exact"});
-    }
-    for (std::sregex_iterator it(body.begin(), body.end(), kIdentChain), last;
-         it != last; ++it) {
-      const std::string chain = (*it)[1].str();
-      std::size_t cut = chain.rfind("->");
-      const std::size_t dot = chain.rfind('.');
-      if (cut == std::string::npos ||
-          (dot != std::string::npos && dot > cut)) {
-        cut = dot;
-      }
-      const std::string leaf =
-          cut == std::string::npos ? chain : chain.substr(cut + (chain[cut] == '-' ? 2 : 1));
-      if (floats.count(leaf)) {
-        out.push_back(
-            {joined.LineOf(begin + static_cast<std::size_t>(it->position())),
-             kRuleSerializeFloat,
-             "`" + chain +
-                 "` is floating-point and streamed bare inside a "
-                 "Serialize/Describe body; default ostream formatting "
-                 "truncates doubles — use serdes::WriteDouble"});
-      }
     }
   }
 }
@@ -450,9 +297,6 @@ const std::vector<RuleInfo>& RuleCatalog() {
       {kRuleUnordered,
        "unordered container iteration order is a hash-seed accident; "
        "banned in src/"},
-      {kRuleSerializeFloat,
-       "Serialize/Describe bodies must write floating-point through the "
-       "serdes hexfloat helpers, never bare operator<<"},
       {kRuleNodiscard,
        "value-returning Parse*/Merge*/Deserialize*/Validate entry points "
        "in src/ headers must be [[nodiscard]]"},
@@ -467,12 +311,12 @@ LintReport LintTree(const std::filesystem::path& root) {
   TreeContext ctx;
   ctx.root = root;
   ctx.dag = &LayerDag::Project();
-  ctx.files = CollectFiles(root);
+  const std::map<std::string, SourceFile> files = CollectFiles(root);
 
   LintReport report;
-  report.files_scanned = ctx.files.size();
+  report.files_scanned = files.size();
 
-  for (auto& [rel, file] : ctx.files) {
+  for (const auto& [rel, file] : files) {
     const FileCategory category = rel.rfind("src/", 0) == 0
                                       ? FileCategory::kLayerSource
                                       : FileCategory::kConsumer;
@@ -480,7 +324,6 @@ LintReport LintTree(const std::filesystem::path& root) {
     CheckLayerDag(ctx, file, category, candidates);
     if (category == FileCategory::kLayerSource) {
       CheckDeterminism(file, candidates);
-      CheckSerializeFloat(ctx, file, candidates);
       CheckNodiscard(file, candidates);
     }
     std::sort(candidates.begin(), candidates.end(),

@@ -1,9 +1,8 @@
 // lint_rules.hpp — the shep_lint rule catalogue.
 //
 // Every rule is line-level: it judges a file by its own (blanked) text,
-// plus the include graph for layer edges and float identifiers.  Four
-// families guard the invariants the fleet subsystem's tests can only
-// sample:
+// plus the layer DAG for include edges.  Three families guard the
+// invariants the fleet subsystem's tests can only sample:
 //
 //  * layer-dag            — every `#include "<layer>/..."` edge must be in
 //                           the (reflexive-transitive closure of the) layer
@@ -22,13 +21,6 @@
 //                           iteration order is a hash-seed accident that
 //                           must never feed an accumulator or a serialized
 //                           stream (determinism-unordered).
-//  * serialize-float      — Serialize()/Describe() bodies in src/ must
-//                           write floating-point values through the shared
-//                           serdes hexfloat helpers, never bare
-//                           `operator<<`: default ostream formatting
-//                           truncates to 6 significant digits, which
-//                           silently breaks the bit-exact round trip the
-//                           distributed merge depends on.
 //  * nodiscard            — value-returning Parse*/Merge*/Deserialize*/
 //                           Validate entry points declared in src/ headers
 //                           must be [[nodiscard]]: discarding a parse or
@@ -41,7 +33,10 @@
 //                           something; this rule is itself unsuppressable.
 //
 // Contracts a line pattern cannot prove are checked at runtime instead:
-// the kernel's no-allocation contract by tests/test_hot_path_alloc.cpp.
+// the kernel's no-allocation contract by tests/test_hot_path_alloc.cpp,
+// and "every double is written through serdes::WriteDouble" by
+// serdes::ReadDouble, which reads back only WriteDouble's own spelling, so
+// a double streamed bare by any writer fails that format's round-trip test.
 //
 // Any rule except `suppression` is waived on a line carrying
 // `// shep-lint: allow(<rule>) <justification>`.
