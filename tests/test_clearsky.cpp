@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -82,6 +84,39 @@ TEST(ClearSkyDayGhi, SummerBrighterThanWinter) {
 TEST(ClearSkyDayGhi, ValidatesResolution) {
   EXPECT_THROW(ClearSkyDayGhi(40.0, 100, 7), std::invalid_argument);
   EXPECT_THROW(ClearSkyDayGhi(40.0, 100, 0), std::invalid_argument);
+}
+
+// The profile is the per-sample formula, bit for bit, wherever the
+// per-day terms are computed: every paper latitude plus a polar one, every
+// day of a leap year, at both recording resolutions.
+TEST(ClearSkyDayGhi, EqualsThePerSampleFormulaBitForBit) {
+  std::vector<double> latitudes;
+  for (const SiteProfile& site : PaperSites()) {
+    latitudes.push_back(site.latitude_deg);
+  }
+  latitudes.push_back(78.0);
+  for (const double latitude : latitudes) {
+    const double lat = DegToRad(latitude);
+    for (int doy = 1; doy <= 366; ++doy) {
+      const double decl = SolarDeclinationRad(doy);
+      for (const int resolution_s : {60, 300}) {
+        const std::vector<double> ghi =
+            ClearSkyDayGhi(latitude, doy, resolution_s);
+        ASSERT_EQ(ghi.size(),
+                  static_cast<std::size_t>(kSecondsPerDay / resolution_s));
+        for (std::size_t i = 0; i < ghi.size(); ++i) {
+          const double hour =
+              (static_cast<double>(i) + 0.5) * resolution_s / 3600.0;
+          const double expected =
+              HaurwitzGhi(SinElevation(lat, decl, HourAngleRad(hour)));
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(ghi[i]),
+                    std::bit_cast<std::uint64_t>(expected))
+              << "lat " << latitude << " day " << doy << " res "
+              << resolution_s << " i " << i;
+        }
+      }
+    }
+  }
 }
 
 /// Hours of the day the clear-sky profile is lit, at 1-minute resolution.

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/mathutil.hpp"
+#include "common/serdes.hpp"
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
 #include "solar/clearsky.hpp"
@@ -304,6 +305,68 @@ TEST(WeatherOracle, SlotSeriesLaneMatchesSlottingTheTrace) {
         }
       }
     }
+  }
+}
+
+// Full-year pins of the synthesized bits.  Every output of the fleet and
+// the paper drivers starts from these samples, so a change to the clear-sky
+// or weather arithmetic that moves one bit fails here first, with the new
+// digest in the message.
+std::uint64_t TraceDigest(const std::vector<PowerTrace>& traces) {
+  serdes::Fnv1a hash;
+  for (const PowerTrace& trace : traces) {
+    hash.Mix(trace.name());
+    hash.Mix(static_cast<std::uint64_t>(trace.resolution_s()));
+    hash.Mix(static_cast<std::uint64_t>(trace.size()));
+    for (const double v : trace.samples()) hash.Mix(v);
+  }
+  return hash.value();
+}
+
+std::uint64_t LaneDigest(const SlotSeries& lane) {
+  serdes::Fnv1a hash;
+  hash.Mix(static_cast<std::uint64_t>(lane.size()));
+  for (const double v : lane.boundaries()) hash.Mix(v);
+  for (const double v : lane.means()) hash.Mix(v);
+  hash.Mix(lane.peak_mean());
+  return hash.value();
+}
+
+TEST(SynthesisPin, PaperTracesOfOneYearKeepTheirDigest) {
+  SynthOptions options;
+  options.days = 365;
+  const std::uint64_t digest = TraceDigest(SynthesizePaperTraces(options));
+  EXPECT_EQ(digest, 0x3f67471ec7065cbdull) << "0x" << std::hex << digest;
+}
+
+TEST(SynthesisPin, SlotSeriesLanesOfOneYearKeepTheirDigests) {
+  struct Pin {
+    const char* code;
+    std::uint64_t seed_offset;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"ORNL", 0, 0xbdcc70fef70e808aull},
+      {"ORNL", 1, 0xce1122f293665733ull},
+      {"ORNL", 17, 0xbff94ba73657ebb5ull},
+      {"ECSU", 0, 0xb824a4cacea83d44ull},
+      {"ECSU", 1, 0xe80571ef3b60ff39ull},
+      {"ECSU", 17, 0x2e0822031c376338ull},
+      {"PFCI", 0, 0x7a238647cfecd96bull},
+      {"PFCI", 1, 0x4fe13f86007802a1ull},
+      {"PFCI", 17, 0x275477d9f388f027ull},
+  };
+  SynthScratch scratch;
+  for (const Pin& pin : pins) {
+    SynthOptions options;
+    options.days = 365;
+    options.seed_offset = pin.seed_offset;
+    const std::uint64_t digest =
+        LaneDigest(SynthesizeSlotSeries(SiteByCode(pin.code), options, 48,
+                                        scratch));
+    EXPECT_EQ(digest, pin.digest)
+        << pin.code << " offset " << pin.seed_offset << ": 0x" << std::hex
+        << digest;
   }
 }
 
