@@ -18,6 +18,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <streambuf>
 #include <stdexcept>
 #include <utility>
 
@@ -43,6 +44,31 @@ constexpr std::uint64_t kMaxJobSpecBytes = 1 << 20;
 constexpr std::size_t kMaxInflightPerWorker = 2;
 
 constexpr std::string_view kFrameTrailer = "end-frame\n";
+
+/// An unbuffered view of another stream buffer that keeps every byte its
+/// reader extracts.  A job is read from the worker's stdin, which goes on
+/// with commands, so ParseFleetJob may take no byte past the job's last
+/// newline; reading through this view, it can still compare the bytes it
+/// consumed with EncodeFleetJob's text of what it parsed.
+class RecordingBuf : public std::streambuf {
+ public:
+  explicit RecordingBuf(std::streambuf* source) : source_(source) {}
+  const std::string& bytes() const { return bytes_; }
+
+ protected:
+  int_type underflow() override { return source_->sgetc(); }
+  int_type uflow() override {
+    const int_type c = source_->sbumpc();
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      bytes_.push_back(traits_type::to_char_type(c));
+    }
+    return c;
+  }
+
+ private:
+  std::streambuf* source_;
+  std::string bytes_;
+};
 
 /// The job's plain-token lines; its trace directory and spec follow.
 constexpr auto WalkJobHeader = [](auto& io, auto& job) {
@@ -76,7 +102,9 @@ std::string EncodeFleetJob(const FleetWorkerJob& job) {
   return os.str();
 }
 
-FleetWorkerJob ParseFleetJob(std::istream& in) {
+FleetWorkerJob ParseFleetJob(std::istream& stream) {
+  RecordingBuf recorded(stream.rdbuf());
+  std::istream in(&recorded);
   auto job = serdes::Read<FleetWorkerJob>(in, WalkJobHeader);
   SHEP_REQUIRE(job.heartbeat_ms > 0, "fleet job heartbeat must be positive");
   serdes::ExpectToken(in, "trace-dir");
@@ -98,6 +126,10 @@ FleetWorkerJob ParseFleetJob(std::istream& in) {
   job.spec = ParseScenarioSpec(spec_text);
   serdes::ExpectToken(in, "end-job");
   SHEP_REQUIRE(in.get() == '\n', "fleet job must end with a newline");
+  // Each token reads back only in its one spelling; this also refuses what
+  // lies between them (whitespace runs, tabs, leading blank lines).
+  SHEP_REQUIRE(EncodeFleetJob(job) == recorded.bytes(),
+               "fleet job text is not the EncodeFleetJob() text of its job");
   return job;
 }
 

@@ -107,8 +107,9 @@ std::string EncodeFleetJob(const FleetWorkerJob& job);
 
 /// Inverse of EncodeFleetJob, read through the job's last newline so the
 /// next line is the first command.  Throws std::invalid_argument on
-/// malformed input, including a spec byte count over the 1 MiB cap.  Does
-/// NOT verify the fingerprint — the worker does that after rebuilding it.
+/// input that is not the EncodeFleetJob() text of what it parsed, and on
+/// a spec byte count over the 1 MiB cap.  Does NOT verify the
+/// fingerprint — the worker does that after rebuilding it.
 [[nodiscard]] FleetWorkerJob ParseFleetJob(std::istream& in);
 
 /// FNV-1a 64 over the payload bytes; the frame checksum.

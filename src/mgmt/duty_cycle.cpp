@@ -1,7 +1,6 @@
 #include "mgmt/duty_cycle.hpp"
 
 #include "common/check.hpp"
-#include "common/mathutil.hpp"
 
 namespace shep {
 
@@ -21,34 +20,6 @@ void DutyCycleConfig::Validate() const {
 DutyCycleController::DutyCycleController(const DutyCycleConfig& config)
     : config_(config) {
   config_.Validate();
-}
-
-double DutyCycleController::DutyForSlot(double predicted_harvest_j,
-                                        double level_j,
-                                        double capacity_j) const {
-  SHEP_REQUIRE(predicted_harvest_j >= 0.0,
-               "predicted harvest must be non-negative");
-  SHEP_REQUIRE(capacity_j > 0.0, "capacity must be positive");
-  SHEP_REQUIRE(level_j >= 0.0 && level_j <= capacity_j,
-               "level must be within capacity");
-  // Energy-neutral budget: spend what we expect to harvest, plus a
-  // proportional share of the storage-level error (above setpoint -> spend
-  // more, below -> conserve).
-  const double setpoint_j = config_.target_level_fraction * capacity_j;
-  const double budget_j = predicted_harvest_j +
-                          config_.level_gain * (level_j - setpoint_j);
-  const double sleep_j = config_.sleep_power_w * config_.slot_seconds;
-  const double swing_j =
-      (config_.active_power_w - config_.sleep_power_w) * config_.slot_seconds;
-  const double duty = (budget_j - sleep_j) / swing_j;
-  return Clamp(duty, config_.min_duty, config_.max_duty);
-}
-
-double DutyCycleController::ConsumptionJ(double duty) const {
-  SHEP_REQUIRE(duty >= 0.0 && duty <= 1.0, "duty must be in [0,1]");
-  return (config_.sleep_power_w +
-          duty * (config_.active_power_w - config_.sleep_power_w)) *
-         config_.slot_seconds;
 }
 
 }  // namespace shep

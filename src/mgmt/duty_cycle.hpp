@@ -9,6 +9,9 @@
 // predictor costs.
 #pragma once
 
+#include "common/check.hpp"
+#include "common/mathutil.hpp"
+
 namespace shep {
 
 /// Static configuration of the controlled node.
@@ -25,7 +28,8 @@ struct DutyCycleConfig {
 };
 
 /// Stateless controller: maps (predicted energy, storage state) to a duty
-/// cycle for the upcoming slot.
+/// cycle for the upcoming slot.  DutyForSlot and ConsumptionJ run on every
+/// slot of the node-sim kernel, so they are inline.
 class DutyCycleController {
  public:
   explicit DutyCycleController(const DutyCycleConfig& config);
@@ -38,10 +42,32 @@ class DutyCycleController {
   /// \param capacity_j           storage capacity.
   /// \returns duty cycle in [min_duty, max_duty].
   double DutyForSlot(double predicted_harvest_j, double level_j,
-                     double capacity_j) const;
+                     double capacity_j) const {
+    SHEP_REQUIRE(predicted_harvest_j >= 0.0,
+                 "predicted harvest must be non-negative");
+    SHEP_REQUIRE(capacity_j > 0.0, "capacity must be positive");
+    SHEP_REQUIRE(level_j >= 0.0 && level_j <= capacity_j,
+                 "level must be within capacity");
+    // Energy-neutral budget: spend what we expect to harvest, plus a
+    // proportional share of the storage-level error (above setpoint ->
+    // spend more, below -> conserve).
+    const double setpoint_j = config_.target_level_fraction * capacity_j;
+    const double budget_j = predicted_harvest_j +
+                            config_.level_gain * (level_j - setpoint_j);
+    const double sleep_j = config_.sleep_power_w * config_.slot_seconds;
+    const double swing_j = (config_.active_power_w - config_.sleep_power_w) *
+                           config_.slot_seconds;
+    const double duty = (budget_j - sleep_j) / swing_j;
+    return Clamp(duty, config_.min_duty, config_.max_duty);
+  }
 
   /// Energy the node consumes in one slot at duty `d`.
-  double ConsumptionJ(double duty) const;
+  double ConsumptionJ(double duty) const {
+    SHEP_REQUIRE(duty >= 0.0 && duty <= 1.0, "duty must be in [0,1]");
+    return (config_.sleep_power_w +
+            duty * (config_.active_power_w - config_.sleep_power_w)) *
+           config_.slot_seconds;
+  }
 
  private:
   DutyCycleConfig config_;

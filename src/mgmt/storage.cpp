@@ -1,7 +1,5 @@
 #include "mgmt/storage.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace shep {
@@ -19,34 +17,6 @@ EnergyStorage::EnergyStorage(const StorageParams& params,
   params_.Validate();
   SHEP_REQUIRE(initial_level_j >= 0.0 && initial_level_j <= params.capacity_j,
                "initial level must be within capacity");
-}
-
-double EnergyStorage::Charge(double energy_j) {
-  SHEP_REQUIRE(energy_j >= 0.0, "charge energy must be non-negative");
-  const double stored_candidate = energy_j * params_.charge_efficiency;
-  const double space = params_.capacity_j - level_j_;
-  const double stored = std::min(stored_candidate, space);
-  level_j_ += stored;
-  total_charged_j_ += stored;
-  // Overflow is reported in harvested joules (what was lost at the panel),
-  // so convert the unstorable fraction back through the efficiency.
-  const double overflow =
-      (stored_candidate - stored) / params_.charge_efficiency;
-  total_overflow_j_ += overflow;
-  return overflow;
-}
-
-double EnergyStorage::Discharge(double energy_j) {
-  SHEP_REQUIRE(energy_j >= 0.0, "discharge energy must be non-negative");
-  const double delivered = std::min(energy_j, level_j_);
-  level_j_ -= delivered;
-  total_delivered_j_ += delivered;
-  return delivered;
-}
-
-void EnergyStorage::Leak(double seconds) {
-  SHEP_REQUIRE(seconds >= 0.0, "leak duration must be non-negative");
-  level_j_ = std::max(0.0, level_j_ - params_.leakage_w * seconds);
 }
 
 }  // namespace shep

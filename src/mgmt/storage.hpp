@@ -31,16 +31,42 @@ class EnergyStorage {
   double level_j() const { return level_j_; }
   double fraction() const { return level_j_ / params_.capacity_j; }
 
+  // Charge, Discharge and Leak run on every slot of the node-sim kernel;
+  // they are inline so the level stays in a register across the slot.
+
   /// Adds harvested energy through the charger; returns the amount that
   /// could not be stored (overflow when full).
-  double Charge(double energy_j);
+  double Charge(double energy_j) {
+    SHEP_REQUIRE(energy_j >= 0.0, "charge energy must be non-negative");
+    const double stored_candidate = energy_j * params_.charge_efficiency;
+    const double space = params_.capacity_j - level_j_;
+    const double stored = std::min(stored_candidate, space);
+    level_j_ += stored;
+    total_charged_j_ += stored;
+    // Overflow is reported in harvested joules (what was lost at the
+    // panel), so convert the unstorable fraction back through the
+    // efficiency.
+    const double overflow =
+        (stored_candidate - stored) / params_.charge_efficiency;
+    total_overflow_j_ += overflow;
+    return overflow;
+  }
 
   /// Draws energy; returns the amount actually delivered (may be less than
   /// requested when the store runs empty).
-  double Discharge(double energy_j);
+  double Discharge(double energy_j) {
+    SHEP_REQUIRE(energy_j >= 0.0, "discharge energy must be non-negative");
+    const double delivered = std::min(energy_j, level_j_);
+    level_j_ -= delivered;
+    total_delivered_j_ += delivered;
+    return delivered;
+  }
 
   /// Applies self-discharge over `seconds`.
-  void Leak(double seconds);
+  void Leak(double seconds) {
+    SHEP_REQUIRE(seconds >= 0.0, "leak duration must be non-negative");
+    level_j_ = std::max(0.0, level_j_ - params_.leakage_w * seconds);
+  }
 
   /// Re-rates the usable capacity (battery aging in the fleet fault
   /// model).  Charge above an aged capacity becomes unusable and is

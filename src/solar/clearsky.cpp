@@ -36,33 +36,24 @@ double HaurwitzGhi(double sin_elevation) {
   return 1098.0 * sin_elevation * std::exp(-0.057 / sin_elevation);
 }
 
-std::vector<double> ClearSkyDayGhi(double latitude_deg, int day_of_year,
-                                   int resolution_s) {
-  SHEP_REQUIRE(resolution_s > 0 && kSecondsPerDay % resolution_s == 0,
-               "resolution must divide one day");
-  const double lat = DegToRad(latitude_deg);
-  const double decl = SolarDeclinationRad(day_of_year);
-  const auto n = static_cast<std::size_t>(kSecondsPerDay / resolution_s);
-  std::vector<double> ghi(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double hour =
-        (static_cast<double>(i) + 0.5) * resolution_s / 3600.0;
-    ghi[i] = HaurwitzGhi(SinElevation(lat, decl, HourAngleRad(hour)));
-  }
-  return ghi;
-}
-
 namespace {
+
+using Profile = std::shared_ptr<const std::vector<double>>;
 
 /// The process-wide memo behind ClearSkyDayGhiCached.  Latitude enters the
 /// key by its bit pattern: the memo must distinguish exactly the inputs the
 /// computation distinguishes, nothing coarser (and NaN keys, while
 /// nonsensical, must at least not corrupt the map ordering).
+///
+/// `hour_cosines` holds one cos(h) table per resolution: it depends on
+/// neither latitude nor day.  The tables are not profiles, so the stats
+/// and ClearClearSkyMemo leave them alone.
 struct ClearSkyMemo {
   using Key = std::tuple<std::uint64_t, int, int>;
 
   std::mutex mutex;
-  std::map<Key, std::shared_ptr<const std::vector<double>>> entries;
+  std::map<Key, Profile> entries;
+  std::map<int, Profile> hour_cosines;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
 };
@@ -72,10 +63,49 @@ ClearSkyMemo& TheClearSkyMemo() {
   return memo;
 }
 
+/// cos(HourAngleRad(hour)) at the midpoint hour of each of the day's
+/// 86400/resolution_s samples.  Built under the lock, once per process.
+Profile HourAngleCosines(int resolution_s) {
+  ClearSkyMemo& memo = TheClearSkyMemo();
+  std::lock_guard<std::mutex> lock(memo.mutex);
+  Profile& table = memo.hour_cosines[resolution_s];
+  if (!table) {
+    std::vector<double> cos_h(
+        static_cast<std::size_t>(kSecondsPerDay / resolution_s));
+    for (std::size_t i = 0; i < cos_h.size(); ++i) {
+      const double hour =
+          (static_cast<double>(i) + 0.5) * resolution_s / 3600.0;
+      cos_h[i] = std::cos(HourAngleRad(hour));
+    }
+    table = std::make_shared<const std::vector<double>>(std::move(cos_h));
+  }
+  return table;
+}
+
 }  // namespace
 
-std::shared_ptr<const std::vector<double>> ClearSkyDayGhiCached(
-    double latitude_deg, int day_of_year, int resolution_s) {
+std::vector<double> ClearSkyDayGhi(double latitude_deg, int day_of_year,
+                                   int resolution_s) {
+  SHEP_REQUIRE(resolution_s > 0 && kSecondsPerDay % resolution_s == 0,
+               "resolution must divide one day");
+  const double lat = DegToRad(latitude_deg);
+  const double decl = SolarDeclinationRad(day_of_year);
+  // SinElevation's expression tree with its per-day terms hoisted: the
+  // sample is a + b * cos(h), grouped exactly as SinElevation groups it,
+  // so every bit matches the per-sample formula (tests/test_clearsky.cpp).
+  const double a = std::sin(lat) * std::sin(decl);
+  const double b = std::cos(lat) * std::cos(decl);
+  const Profile table = HourAngleCosines(resolution_s);
+  const std::vector<double>& cos_h = *table;
+  std::vector<double> ghi(cos_h.size());
+  for (std::size_t i = 0; i < ghi.size(); ++i) {
+    ghi[i] = HaurwitzGhi(a + b * cos_h[i]);
+  }
+  return ghi;
+}
+
+Profile ClearSkyDayGhiCached(double latitude_deg, int day_of_year,
+                             int resolution_s) {
   ClearSkyMemo& memo = TheClearSkyMemo();
   ClearSkyMemo::Key key{std::bit_cast<std::uint64_t>(latitude_deg),
                         day_of_year, resolution_s};

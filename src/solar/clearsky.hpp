@@ -27,7 +27,8 @@ double SolarDeclinationRad(int day_of_year);
 double HourAngleRad(double solar_hour);
 
 /// Sine of solar elevation for a latitude/declination/hour-angle triple:
-/// sin(el) = sin(lat)sin(decl) + cos(lat)cos(decl)cos(h).
+/// sin(el) = sin(lat)sin(decl) + cos(lat)cos(decl)cos(h).  ClearSkyDayGhi's
+/// bit-exact test oracle.
 double SinElevation(double latitude_rad, double declination_rad,
                     double hour_angle_rad);
 
@@ -36,8 +37,11 @@ double SinElevation(double latitude_rad, double declination_rad,
 double HaurwitzGhi(double sin_elevation);
 
 /// Clear-sky irradiance profile of one day: one GHI sample per
-/// `resolution_s` seconds (86400/resolution_s samples), for the given
-/// latitude and 1-based day of year.
+/// `resolution_s` seconds (86400/resolution_s samples, each at its
+/// interval's midpoint), for the given latitude and 1-based day of year.
+/// Each sample is HaurwitzGhi(SinElevation(lat, decl, HourAngleRad(h))) bit
+/// for bit, with the per-day terms taken once and cos(h) read from a
+/// process-wide table per resolution.
 std::vector<double> ClearSkyDayGhi(double latitude_deg, int day_of_year,
                                    int resolution_s);
 
@@ -45,8 +49,8 @@ std::vector<double> ClearSkyDayGhi(double latitude_deg, int day_of_year,
 /// resolution).  The profile is a pure function of the key, and fleet
 /// campaigns evaluate many weather replicas of the same site over the same
 /// calendar window — each of which would otherwise recompute the identical
-/// 86400/resolution_s sin/cos/exp samples per day.  Repeated calls with one
-/// key return the same immutable shared instance.
+/// 86400/resolution_s samples (one exp per lit sample) per day.  Repeated
+/// calls with one key return the same immutable shared instance.
 ///
 /// Thread-safe; like fleet's TraceCache the profile is computed OUTSIDE the
 /// lock, so concurrent first calls on one key may both compute it and the

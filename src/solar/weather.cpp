@@ -180,7 +180,10 @@ void WeatherModel::DayTransmittanceInto(WeatherState state, int resolution_s,
       // Live-event sweep list; capacity persists in scratch across days.
       active.push_back(next_event++);
     }
-    std::erase_if(active, [&](std::size_t e) { return events[e].end_s <= t0; });
+    if (!active.empty()) {
+      std::erase_if(active,
+                    [&](std::size_t e) { return events[e].end_s <= t0; });
+    }
     double attenuation = 1.0;
     for (const std::size_t e : active) {
       const auto& ev = events[e];
@@ -195,17 +198,36 @@ void WeatherModel::DayTransmittanceInto(WeatherState state, int resolution_s,
   }
 
   // Box-smooth to give cloud passages the gradual edges real loggers see
-  // (window clamped at the day boundaries; midnight is dark anyway).
+  // (window clamped at the day boundaries; midnight is dark anyway).  Only
+  // samples within `half` of a day edge see a clipped window; the interior
+  // loop sums the same taps in the same order over the full window, so
+  // its divisor is just w.
   if (w > 1) {
     std::vector<double>& smoothed = scratch.smooth;
     // Smoothing scratch sized once per day; capacity persists across days.
     smoothed.resize(n);
-    for (std::size_t i = begin; i < end; ++i) {
+    const auto clipped_mean = [&](std::size_t i) {
       const std::size_t lo = i >= half ? i - half : 0;
       const std::size_t hi = std::min(n - 1, i + tail);
       double acc = 0.0;
       for (std::size_t j = lo; j <= hi; ++j) acc += tau[j];
-      smoothed[i] = acc / static_cast<double>(hi - lo + 1);
+      return acc / static_cast<double>(hi - lo + 1);
+    };
+    const std::size_t full_begin = std::min(std::max(begin, half), end);
+    const std::size_t full_end =
+        std::max(full_begin, std::min(end, n > tail ? n - tail : 0));
+    const double width = static_cast<double>(w);
+    for (std::size_t i = begin; i < full_begin; ++i) {
+      smoothed[i] = clipped_mean(i);
+    }
+    for (std::size_t i = full_begin; i < full_end; ++i) {
+      const double* taps = tau.data() + (i - half);
+      double acc = 0.0;
+      for (int j = 0; j < w; ++j) acc += taps[j];
+      smoothed[i] = acc / width;
+    }
+    for (std::size_t i = full_end; i < end; ++i) {
+      smoothed[i] = clipped_mean(i);
     }
     // The smoothed day becomes the output and tau's old storage becomes
     // next call's smoothing buffer — a swap, so neither side reallocates.

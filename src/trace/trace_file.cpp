@@ -6,6 +6,8 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/serdes.hpp"
@@ -45,7 +47,13 @@ void TraceShardFile::Serialize(std::ostream& os) const {
   serdes::Write(os, *this, WalkTraceFile);
 }
 
-TraceShardFile TraceShardFile::Parse(std::istream& is) {
+TraceShardFile TraceShardFile::Parse(std::istream& stream) {
+  // A file is the whole stream: it is read at once, so the bytes can be
+  // compared with the file's Serialize() text below.
+  std::ostringstream whole;
+  whole << stream.rdbuf();
+  const std::string text = std::move(whole).str();
+  std::istringstream is(text);
   auto file = serdes::Read<TraceShardFile>(is, WalkTraceFile);
   // Every record is bounded by this horizon, so a reader's 32-bit slot
   // arithmetic (day × slots_per_day + slots_per_day) cannot wrap.
@@ -84,6 +92,13 @@ TraceShardFile TraceShardFile::Parse(std::istream& is) {
                      std::to_string(record.slots));
     require_declared(record.cell);
   }
+  // Each token reads back only in its one spelling; this also refuses what
+  // lies between them (whitespace runs, tabs, a missing final newline) and
+  // anything after the file.
+  std::ostringstream again;
+  file.Serialize(again);
+  SHEP_REQUIRE(again.str() == text,
+               "trace file text is not the Serialize() text of its file");
   return file;
 }
 

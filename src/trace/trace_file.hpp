@@ -49,9 +49,10 @@ struct TraceShardFile {
 
   /// Exact text form ("shep-trace v1 ..." through "end").
   void Serialize(std::ostream& os) const;
-  /// Throws std::invalid_argument on malformed text, and on a file whose
-  /// days × slots_per_day exceeds 32 bits or whose records fall outside
-  /// that horizon, a day, or the declared cells.
+  /// Reads the whole stream as one file.  Throws std::invalid_argument on
+  /// text that is not the Serialize() text of what it parsed, and on a
+  /// file whose days × slots_per_day exceeds 32 bits or whose records fall
+  /// outside that horizon, a day, or the declared cells.
   [[nodiscard]] static TraceShardFile Parse(std::istream& is);
 
   /// Canonical file name: trace-<fingerprint:016x>-shard<index>.shtr —

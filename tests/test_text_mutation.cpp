@@ -3,15 +3,18 @@
 //
 // A boundary parser either accepts input that re-serializes to the same
 // bytes or throws std::invalid_argument.  Each mutant starts from a valid
-// text (ScenarioSpec::Describe, FleetPartial::Serialize) and applies one
-// to three edits: a byte flip, a truncation, a deletion, or a swap of one
-// token for an edge token (signs, leading zeros, 2^64, other spellings of
-// a double, whitespace).  Every mutant is rebuilt from its seed alone, so
-// a failure names the seed that reproduces it.
+// text (ScenarioSpec::Describe, FleetPartial::Serialize, EncodeFleetJob,
+// TraceShardFile::Serialize) and applies one to three edits: a byte flip,
+// a truncation, a deletion, a swap of one token for an edge token (signs,
+// leading zeros, 2^64, other spellings of a double, whitespace), or a
+// doubled separator.  Every mutant is rebuilt from its seed alone, so a
+// failure names the seed that reproduces it.
 
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <iterator>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,10 +22,12 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "fleet/coord.hpp"
 #include "fleet/partial.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/scenario.hpp"
 #include "fleet/shard_plan.hpp"
+#include "trace/trace_file.hpp"
 
 namespace shep {
 namespace {
@@ -58,7 +63,7 @@ std::string Mutate(const std::string& valid, std::uint64_t seed) {
   const std::uint64_t edits = 1 + rng.NextBelow(3);
   for (std::uint64_t e = 0; e < edits && !text.empty(); ++e) {
     const std::size_t pos = rng.NextBelow(text.size());
-    switch (rng.NextBelow(4)) {
+    switch (rng.NextBelow(5)) {
       case 0:
         text[pos] = static_cast<char>(text[pos] ^ (1 << rng.NextBelow(8)));
         break;
@@ -68,9 +73,15 @@ std::string Mutate(const std::string& valid, std::uint64_t seed) {
       case 2:
         text.erase(pos, 1 + rng.NextBelow(8));
         break;
-      default:
+      case 3:
         SwapToken(text, pos, EdgeTokens()[rng.NextBelow(EdgeTokens().size())]);
         break;
+      default: {
+        // A whitespace run: the separator at or after `pos` doubled.
+        const std::size_t gap = text.find_first_of(" \n", pos);
+        if (gap != std::string::npos) text.insert(gap, 1, text[gap]);
+        break;
+      }
     }
   }
   return text;
@@ -144,6 +155,67 @@ TEST(TextMutation, FleetPartialMutantsRoundTripOrThrow) {
   ExpectEveryMutantRoundTripsOrThrows(
       partial.Serialize(), 0x9A87000u,
       [](const std::string& text) { return FleetPartial::Parse(text).Serialize(); });
+}
+
+// A job is read from the worker's stdin, which goes on with commands, so
+// a mutant reads back as the job's encoding followed by what it left
+// unread.
+TEST(TextMutation, FleetJobMutantsRoundTripOrThrow) {
+  FleetWorkerJob job;
+  job.spec = MutationSpec();
+  job.fingerprint = 0xFEEDFACECAFEBEEFull;
+  job.shard_size = 3;
+  job.heartbeat_ms = 250;
+  job.trace_dir = "/tmp/trace dir";
+  ExpectEveryMutantRoundTripsOrThrows(
+      EncodeFleetJob(job), 0x70B0000u, [](const std::string& text) {
+        std::istringstream in(text);
+        const FleetWorkerJob parsed = ParseFleetJob(in);
+        return EncodeFleetJob(parsed) +
+               std::string(std::istreambuf_iterator<char>(in), {});
+      });
+}
+
+TEST(TextMutation, TraceShardFileMutantsRoundTripOrThrow) {
+  TraceShardFile file;
+  file.scenario_name = "mutation";
+  file.fingerprint = 0xFEEDFACECAFEBEEFull;
+  file.shard = 7;
+  file.slots_per_day = 48;
+  file.days = 16;
+  file.cells = {{4, "HSU", "WCMA", 1500.0}, {5, "PFCI", "WCMA#1", 6000.0}};
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    TraceRecord record;
+    record.node = 12 + i;
+    record.cell = 4 + i % 2;
+    record.slot = 100 + 37 * i;
+    record.trigger_mask = 1u << i;
+    record.violated = i == 1;
+    record.soc = 0.125 * i;
+    record.predicted_w = 0.3 + i;
+    record.actual_w = -0.0;
+    record.duty = 1.0 / (3.0 + i);
+    file.records.push_back(record);
+  }
+  TraceDayRecord day;
+  day.node = 13;
+  day.cell = 5;
+  day.day = 2;
+  day.slots = 47;
+  day.violations = 3;
+  day.min_soc = 0.0625;
+  day.mean_duty = 0.4;
+  day.max_abs_error_w = 1e-3;
+  file.day_records.push_back(day);
+  std::ostringstream os;
+  file.Serialize(os);
+  ExpectEveryMutantRoundTripsOrThrows(
+      os.str(), 0x75A0000u, [](const std::string& text) {
+        std::istringstream in(text);
+        std::ostringstream back;
+        TraceShardFile::Parse(in).Serialize(back);
+        return back.str();
+      });
 }
 
 }  // namespace
